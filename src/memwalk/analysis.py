@@ -22,13 +22,12 @@ from .constants import (
 )
 from .engine import WalkState, evolve, hadamard_coin, origin_basis_terms, state_from_terms
 from .errors import ValidationError
-from .graphs import RegularDigraph, centered_positions, step_direction
+from .graphs import RegularDigraph, step_direction
 from .partitions import Partition, random_dicycle_factorization
 
 __all__ = [
     "PositionDistribution",
     "position_marginal",
-    "marginal_history",
     "variance",
     "occupancy_rate",
     "origin_probability_series",
@@ -82,14 +81,9 @@ def position_marginal(state: WalkState) -> PositionDistribution:
     """Sum |amplitude|^2 over everything sharing a current position."""
     host = state.host
     weights = (np.abs(state.amps) ** 2).sum(axis=1)
-    positions = centered_positions(host.base_n) if host.centered else np.arange(host.base_n)
     # bincount adds the weights in vertex order, like a plain loop would.
-    probs = np.bincount(host.position_index, weights=weights, minlength=positions.shape[0])
-    return PositionDistribution(positions, probs, state.time)
-
-
-def marginal_history(states: list[WalkState]) -> list[PositionDistribution]:
-    return [position_marginal(s) for s in states]
+    probs = np.bincount(host.position_index, weights=weights, minlength=host.base_n)
+    return PositionDistribution(host.positions, probs, state.time)
 
 
 def variance(dist: PositionDistribution) -> float:

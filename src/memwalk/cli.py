@@ -56,7 +56,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     spec = ExperimentSpec.from_json_dict(doc)
     if args.t_max is not None:
         spec.t_max = args.t_max
-        spec.window = None
+        if spec.graph_family == "line":
+            spec.window = None  # refit the line window to the new horizon
     if args.seeds is not None:
         seeds = _parse_seeds(args.seeds)
         if len(seeds) != 1:
@@ -77,7 +78,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     seeds = doc.get("seeds", list(range(20)))
     if args.t_max is not None:
         template.t_max = args.t_max
-        template.window = None
+        if template.graph_family == "line":
+            template.window = None  # refit the line window to the new horizon
     if args.seeds is not None:
         seeds = _parse_seeds(args.seeds)
     report = run_sweep(template, classes, seeds, args.out, workers=args.workers)

@@ -14,6 +14,7 @@ code with the engine on purpose: they exist to cross-check it.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,6 +43,7 @@ __all__ = [
     "build_shift_operator",
     "coin_step",
     "shift_step",
+    "walk_states",
     "evolve",
     "recycled_coin_walk",
     "reflect_transmit_walk",
@@ -221,6 +223,45 @@ def _window_check(host: RegularDigraph, initial: WalkState, t_max: int) -> None:
         )
 
 
+def walk_states(
+    shift: ShiftOp | Callable[[int], ShiftOp],
+    coin: np.ndarray,
+    initial: WalkState,
+    t_max: int,
+    enforce_window: bool = True,
+) -> Iterator[WalkState]:
+    """Yield the states for t = 0..t_max of coin-then-shift evolution.
+
+    ``shift`` is either one ShiftOp used at every step, or a callable that
+    maps the step number t (1..t_max) to the ShiftOp moving the walk from
+    t-1 to t.  The no-wrap window (line-surrogate semantics) and the coin
+    are checked once, when the first state is pulled; norm preservation is
+    checked after every step.  Only the current state is held, so memory
+    does not grow with t_max.
+    """
+    if t_max < 0:
+        raise ValidationError(f"t_max must be >= 0, got {t_max}")
+    host = initial.host
+    fixed = isinstance(shift, ShiftOp)
+    if fixed and shift.host is not host:
+        raise ValidationError("initial state lives on a different host")
+    if enforce_window:
+        _window_check(host, initial, t_max)
+    check_unitary(coin)
+
+    yield initial
+    state = initial
+    for t in range(1, t_max + 1):
+        op = shift if fixed else shift(t)
+        state = shift_step(coin_step(state, coin), op)
+        drift = abs(state.norm_squared() - 1.0)
+        if drift > UNITARY_ATOL:
+            raise NumericalCheckError(
+                f"norm drift {drift:.3e} at t={state.time} exceeds {UNITARY_ATOL}"
+            )
+        yield state
+
+
 def evolve(
     partition: Partition,
     gc: CoinShift,
@@ -231,30 +272,11 @@ def evolve(
 ) -> list[WalkState]:
     """Run t_max steps of coin-then-shift; returns states for t = 0..t_max.
 
-    Checks the no-wrap window up front (line-surrogate semantics) and norm
-    preservation after every step.
+    The whole history is kept; stream ``walk_states`` instead when only a
+    per-step summary is needed.
     """
-    if t_max < 0:
-        raise ValidationError(f"t_max must be >= 0, got {t_max}")
-    host = partition.host
-    if initial.host is not host:
-        raise ValidationError("initial state lives on a different host")
-    if enforce_window:
-        _window_check(host, initial, t_max)
     op = build_shift_operator(partition, gc)
-    check_unitary(coin)
-
-    history = [initial]
-    state = initial
-    for _ in range(t_max):
-        state = shift_step(coin_step(state, coin), op)
-        drift = abs(state.norm_squared() - 1.0)
-        if drift > UNITARY_ATOL:
-            raise NumericalCheckError(
-                f"norm drift {drift:.3e} at t={state.time} exceeds {UNITARY_ATOL}"
-            )
-        history.append(state)
-    return history
+    return list(walk_states(op, coin, initial, t_max, enforce_window))
 
 
 # -- independent oracle walkers ------------------------------------------------

@@ -45,6 +45,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -67,18 +68,17 @@ from .constants import (
     UNITARY_ATOL,
 )
 from .engine import (
+    ShiftOp,
     WalkState,
-    _window_check,
     balanced_origin_terms,
     build_shift_operator,
-    coin_step,
     equivalence_initial_terms,
     evolve,
     hadamard_coin,
     recycled_coin_walk,
     reflect_transmit_walk,
-    shift_step,
     state_from_terms,
+    walk_states,
 )
 from .errors import NumericalCheckError, ValidationError
 from .graphs import (
@@ -102,10 +102,10 @@ __all__ = [
     "WALK_CLASSES",
     "enumerate_report",
     "equivalence_report",
+    "iter_history",
     "resolve_spec",
     "run_enumerate",
     "run_equivalence",
-    "run_history",
     "run_simulate",
     "run_sweep",
 ]
@@ -313,11 +313,22 @@ def _resolve_initial(spec: ExperimentSpec, host: RegularDigraph) -> WalkState:
     raise ValidationError(f"unknown initial-state preset {spec.initial_preset!r}")
 
 
+def _check_int(name: str, value, minimum: int | None = None) -> None:
+    """JSON integers only: a bool, float or string is rejected, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {value}")
+
+
 def resolve_spec(spec: ExperimentSpec) -> ResolvedExperiment:
-    if spec.t_max < 0:
-        raise ValidationError(f"t_max must be >= 0, got {spec.t_max}")
-    if spec.memory_depth < 1:
-        raise ValidationError(f"memory_depth must be >= 1, got {spec.memory_depth}")
+    _check_int("t_max", spec.t_max, 0)
+    _check_int("memory_depth", spec.memory_depth, 1)
+    if spec.window is not None:
+        _check_int("graph.window", spec.window)
+    for name, seed in (("partition.seed", spec.partition_seed), ("seed", spec.seed)):
+        if seed is not None:
+            _check_int(name, seed, 0)
     unknown = set(spec.outputs) - set(ALL_OUTPUTS)
     if unknown:
         raise ValidationError(f"unknown outputs: {sorted(unknown)}")
@@ -378,47 +389,23 @@ def _master_seed(spec: ExperimentSpec) -> int:
     return seed
 
 
-def _evolve_annealed(resolved: ResolvedExperiment) -> list[WalkState]:
-    """Coin-then-shift evolution with a fresh seeded partition every step."""
+def iter_history(resolved: ResolvedExperiment) -> Iterator[WalkState]:
+    """States for t = 0..t_max under the spec's partition mode, one at a time.
+
+    A "per_step" spec draws a fresh seeded partition before every step.
+    """
     spec = resolved.spec
-    host = resolved.host
-    if resolved.enforce_window:
-        _window_check(host, resolved.initial, spec.t_max)
-    seeds = _step_seeds(_master_seed(spec), spec.t_max)
+    if spec.partition_resample == "per_step":
+        seeds = _step_seeds(_master_seed(spec), spec.t_max)
 
-    def build_gc(p: Partition) -> CoinShift:
-        if spec.coin_shift_kind == "recycled":
-            return recycled_coin_shift(p)
-        if spec.coin_shift_kind == "carried":
-            return carried_coin_shift(p)
-        return resolved.gc  # fixed table, revalidated per sample below
+        def shift(t: int) -> ShiftOp:
+            p = _sample_partition(spec.partition_kind, resolved.host, seeds[t - 1])
+            return build_shift_operator(p, _resolve_coin_shift(spec, p))
 
-    history = [resolved.initial]
-    state = resolved.initial
-    for t in range(1, spec.t_max + 1):
-        p = _sample_partition(spec.partition_kind, host, seeds[t - 1])
-        op = build_shift_operator(p, build_gc(p))
-        state = shift_step(coin_step(state, resolved.coin), op)
-        drift = abs(state.norm_squared() - 1.0)
-        if drift > UNITARY_ATOL:
-            raise NumericalCheckError(
-                f"norm drift {drift:.3e} at t={state.time} exceeds {UNITARY_ATOL}"
-            )
-        history.append(state)
-    return history
-
-
-def run_history(resolved: ResolvedExperiment) -> list[WalkState]:
-    """States for t = 0..t_max under the spec's partition mode."""
-    if resolved.spec.partition_resample == "per_step":
-        return _evolve_annealed(resolved)
-    return evolve(
-        resolved.partition,
-        resolved.gc,
-        resolved.coin,
-        resolved.initial,
-        resolved.spec.t_max,
-        enforce_window=resolved.enforce_window,
+    else:
+        shift = build_shift_operator(resolved.partition, resolved.gc)
+    return walk_states(
+        shift, resolved.coin, resolved.initial, spec.t_max, resolved.enforce_window
     )
 
 
@@ -430,12 +417,30 @@ def _write_json(path: Path, doc: dict) -> None:
 
 
 def _write_distribution_csv(path: Path, dists: list[analysis.PositionDistribution]) -> None:
+    """One "t,x,p" row per position and time step, "\\r\\n"-terminated.
+
+    These are the bytes csv.writer produces for the same rows: no field
+    (an int or a float repr) holds a delimiter, quote or line break, so
+    nothing is quoted.  Exact zeros, about three quarters of the entries,
+    skip repr: position_marginal sums non-negative weights from +0.0, so
+    no probability is -0.0.
+    """
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x", "p"])
+        fh.write("t,x,p\r\n")
+        positions = None
         for d in dists:
-            for x, p in zip(d.positions, d.probs):
-                writer.writerow([d.time, int(x), repr(float(p))])
+            if d.positions is not positions:
+                positions = d.positions
+                xs = [f",{int(x)}," for x in positions.tolist()]
+            t = str(d.time)
+            fh.write(
+                "".join(
+                    [
+                        f"{t}{x}{'0.0' if p == 0.0 else repr(p)}\r\n"
+                        for x, p in zip(xs, d.probs.tolist())
+                    ]
+                )
+            )
 
 
 def _series_summary(
@@ -472,8 +477,7 @@ def _fit_summary(dists: list[analysis.PositionDistribution], t_max: int) -> dict
 def run_simulate(spec: ExperimentSpec, out_dir: str | Path) -> dict:
     """Evolve one spec and write distributions.csv plus summary.json."""
     resolved = resolve_spec(spec)
-    history = run_history(resolved)
-    dists = analysis.marginal_history(history)
+    dists = [analysis.position_marginal(s) for s in iter_history(resolved)]
 
     summary = {"spec": spec.to_json_dict(), "series": _series_summary(dists, spec.outputs)}
     if "scaling-fit" in spec.outputs:
@@ -511,8 +515,7 @@ def _sweep_one(args: tuple[ExperimentSpec, str, int]) -> tuple[str, int, dict]:
     template, walk_class, seed = args
     spec = _class_spec(template, walk_class, seed)
     resolved = resolve_spec(spec)
-    history = run_history(resolved)
-    dists = analysis.marginal_history(history)
+    dists = [analysis.position_marginal(s) for s in iter_history(resolved)]
     return (
         walk_class,
         seed,
@@ -551,6 +554,8 @@ def run_sweep(
         raise ValidationError("sweep needs at least one walk class")
     if not seeds:
         raise ValidationError("sweep needs at least one seed")
+    for seed in seeds:
+        _check_int("sweep seed", seed, 0)
     for walk_class in classes:
         if walk_class not in WALK_CLASSES:
             raise ValidationError(f"unknown walk class {walk_class!r}")

@@ -105,17 +105,23 @@ class RegularDigraph:
 
     @cached_property
     def position_index(self) -> np.ndarray:
-        """Each vertex's current position as an index into the sorted window.
-
-        The window is centered_positions(base_n) for centered hosts and
-        0..base_n-1 otherwise.
-        """
+        """Each vertex's current position as an index into ``positions``."""
         offset = (self.base_n - 1) // 2 if self.centered else 0
         idx = np.array(
             [current_position(lab) + offset for lab in self.labels], dtype=np.intp
         )
         idx.flags.writeable = False
         return idx
+
+    @cached_property
+    def positions(self) -> np.ndarray:
+        """The sorted position window: centered_positions(base_n) for
+        centered hosts, 0..base_n-1 otherwise."""
+        positions = (
+            centered_positions(self.base_n) if self.centered else np.arange(self.base_n)
+        )
+        positions.flags.writeable = False
+        return positions
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense 0/1 adjacency matrix (row = tail, column = head)."""

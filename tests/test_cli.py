@@ -75,6 +75,57 @@ def test_negative_t_max_is_validation_error(tmp_path, config):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"t_max": "5"},
+        {"t_max": True},
+        {"partition": {"kind": "random_dicycle", "seed": -1}},
+        {"partition": {"kind": "random", "seed": -3, "resample": "per_step"},
+         "coin_shift": {"kind": "recycled"}},
+        {"seed": -2},
+        {"memory_depth": 1.5},
+        {"graph": {"family": "line", "window": 61.0}},
+    ],
+    ids=[
+        "string-t_max", "bool-t_max", "negative-partition-seed",
+        "negative-per-step-seed", "negative-seed", "float-depth", "float-window",
+    ],
+)
+def test_spec_types_are_strict(tmp_path, config, capsys, overrides):
+    out = tmp_path / "run"
+    code = main(["simulate", "--config", config(simulate_doc(**overrides)), "--out", str(out)])
+    assert code == 2
+    assert "must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_rejects_negative_seed(tmp_path, config):
+    doc = {
+        "template": {"t_max": 20, "outputs": ["variance"]},
+        "classes": ["random+recycled"],
+        "seeds": [0, -1],
+    }
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", config(doc), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_t_max_flag_keeps_cycle_window(tmp_path, config):
+    doc = simulate_doc(graph={"family": "cycle", "window": 11})
+    out = tmp_path / "run"
+    code = main(["simulate", "--config", config(doc), "--out", str(out), "--t-max", "4"])
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["spec"]["graph"] == {"family": "cycle", "window": 11}
+    assert summary["spec"]["t_max"] == 4
+    sweep_doc = {"template": doc, "classes": ["reflect_transmit+carried"], "seeds": [0]}
+    code = main(
+        ["sweep", "--config", config(sweep_doc), "--out", str(tmp_path / "s"), "--t-max", "4"]
+    )
+    assert code == 0
+
+
 def test_seeds_flag_requires_single_seed(tmp_path, config):
     path = config(simulate_doc())
     assert main(["simulate", "--config", path, "--seeds", "1,2", "--out", str(tmp_path / "o")]) == 2

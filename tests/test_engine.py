@@ -26,9 +26,10 @@ from memwalk import (
     reflect_transmit_walk,
     shift_step,
     state_from_terms,
+    walk_states,
 )
 from memwalk.engine import WalkState, check_unitary
-from memwalk import analysis
+from memwalk import analysis, engine
 
 
 def test_hadamard_is_unitary():
@@ -163,6 +164,44 @@ def test_evolve_rejects_foreign_state(host_d1, host_d2):
     s = state_from_terms(host_d2, [((0, 1, 0), 1, 1.0)])
     with pytest.raises(ValidationError):
         evolve(p, recycled_coin_shift(p), hadamard_coin(), s, 1)
+
+
+def test_walk_states_is_lazy(host_d1, monkeypatch):
+    p = directional_partition(host_d1)
+    op = build_shift_operator(p, recycled_coin_shift(p))
+    s = state_from_terms(host_d1, balanced_origin_terms(host_d1))
+    stepped = []
+    real_coin_step = engine.coin_step
+
+    def counting_coin_step(state, coin):
+        stepped.append(state.time)
+        return real_coin_step(state, coin)
+
+    monkeypatch.setattr(engine, "coin_step", counting_coin_step)
+    stream = walk_states(op, hadamard_coin(), s, 30)
+    assert stepped == []
+    assert next(stream) is s
+    assert stepped == []
+    assert next(stream).time == 1
+    assert stepped == [0]
+
+
+def test_walk_states_takes_a_per_step_shift(host_d1):
+    p = directional_partition(host_d1)
+    op = build_shift_operator(p, recycled_coin_shift(p))
+    s = state_from_terms(host_d1, balanced_origin_terms(host_d1))
+    asked = []
+
+    def schedule(t):
+        asked.append(t)
+        return op
+
+    streamed = list(walk_states(schedule, hadamard_coin(), s, 12))
+    kept = evolve(p, recycled_coin_shift(p), hadamard_coin(), s, 12)
+    assert asked == list(range(1, 13))
+    assert [state.time for state in streamed] == list(range(13))
+    for a, b in zip(streamed, kept):
+        assert np.array_equal(a.amps, b.amps)
 
 
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1))

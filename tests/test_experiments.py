@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import csv
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,10 +13,11 @@ from memwalk.experiments import (
     WALK_CLASSES,
     ExperimentSpec,
     _class_spec,
+    _write_distribution_csv,
     equivalence_report,
     enumerate_report,
+    iter_history,
     resolve_spec,
-    run_history,
     run_simulate,
     run_sweep,
 )
@@ -104,6 +108,52 @@ def test_run_simulate_validates_before_writing(tmp_path):
     assert not out.exists()
 
 
+def _csv_writer_reference(path, dists):
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "x", "p"])
+        for d in dists:
+            for x, p in zip(d.positions, d.probs):
+                writer.writerow([d.time, int(x), repr(float(p))])
+
+
+def test_distribution_csv_matches_csv_writer(tmp_path):
+    # fixed-notation and scientific reprs, exact zero and the smallest subnormal
+    values = [0.0, 1.0, 0.1 + 0.2, 1e-05, 2.5e-16, 5e-324]
+    positions = np.arange(-3, 3)
+    dists = [
+        analysis.PositionDistribution(positions, np.roll(values, t), t) for t in range(4)
+    ]
+    _write_distribution_csv(tmp_path / "got.csv", dists)
+    _csv_writer_reference(tmp_path / "want.csv", dists)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert b"-3,5e-324" in (tmp_path / "got.csv").read_bytes()
+
+    spec = ExperimentSpec.from_json_dict(spec_doc(t_max=60))
+    run_simulate(spec, tmp_path / "run")
+    dists = [analysis.position_marginal(s) for s in iter_history(resolve_spec(spec))]
+    _csv_writer_reference(tmp_path / "run_want.csv", dists)
+    got = (tmp_path / "run" / "distributions.csv").read_bytes()
+    assert got == (tmp_path / "run_want.csv").read_bytes()
+    assert got.count(b"\r\n") == 1 + 61 * dists[0].positions.size
+
+
+def test_simulate_memory_does_not_grow_with_stored_states(tmp_path):
+    t_max = 400
+    spec = ExperimentSpec.from_json_dict(
+        spec_doc(t_max=t_max, outputs=["distribution", "variance", "occrate", "origin-series"])
+    )
+    host = resolve_spec(spec).host
+    history_bytes = (t_max + 1) * host.n_vertices * host.degree * 16
+    tracemalloc.start()
+    try:
+        run_simulate(spec, tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < history_bytes / 2
+
+
 def test_annealed_differs_from_frozen():
     frozen = resolve_spec(
         ExperimentSpec.from_json_dict(
@@ -120,9 +170,9 @@ def test_annealed_differs_from_frozen():
     annealed = resolve_spec(ExperimentSpec.from_json_dict(annealed_doc))
     again = resolve_spec(ExperimentSpec.from_json_dict(annealed_doc))
 
-    frozen_final = analysis.position_marginal(run_history(frozen)[-1])
-    annealed_final = analysis.position_marginal(run_history(annealed)[-1])
-    again_final = analysis.position_marginal(run_history(again)[-1])
+    frozen_final = analysis.position_marginal(list(iter_history(frozen))[-1])
+    annealed_final = analysis.position_marginal(list(iter_history(annealed))[-1])
+    again_final = analysis.position_marginal(list(iter_history(again))[-1])
     assert np.array_equal(annealed_final.probs, again_final.probs)
     assert analysis.max_distribution_difference(frozen_final, annealed_final) > 1e-6
 
@@ -146,7 +196,7 @@ def test_sweep_matches_single_run(tmp_path):
     )
     report = run_sweep(template, ["reflect_transmit+carried"], [0], tmp_path)
     solo = resolve_spec(_class_spec(template, "reflect_transmit+carried", 0))
-    dists = analysis.marginal_history(run_history(solo))
+    dists = [analysis.position_marginal(s) for s in iter_history(solo)]
     expected = [analysis.variance(d) for d in dists]
     got = report["classes"]["reflect_transmit+carried"]["mean_variance"]
     assert np.allclose(got, expected, atol=1e-14)
@@ -229,8 +279,8 @@ def test_raw_coin_shift_table():
     doc = spec_doc(t_max=5, coin_shift={"kind": "table", "entries": entries})
     resolved = resolve_spec(ExperimentSpec.from_json_dict(doc))
     carried = resolve_spec(ExperimentSpec.from_json_dict(spec_doc(t_max=5)))
-    a = analysis.position_marginal(run_history(resolved)[-1])
-    b = analysis.position_marginal(run_history(carried)[-1])
+    a = analysis.position_marginal(list(iter_history(resolved))[-1])
+    b = analysis.position_marginal(list(iter_history(carried))[-1])
     # the identity table on this partition is exactly the carried shift
     assert analysis.max_distribution_difference(a, b) == 0.0
     with pytest.raises(ValidationError):

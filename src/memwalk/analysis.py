@@ -28,6 +28,7 @@ from .partitions import Partition, random_dicycle_factorization
 __all__ = [
     "PositionDistribution",
     "position_marginal",
+    "marginal_history",
     "variance",
     "occupancy_rate",
     "origin_probability_series",
@@ -84,6 +85,10 @@ def position_marginal(state: WalkState) -> PositionDistribution:
     # bincount adds the weights in vertex order, like a plain loop would.
     probs = np.bincount(host.position_index, weights=weights, minlength=host.base_n)
     return PositionDistribution(host.positions, probs, state.time)
+
+
+def marginal_history(states: list[WalkState]) -> list[PositionDistribution]:
+    return [position_marginal(s) for s in states]
 
 
 def variance(dist: PositionDistribution) -> float:

@@ -223,37 +223,37 @@ def _window_check(host: RegularDigraph, initial: WalkState, t_max: int) -> None:
         )
 
 
-def walk_states(
-    shift: ShiftOp | Callable[[int], ShiftOp],
-    coin: np.ndarray,
-    initial: WalkState,
-    t_max: int,
-    enforce_window: bool = True,
-) -> Iterator[WalkState]:
-    """Yield the states for t = 0..t_max of coin-then-shift evolution.
-
-    ``shift`` is either one ShiftOp used at every step, or a callable that
-    maps the step number t (1..t_max) to the ShiftOp moving the walk from
-    t-1 to t.  The no-wrap window (line-surrogate semantics) and the coin
-    are checked once, when the first state is pulled; norm preservation is
-    checked after every step.  Only the current state is held, so memory
-    does not grow with t_max.
-    """
+def _start_check(
+    host: RegularDigraph, initial: WalkState, t_max: int, enforce_window: bool
+) -> None:
+    """Checks made before a run's shift is built: t_max, host and window."""
     if t_max < 0:
         raise ValidationError(f"t_max must be >= 0, got {t_max}")
-    host = initial.host
-    fixed = isinstance(shift, ShiftOp)
-    if fixed and shift.host is not host:
+    if initial.host is not host:
         raise ValidationError("initial state lives on a different host")
     if enforce_window:
         _window_check(host, initial, t_max)
-    check_unitary(coin)
 
+
+def walk_states(
+    shift: Callable[[int], ShiftOp],
+    coin: np.ndarray,
+    initial: WalkState,
+    t_max: int,
+) -> Iterator[WalkState]:
+    """Yield the states for t = 0..t_max of coin-then-shift evolution.
+
+    ``shift(t)`` is the ShiftOp moving the walk from t-1 to t (t = 1..t_max).
+    The coin is checked once, when the first state is pulled, and norm
+    preservation after every step; callers check t_max, the host and the
+    window first (``evolve`` and ``experiments.iter_history`` do).  Only the
+    current state is held, so memory does not grow with t_max.
+    """
+    check_unitary(coin)
     yield initial
     state = initial
     for t in range(1, t_max + 1):
-        op = shift if fixed else shift(t)
-        state = shift_step(coin_step(state, coin), op)
+        state = shift_step(coin_step(state, coin), shift(t))
         drift = abs(state.norm_squared() - 1.0)
         if drift > UNITARY_ATOL:
             raise NumericalCheckError(
@@ -272,11 +272,13 @@ def evolve(
 ) -> list[WalkState]:
     """Run t_max steps of coin-then-shift; returns states for t = 0..t_max.
 
-    The whole history is kept; stream ``walk_states`` instead when only a
-    per-step summary is needed.
+    Checks the no-wrap window up front (line-surrogate semantics) and norm
+    preservation after every step.  The whole history is kept; stream
+    ``walk_states`` instead when only a per-step summary is needed.
     """
+    _start_check(partition.host, initial, t_max, enforce_window)
     op = build_shift_operator(partition, gc)
-    return list(walk_states(op, coin, initial, t_max, enforce_window))
+    return list(walk_states(lambda t: op, coin, initial, t_max))
 
 
 # -- independent oracle walkers ------------------------------------------------

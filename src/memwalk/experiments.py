@@ -70,6 +70,7 @@ from .constants import (
 from .engine import (
     ShiftOp,
     WalkState,
+    _start_check,
     balanced_origin_terms,
     build_shift_operator,
     equivalence_initial_terms,
@@ -106,6 +107,7 @@ __all__ = [
     "resolve_spec",
     "run_enumerate",
     "run_equivalence",
+    "run_history",
     "run_simulate",
     "run_sweep",
 ]
@@ -395,6 +397,7 @@ def iter_history(resolved: ResolvedExperiment) -> Iterator[WalkState]:
     A "per_step" spec draws a fresh seeded partition before every step.
     """
     spec = resolved.spec
+    _start_check(resolved.host, resolved.initial, spec.t_max, resolved.enforce_window)
     if spec.partition_resample == "per_step":
         seeds = _step_seeds(_master_seed(spec), spec.t_max)
 
@@ -403,10 +406,17 @@ def iter_history(resolved: ResolvedExperiment) -> Iterator[WalkState]:
             return build_shift_operator(p, _resolve_coin_shift(spec, p))
 
     else:
-        shift = build_shift_operator(resolved.partition, resolved.gc)
-    return walk_states(
-        shift, resolved.coin, resolved.initial, spec.t_max, resolved.enforce_window
-    )
+        op = build_shift_operator(resolved.partition, resolved.gc)
+
+        def shift(t: int) -> ShiftOp:
+            return op
+
+    return walk_states(shift, resolved.coin, resolved.initial, spec.t_max)
+
+
+def run_history(resolved: ResolvedExperiment) -> list[WalkState]:
+    """States for t = 0..t_max under the spec's partition mode, as a list."""
+    return list(iter_history(resolved))
 
 
 # -- output writing ----------------------------------------------------------------
@@ -422,8 +432,8 @@ def _write_distribution_csv(path: Path, dists: list[analysis.PositionDistributio
     These are the bytes csv.writer produces for the same rows: no field
     (an int or a float repr) holds a delimiter, quote or line break, so
     nothing is quoted.  Exact zeros, about three quarters of the entries,
-    skip repr: position_marginal sums non-negative weights from +0.0, so
-    no probability is -0.0.
+    skip repr unless some entry of the step has its sign bit set: -0.0 == 0.0
+    but its repr is "-0.0".
     """
     with path.open("w", newline="") as fh:
         fh.write("t,x,p\r\n")
@@ -432,15 +442,13 @@ def _write_distribution_csv(path: Path, dists: list[analysis.PositionDistributio
             if d.positions is not positions:
                 positions = d.positions
                 xs = [f",{int(x)}," for x in positions.tolist()]
+            probs = d.probs.tolist()
+            if np.signbit(d.probs).any():
+                cells = [repr(p) for p in probs]
+            else:
+                cells = ["0.0" if p == 0.0 else repr(p) for p in probs]
             t = str(d.time)
-            fh.write(
-                "".join(
-                    [
-                        f"{t}{x}{'0.0' if p == 0.0 else repr(p)}\r\n"
-                        for x, p in zip(xs, d.probs.tolist())
-                    ]
-                )
-            )
+            fh.write("".join([f"{t}{x}{c}\r\n" for x, c in zip(xs, cells)]))
 
 
 def _series_summary(

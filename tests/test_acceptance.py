@@ -57,8 +57,8 @@ from memwalk.experiments import (
     _paired_origin_state,
     _paired_reflect_transmit_state,
     equivalence_report,
-    iter_history,
     resolve_spec,
+    run_history,
     run_sweep,
 )
 
@@ -204,13 +204,13 @@ def test_criterion_04_unitarity(acceptance_log):
             start = state_from_terms(big, balanced_origin_terms(big))
             for s in evolve(p, gc, hadamard_coin(), start, 200):
                 drift = max(drift, abs(s.norm_squared() - 1.0))
-        # the per-step resampled variants re-check unitarity inside iter_history
+        # the per-step resampled variants re-check unitarity inside run_history
         for walk_class in DIFFUSIVE_CLASSES:
             template = ExperimentSpec.from_json_dict(
                 {"t_max": 200, "outputs": ["variance"]}
             )
             resolved = resolve_spec(_class_spec(template, walk_class, 0))
-            for s in iter_history(resolved):
+            for s in run_history(resolved):
                 drift = max(drift, abs(s.norm_squared() - 1.0))
         assert drift < 1e-12
         info["detail"] = f"6 classes + 100 random pairs exact, drift {drift:.2e}"

@@ -26,6 +26,7 @@ from memwalk.analysis import (
     count_distinct_dicycle_carried_walks,
     equivalence_initial_beta,
     late_origin_average,
+    marginal_history,
     max_distribution_difference,
     occupancy_rate,
     origin_probability_series,
@@ -178,7 +179,7 @@ def test_walk_respects_parity(host_d1):
     p = directional_partition(host_d1)
     state = state_from_terms(host_d1, [((-1, 0), 1, 1.0)])
     history = evolve(p, recycled_coin_shift(p), hadamard_coin(), state, 15)
-    for t, d in enumerate(position_marginal(s) for s in history):
+    for t, d in enumerate(marginal_history(history)):
         occupied = d.positions[d.probs > 1e-15]
         assert ((occupied + t) % 2 == 0).all()
 

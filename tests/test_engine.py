@@ -178,7 +178,7 @@ def test_walk_states_is_lazy(host_d1, monkeypatch):
         return real_coin_step(state, coin)
 
     monkeypatch.setattr(engine, "coin_step", counting_coin_step)
-    stream = walk_states(op, hadamard_coin(), s, 30)
+    stream = walk_states(lambda t: op, hadamard_coin(), s, 30)
     assert stepped == []
     assert next(stream) is s
     assert stepped == []

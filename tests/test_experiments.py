@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from memwalk import ValidationError, minimal_window
+from memwalk import ConstraintViolationError, ValidationError, minimal_window
 from memwalk.analysis import BetaField, equivalence_initial_beta
 from memwalk.experiments import (
     ANNEALED_CLASSES,
@@ -18,6 +18,7 @@ from memwalk.experiments import (
     enumerate_report,
     iter_history,
     resolve_spec,
+    run_history,
     run_simulate,
     run_sweep,
 )
@@ -124,10 +125,14 @@ def test_distribution_csv_matches_csv_writer(tmp_path):
     dists = [
         analysis.PositionDistribution(positions, np.roll(values, t), t) for t in range(4)
     ]
+    # -0.0 == 0.0, but csv.writer wrote its repr
+    dists.append(analysis.PositionDistribution(positions, np.array([-0.0, 0.0, *values[1:5]]), 4))
     _write_distribution_csv(tmp_path / "got.csv", dists)
     _csv_writer_reference(tmp_path / "want.csv", dists)
-    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
-    assert b"-3,5e-324" in (tmp_path / "got.csv").read_bytes()
+    got = (tmp_path / "got.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()
+    assert b"-3,5e-324" in got
+    assert b"\r\n4,-3,-0.0\r\n4,-2,0.0\r\n" in got
 
     spec = ExperimentSpec.from_json_dict(spec_doc(t_max=60))
     run_simulate(spec, tmp_path / "run")
@@ -170,9 +175,9 @@ def test_annealed_differs_from_frozen():
     annealed = resolve_spec(ExperimentSpec.from_json_dict(annealed_doc))
     again = resolve_spec(ExperimentSpec.from_json_dict(annealed_doc))
 
-    frozen_final = analysis.position_marginal(list(iter_history(frozen))[-1])
-    annealed_final = analysis.position_marginal(list(iter_history(annealed))[-1])
-    again_final = analysis.position_marginal(list(iter_history(again))[-1])
+    frozen_final = analysis.position_marginal(run_history(frozen)[-1])
+    annealed_final = analysis.position_marginal(run_history(annealed)[-1])
+    again_final = analysis.position_marginal(run_history(again)[-1])
     assert np.array_equal(annealed_final.probs, again_final.probs)
     assert analysis.max_distribution_difference(frozen_final, annealed_final) > 1e-6
 
@@ -196,7 +201,7 @@ def test_sweep_matches_single_run(tmp_path):
     )
     report = run_sweep(template, ["reflect_transmit+carried"], [0], tmp_path)
     solo = resolve_spec(_class_spec(template, "reflect_transmit+carried", 0))
-    dists = [analysis.position_marginal(s) for s in iter_history(solo)]
+    dists = analysis.marginal_history(run_history(solo))
     expected = [analysis.variance(d) for d in dists]
     got = report["classes"]["reflect_transmit+carried"]["mean_variance"]
     assert np.allclose(got, expected, atol=1e-14)
@@ -279,8 +284,8 @@ def test_raw_coin_shift_table():
     doc = spec_doc(t_max=5, coin_shift={"kind": "table", "entries": entries})
     resolved = resolve_spec(ExperimentSpec.from_json_dict(doc))
     carried = resolve_spec(ExperimentSpec.from_json_dict(spec_doc(t_max=5)))
-    a = analysis.position_marginal(list(iter_history(resolved))[-1])
-    b = analysis.position_marginal(list(iter_history(carried))[-1])
+    a = analysis.position_marginal(run_history(resolved)[-1])
+    b = analysis.position_marginal(run_history(carried)[-1])
     # the identity table on this partition is exactly the carried shift
     assert analysis.max_distribution_difference(a, b) == 0.0
     with pytest.raises(ValidationError):
@@ -289,6 +294,18 @@ def test_raw_coin_shift_table():
                 spec_doc(t_max=5, coin_shift={"kind": "table", "entries": entries[:-1]})
             )
         )
+
+
+def test_window_is_checked_before_the_coin_shift_table():
+    n = minimal_window(5, 1)
+    entries = [[v, c, 1] for v in range(2 * n) for c in (1, -1)]  # every arc keeps coin 1
+    doc = spec_doc(coin_shift={"kind": "table", "entries": entries}, graph={"family": "line", "window": n})
+    too_long = resolve_spec(ExperimentSpec.from_json_dict(dict(doc, t_max=50)))
+    with pytest.raises(ValidationError, match="too small"):
+        iter_history(too_long)
+    fits = resolve_spec(ExperimentSpec.from_json_dict(dict(doc, t_max=5)))
+    with pytest.raises(ConstraintViolationError):
+        iter_history(fits)
 
 
 def test_enumerate_report_counts():

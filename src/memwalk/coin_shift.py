@@ -36,7 +36,6 @@ __all__ = [
     "validate_coin_shift",
     "enumerate_coin_shifts",
     "random_coin_shift",
-    "paired_vertex",
 ]
 
 #: Hosts whose full gc table exceeds this many cells refuse exhaustive
@@ -183,13 +182,3 @@ def random_coin_shift(p: Partition, seed: int) -> CoinShift:
             table[vertex, c_in] = c_out
     return CoinShift(host, table, name="random")
 
-
-def paired_vertex(host: RegularDigraph, v: int) -> int:
-    """The unique other vertex sharing v's out-neighborhood (m = 2 hosts).
-
-    Under the block labeling these are the half-offset pairs (i, i + V/2).
-    """
-    if host.degree != 2 or host.depth < 1:
-        raise ValidationError("pairing needs an m=2 line digraph")
-    half = host.n_vertices // 2
-    return (v + half) % host.n_vertices

@@ -181,6 +181,9 @@ class ExperimentSpec:
         coin_shift = section("coin_shift", {"kind", "entries"})
         coin = section("coin", {"kind", "rows"})
         initial = section("initial_state", {"preset", "terms"})
+        outputs = doc.get("outputs", list(ALL_OUTPUTS))
+        if not isinstance(outputs, list) or not all(isinstance(o, str) for o in outputs):
+            raise ValidationError(f"outputs must be a list of strings, got {outputs!r}")
         spec = cls(
             graph_family=graph.get("family", "line"),
             window=graph.get("window"),
@@ -195,7 +198,7 @@ class ExperimentSpec:
             initial_preset=initial.get("preset") if "terms" not in initial else None,
             initial_terms=initial.get("terms"),
             t_max=doc.get("t_max", 100),
-            outputs=tuple(doc.get("outputs", ALL_OUTPUTS)),
+            outputs=tuple(outputs),
             seed=doc.get("seed"),
         )
         if spec.initial_preset is None and spec.initial_terms is None:
@@ -261,10 +264,15 @@ def _resolve_coin(spec: ExperimentSpec) -> np.ndarray:
     if spec.coin_kind == "hadamard":
         return hadamard_coin()
     if spec.coin_kind == "matrix":
-        if not spec.coin_rows:
+        rows = spec.coin_rows
+        if not rows:
             raise ValidationError("coin kind 'matrix' needs rows")
-        rows = [[complex(re, im) for re, im in row] for row in spec.coin_rows]
-        return np.array(rows, dtype=np.complex128)
+        if not isinstance(rows, list) or not all(
+            isinstance(row, list) and len(row) == len(rows) for row in rows
+        ):
+            raise ValidationError(f"coin rows must be a square list of lists, got {rows!r}")
+        cells = [[_check_pair("coin.rows cell", cell) for cell in row] for row in rows]
+        return np.array(cells, dtype=np.complex128)
     raise ValidationError(f"unknown coin kind {spec.coin_kind!r}")
 
 
@@ -289,12 +297,26 @@ def _resolve_coin_shift(spec: ExperimentSpec, p: Partition) -> CoinShift:
     if kind == "carried":
         return carried_coin_shift(p)
     if kind == "table":
-        if not spec.coin_shift_entries:
+        entries = spec.coin_shift_entries
+        if not entries:
             raise ValidationError("coin shift kind 'table' needs entries")
-        m = p.host.degree
-        table = np.full((p.host.n_vertices, m), -1, dtype=np.int64)
-        for vertex, c_in, c_out in spec.coin_shift_entries:
-            table[int(vertex), coin_index(c_in, m)] = coin_index(c_out, m)
+        if not isinstance(entries, list):
+            raise ValidationError(f"coin_shift.entries must be a list, got {entries!r}")
+        n, m = p.host.n_vertices, p.host.degree
+        table = np.full((n, m), -1, dtype=np.int64)
+        for entry in entries:
+            if not isinstance(entry, list) or len(entry) != 3:
+                raise ValidationError(
+                    f"coin_shift entry must be [vertex, coin_in, coin_out], got {entry!r}"
+                )
+            for value in entry:
+                _check_int("coin_shift entry", value)
+            vertex, c_in, c_out = entry
+            if not 0 <= vertex < n:
+                raise ValidationError(
+                    f"coin_shift entry vertex {vertex} is outside 0..{n - 1}"
+                )
+            table[vertex, coin_index(c_in, m)] = coin_index(c_out, m)
         if (table < 0).any():
             raise ValidationError("coin shift table is incomplete")
         return CoinShift(p.host, table, name="table")
@@ -303,10 +325,25 @@ def _resolve_coin_shift(spec: ExperimentSpec, p: Partition) -> CoinShift:
 
 def _resolve_initial(spec: ExperimentSpec, host: RegularDigraph) -> WalkState:
     if spec.initial_terms is not None:
+        if not isinstance(spec.initial_terms, list):
+            raise ValidationError(
+                f"initial_state.terms must be a list, got {spec.initial_terms!r}"
+            )
         terms = []
         for item in spec.initial_terms:
-            re, im = item["amplitude"]
-            terms.append((tuple(item["path"]), item["coin"], complex(re, im)))
+            if not isinstance(item, dict) or set(item) != {"path", "coin", "amplitude"}:
+                raise ValidationError(
+                    f"initial_state term needs exactly path, coin and amplitude, got {item!r}"
+                )
+            path = item["path"]
+            try:
+                host.index_of(path)
+            except (KeyError, TypeError):  # TypeError: not a sequence of scalars
+                raise ValidationError(
+                    f"initial_state path {path!r} is not a vertex of the host"
+                ) from None
+            amplitude = _check_pair("initial_state amplitude", item["amplitude"])
+            terms.append((tuple(path), item["coin"], amplitude))
         return state_from_terms(host, terms)
     if spec.initial_preset == "origin-balanced":
         return state_from_terms(host, balanced_origin_terms(host))
@@ -321,6 +358,21 @@ def _check_int(name: str, value, minimum: int | None = None) -> None:
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValidationError(f"{name} must be >= {minimum}, got {value}")
+
+
+def _check_pair(name: str, value) -> complex:
+    """A JSON [re, im] pair of finite numbers, as a complex number."""
+    # type() rather than isinstance() keeps bools out; the bound rejects NaN
+    # and infinities and keeps float() of a huge int from overflowing.
+    if (
+        not isinstance(value, list)
+        or len(value) != 2
+        or not all(type(x) in (int, float) and abs(x) < 1e308 for x in value)
+    ):
+        raise ValidationError(
+            f"{name} must be a finite numeric [re, im] pair, got {value!r}"
+        )
+    return complex(value[0], value[1])
 
 
 def resolve_spec(spec: ExperimentSpec) -> ResolvedExperiment:
@@ -558,6 +610,9 @@ def run_sweep(
 
     workers > 1 runs the jobs in up to min(workers, CPU count) processes.
     """
+    for name, items in (("classes", classes), ("seeds", seeds)):
+        if not isinstance(items, (list, tuple)):
+            raise ValidationError(f"sweep {name} must be a list, got {items!r}")
     if not classes:
         raise ValidationError("sweep needs at least one walk class")
     if not seeds:
@@ -572,10 +627,10 @@ def run_sweep(
         resolve_spec(_class_spec(template, walk_class, seeds[0]))
 
     jobs = [(template, c, s) for c in classes for s in seeds]
-    # Processes, not threads: the partition sampler is pure Python and holds
-    # the GIL.  pool.map returns results in job order, so the outputs do not
-    # depend on scheduling.  The executor is imported here to keep it out of
-    # the CLI's start-up time.
+    # Processes, not threads: a job's steps are Python code and small numpy
+    # calls that hold the GIL.  pool.map returns results in job order, so the
+    # outputs do not depend on scheduling.  The executor is imported here to
+    # keep it out of the CLI's start-up time.
     workers = min(workers, os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -123,6 +123,36 @@ class RegularDigraph:
         positions.flags.writeable = False
         return positions
 
+    @cached_property
+    def twins(self) -> np.ndarray | None:
+        """The other vertex of each vertex's K_{2,2} block, or None.
+
+        On an m = 2 host where vertices pair up with equal out-neighbor sets
+        and every in-degree is 2, the out/in incidence graph is a disjoint
+        union of K_{2,2} blocks, one per shared out-neighbor set; twins[v] is
+        the vertex v shares its block with.  Every line digraph of an m = 2
+        digraph has this shape (the two arcs into a head share its
+        continuations); a bidirected cycle with more than four vertices does
+        not.
+        """
+        n = self.n_vertices
+        if self.degree != 2 or n % 2:
+            return None
+        if (np.bincount(self.out_neighbors.ravel(), minlength=n) != 2).any():
+            return None
+        rows = np.sort(self.out_neighbors, axis=1)
+        order = np.lexsort((rows[:, 1], rows[:, 0]))
+        keys = rows[order]
+        if (keys[0::2] != keys[1::2]).any():
+            return None
+        if (keys[1:-1:2] == keys[2::2]).all(axis=1).any():
+            return None  # a third row shares a key
+        twins = np.empty(n, dtype=np.int64)
+        twins[order[0::2]] = order[1::2]
+        twins[order[1::2]] = order[0::2]
+        twins.flags.writeable = False
+        return twins
+
     def adjacency_matrix(self) -> np.ndarray:
         """Dense 0/1 adjacency matrix (row = tail, column = head)."""
         mat = np.zeros((self.n_vertices, self.n_vertices), dtype=np.int8)
@@ -280,6 +310,32 @@ def _perfect_matching(adj: list[list[int]], rng: np.random.Generator | None) -> 
     return np.array(match_left, dtype=np.int64)
 
 
+def _twin_factorization(
+    g: RegularDigraph, twins: np.ndarray, rng: np.random.Generator | None
+) -> list[np.ndarray]:
+    """_perfect_matching's first class and its complement, in closed form.
+
+    Kuhn runs on each K_{2,2} block of the incidence graph on its own.  The
+    earlier twin in the augmenting order takes the first entry of its
+    shuffled row; the later twin then takes the first entry of its own row,
+    and when that arc is the earlier twin's, Kuhn's augmenting path moves
+    the earlier twin to its other arc.  So the later twin keeps its first
+    entry and the earlier twin takes the remaining arc.  The draws are
+    _perfect_matching's, so every seed gives the same factorization.
+    """
+    n = g.n_vertices
+    adj = np.asarray(g.out_neighbors, dtype=np.int64)
+    if rng is None:
+        rank = np.arange(n)
+    else:
+        adj = rng.permuted(adj, axis=1)
+        rank = np.empty(n, dtype=np.int64)
+        rank[rng.permutation(n)] = np.arange(n)
+    rowsum = adj.sum(axis=1)
+    first = np.where(rank > rank[twins], adj[:, 0], rowsum - adj[twins, 0])
+    return [first, rowsum - first]
+
+
 def dicycle_factorize_base(g: RegularDigraph, seed: int | None = None) -> list[np.ndarray]:
     """Split E(g) into m arc-disjoint spanning permutations (dicycles).
 
@@ -287,15 +343,24 @@ def dicycle_factorize_base(g: RegularDigraph, seed: int | None = None) -> list[n
     seed=None the extraction is deterministic (greedy in natural order): on a
     bidirected cycle this yields the two rotations.  A seed randomizes the
     augmenting order, sampling other factorizations where they exist.
+
+    Hosts made of K_{2,2} blocks (``g.twins``, every line digraph of an
+    m = 2 host) take a closed form of the matching; other hosts run Kuhn's
+    matching for the first m - 1 classes, and the last class is the one arc
+    each vertex has left.
     """
     rng = np.random.default_rng(seed) if seed is not None else None
+    twins = g.twins
+    if twins is not None:
+        return _twin_factorization(g, twins, rng)
     remaining = g.out_neighbors.tolist()
     classes: list[np.ndarray] = []
-    for _ in range(g.degree):
+    for _ in range(g.degree - 1):
         perm = _perfect_matching(remaining, rng)
         classes.append(perm)
         for row, w in zip(remaining, perm.tolist()):
             row.remove(w)
+    classes.append(np.array([row[0] for row in remaining], dtype=np.int64))
     return classes
 
 

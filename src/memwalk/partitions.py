@@ -209,9 +209,11 @@ def random_partition(host: RegularDigraph, seed: int) -> Partition:
 def random_dicycle_factorization(host: RegularDigraph, seed: int) -> Partition:
     """A seeded random dicycle factorization via repeated perfect matching.
 
-    Sampling is not uniform over all factorizations (the matching order
-    biases it) but is deterministic per seed and covers the space well
-    enough for seed-averaged statistics.
+    On hosts made of K_{2,2} blocks (``host.twins``, every line digraph of
+    an m = 2 host) sampling is exactly uniform over the 2^(V/2)
+    factorizations: each block picks one of its two matchings with
+    probability 1/2, independently of the other blocks.  On other hosts the
+    matching order biases it.  Either way it is deterministic per seed.
     """
     classes = _graphs.dicycle_factorize_base(host, seed=seed)
     succ = np.stack(classes, axis=1).astype(np.int64)

@@ -100,6 +100,52 @@ def test_spec_types_are_strict(tmp_path, config, capsys, overrides):
     assert not out.exists()
 
 
+NAN = float("nan")  # json.dumps writes it as NaN, which json.loads reads back
+
+
+def _carried_table(vertices):
+    return [[v, c, c] for v in vertices for c in (1, -1)]
+
+
+# t_max 5 at depth 1 runs on the 2 * minimal_window(5, 1) = 30 vertex host.
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"outputs": 5},
+        {"coin_shift": {"kind": "table", "entries": [[99999, 1, 1]]}},
+        # vertex -1 would alias vertex 29 and complete the table
+        {"coin_shift": {"kind": "table", "entries": _carried_table([*range(29), -1])}},
+        {"initial_state": {"terms": [{"path": [0, 7], "coin": 1, "amplitude": [1, 0]}]}},
+        {"initial_state": {"terms": [{"path": [0, 1], "coin": 1, "amplitude": "x"}]}},
+        {"initial_state": {"terms": [{"path": [0, 1], "coin": 1, "amplitude": [NAN, 0]}]}},
+        {"coin": {"kind": "matrix", "rows": [[1, 0]]}},
+        # a NaN residual would pass the unitarity check
+        {"coin": {"kind": "matrix", "rows": [[[NAN, 0], [0, 0]], [[0, 0], [1, 0]]]}},
+    ],
+    ids=[
+        "outputs-not-a-list", "table-vertex-too-large", "table-vertex-negative",
+        "term-path-not-a-vertex", "amplitude-not-a-pair", "amplitude-nan",
+        "coin-cell-not-a-pair", "coin-cell-nan",
+    ],
+)
+def test_malformed_payloads_are_validation_errors(tmp_path, config, capsys, overrides):
+    doc = simulate_doc(t_max=5, outputs=["variance"])
+    doc.update(overrides)
+    out = tmp_path / "run"
+    code = main(["simulate", "--config", config(doc), "--out", str(out)])
+    assert code == 2, capsys.readouterr().err
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["classes", "seeds"])
+def test_sweep_lists_must_be_lists(tmp_path, config, field):
+    doc = {"template": {"t_max": 20, "outputs": ["variance"]}, field: 5}
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", config(doc), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_sweep_rejects_negative_seed(tmp_path, config):
     doc = {
         "template": {"t_max": 20, "outputs": ["variance"]},

@@ -12,7 +12,6 @@ from memwalk import (
     carried_coin_shift,
     directional_partition,
     enumerate_coin_shifts,
-    paired_vertex,
     random_coin_shift,
     random_dicycle_factorization,
     random_partition,
@@ -123,15 +122,16 @@ def test_random_coin_shift_valid_and_deterministic(host_d1):
 def test_paired_vertices_share_out_neighborhoods(host_d1):
     v_count = host_d1.n_vertices
     for v in range(v_count):
-        w = paired_vertex(host_d1, v)
+        w = host_d1.twins[v]
         assert w != v
-        assert paired_vertex(host_d1, w) == v
+        assert w == (v + v_count // 2) % v_count  # the block labeling's pairs
+        assert host_d1.twins[w] == v
         assert sorted(host_d1.out_neighbors[v]) == sorted(host_d1.out_neighbors[w])
 
 
 def test_paired_vertices_differ_in_oldest_entry(host_d1):
     for v in range(host_d1.n_vertices):
-        w = paired_vertex(host_d1, v)
+        w = host_d1.twins[v]
         assert host_d1.labels[v][1:] == host_d1.labels[w][1:]
         assert host_d1.labels[v][0] != host_d1.labels[w][0]
 
@@ -141,7 +141,7 @@ def test_recycled_opposite_at_paired_vertices(host_d1):
     # the recycled shift validates against every partition
     gc = recycled_coin_shift(directional_partition(host_d1))
     for v in range(host_d1.n_vertices):
-        w = paired_vertex(host_d1, v)
+        w = host_d1.twins[v]
         assert gc.table[v, 0] != gc.table[w, 0]
 
 

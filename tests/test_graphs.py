@@ -18,6 +18,7 @@ from memwalk import (
 )
 from memwalk.graphs import (
     RegularDigraph,
+    _perfect_matching,
     advance_label,
     centered_label,
     centered_positions,
@@ -276,3 +277,68 @@ def test_host_caches_match_labels(host_d2):
         assert host_d2.position_index[v] == current_position(lab) + offset
         assert host_d2.oldest_steps[v] == step_direction(lab[0], lab[1], host_d2.base_n)
     assert host_d2.position_index is host_d2.position_index
+
+
+def _circulant_3(n: int = 11) -> RegularDigraph:
+    idx = np.arange(n)
+    out = np.stack([(idx + 1) % n, (idx + 2) % n, (idx + 5) % n], axis=1)
+    return RegularDigraph(out.astype(np.int64), tuple((int(x),) for x in idx), base_n=n)
+
+
+def _kuhn_factorization(g: RegularDigraph, seed: int | None) -> list[np.ndarray]:
+    # The sampler as it was: one Kuhn matching per class, each removing its
+    # matched arcs before the next.
+    rng = np.random.default_rng(seed) if seed is not None else None
+    remaining = g.out_neighbors.tolist()
+    classes = []
+    for _ in range(g.degree):
+        perm = _perfect_matching(remaining, rng)
+        classes.append(perm)
+        for row, w in zip(remaining, perm.tolist()):
+            row.remove(w)
+    return classes
+
+
+@pytest.mark.parametrize(
+    "window, depth, base_seed",
+    [(65, 1, None), (8, 1, None), (9, 2, 3), (4, 2, None), (21, 3, 7), (7, 0, None)],
+)
+def test_factorization_matches_kuhn_reference(window, depth, base_seed):
+    host = iterate_line_digraph(make_bidirected_cycle(window), depth, seed=base_seed)
+    assert (host.twins is None) == (depth == 0)
+    for seed in [None, *range(200)]:
+        got = dicycle_factorize_base(host, seed)
+        want = _kuhn_factorization(host, seed)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == np.int64
+            assert np.array_equal(a, b), (seed, window, depth)
+
+
+def test_degree_3_factorization_matches_kuhn_reference():
+    g = _circulant_3()
+    for seed in [None, *range(50)]:
+        for a, b in zip(dicycle_factorize_base(g, seed), _kuhn_factorization(g, seed)):
+            assert np.array_equal(a, b)
+
+
+def test_twins_only_on_k22_block_hosts(host_d1):
+    assert make_bidirected_cycle(5).twins is None
+    assert make_bidirected_cycle(7).twins is None
+    assert _circulant_3().twins is None
+    twins = host_d1.twins
+    assert twins is host_d1.twins
+    assert not twins.flags.writeable
+    with pytest.raises(ValueError):
+        twins[0] = 0
+
+
+def test_line_digraph_factorizations_are_uniform():
+    # 3 K_{2,2} blocks, 8 factorizations, each drawn with probability 1/8
+    host = iterate_line_digraph(make_bidirected_cycle(3), 1)
+    counts: dict[bytes, int] = {}
+    for seed in range(4000):
+        key = random_dicycle_factorization(host, seed).succ.tobytes()
+        counts[key] = counts.get(key, 0) + 1
+    assert len(counts) == 8
+    assert all(400 <= c <= 600 for c in counts.values()), sorted(counts.values())

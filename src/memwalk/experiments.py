@@ -626,7 +626,12 @@ def run_sweep(
     for walk_class in classes:
         resolve_spec(_class_spec(template, walk_class, seeds[0]))
 
-    jobs = [(template, c, s) for c in classes for s in seeds]
+    # A class whose partition kind is not random ignores the seed: it runs
+    # once and its series stands for every seed.
+    seeded = {c: c.split("+")[0] in RANDOM_PARTITION_KINDS for c in classes}
+    jobs = [
+        (template, c, s) for c in classes for s in (seeds if seeded[c] else seeds[:1])
+    ]
     # Processes, not threads: a job's steps are Python code and small numpy
     # calls that hold the GIL.  pool.map returns results in job order, so the
     # outputs do not depend on scheduling.  The executor is imported here to
@@ -642,7 +647,8 @@ def run_sweep(
 
     by_class: dict[str, dict[int, dict]] = {c: {} for c in classes}
     for walk_class, seed, series in results:
-        by_class[walk_class][seed] = series
+        for s in ((seed,) if seeded[walk_class] else seeds):
+            by_class[walk_class][s] = series
 
     t_max = template.t_max
     times = list(range(t_max + 1))

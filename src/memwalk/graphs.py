@@ -28,7 +28,6 @@ __all__ = [
     "iterate_line_digraph",
     "current_position",
     "centered_label",
-    "raw_label",
     "step_direction",
     "advance_label",
     "minimal_window",
@@ -182,11 +181,6 @@ def centered_label(raw: int, n: int) -> int:
     """Map a raw cycle vertex 0..n-1 to the centered window (odd n)."""
     raw %= n
     return raw if raw <= (n - 1) // 2 else raw - n
-
-
-def raw_label(pos: int, n: int) -> int:
-    """Inverse of centered_label."""
-    return pos % n
 
 
 def step_direction(a: int, b: int, n: int) -> int:

@@ -10,6 +10,11 @@ from memwalk import (
     equivalence_initial_terms,
     evolve,
     hadamard_coin,
+    iterate_line_digraph,
+    make_bidirected_cycle,
+    minimal_window,
+    origin_basis_terms,
+    random_dicycle_factorization,
     recycled_coin_shift,
     reflect_transmit_partition,
     state_from_terms,
@@ -187,6 +192,34 @@ def test_walk_respects_parity(host_d1):
 def test_partition_center_key(host_d1):
     assert partition_center_key(reflect_transmit_partition(host_d1)) == (1, 1, 1)
     assert partition_center_key(directional_partition(host_d1)) == (0, 0, 0)
+
+
+def per_probe_census(host, seeds, t_max):
+    """The census run one probe walk at a time, with the census's probes."""
+    probes = list(origin_basis_terms(host))
+    ((lo, _, _),), ((hi, _, _),) = probes[0], probes[2]
+    probes.append([(lo, 1, 0.5), (lo, -1, 0.5j), (hi, 1, 0.5), (hi, -1, -0.5)])
+    signatures, class_of, key_of = {}, {}, {}
+    for seed in seeds:
+        p = random_dicycle_factorization(host, seed)
+        gc = carried_coin_shift(p)
+        blocks = []
+        for terms in probes:
+            hist = evolve(p, gc, hadamard_coin(), state_from_terms(host, terms), t_max)
+            blocks.append(np.stack([position_marginal(s).probs for s in hist]))
+        signature = np.round(np.stack(blocks), 10).tobytes()
+        class_of[seed] = signatures.setdefault(signature, len(signatures))
+        key_of[seed] = partition_center_key(p)
+    return len(signatures), class_of, key_of
+
+
+def test_batched_census_matches_per_probe_census():
+    host = iterate_line_digraph(make_bidirected_cycle(minimal_window(30, 1)), 1)
+    seeds = list(range(200))
+    report = count_distinct_dicycle_carried_walks(host, seeds, 30)
+    assert (report.n_classes, report.class_of, report.key_of) == per_probe_census(
+        host, seeds, 30
+    )
 
 
 def test_dicycle_census_small(host_d1):

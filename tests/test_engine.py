@@ -29,7 +29,7 @@ from memwalk import (
     walk_states,
 )
 from memwalk.engine import WalkState, check_unitary
-from memwalk import analysis, engine
+from memwalk import NumericalCheckError, analysis, engine, random_dicycle_factorization
 
 
 def test_hadamard_is_unitary():
@@ -41,6 +41,36 @@ def test_hadamard_is_unitary():
 def test_check_unitary_rejects_non_unitary():
     with pytest.raises(ValidationError):
         check_unitary(np.array([[1.0, 0.0], [0.0, 2.0]], dtype=complex))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_check_unitary_rejects_non_finite_coins(bad):
+    coin = hadamard_coin()
+    coin[1, 0] = bad
+    with pytest.raises(ValidationError):
+        check_unitary(coin)
+
+
+def test_nan_coin_is_rejected_before_any_step(host_d1, monkeypatch):
+    p = directional_partition(host_d1)
+    gc = recycled_coin_shift(p)
+    s = state_from_terms(host_d1, balanced_origin_terms(host_d1))
+    coin = hadamard_coin()
+    coin[0, 0] = np.nan
+    stepped = []
+    monkeypatch.setattr(engine, "coin_step", lambda state, c: stepped.append(state.time))
+    with pytest.raises(ValidationError):
+        evolve(p, gc, coin, s, 5)
+    with pytest.raises(ValidationError):
+        next(walk_states(lambda t: build_shift_operator(p, gc), coin, s, 5))
+    assert stepped == []
+
+
+def test_coin_of_the_wrong_dimension_is_rejected(host_d1):
+    p = directional_partition(host_d1)
+    s = state_from_terms(host_d1, balanced_origin_terms(host_d1))
+    with pytest.raises(ValidationError, match="coin dimension"):
+        evolve(p, recycled_coin_shift(p), identity_coin(3), s, 5)
 
 
 def test_identity_coin():
@@ -273,3 +303,61 @@ def test_engine_matches_reflect_transmit_oracle(host_d1):
 def test_walk_state_shape_guard(host_d1):
     with pytest.raises(ValidationError):
         WalkState(host_d1, np.zeros((3, 2), dtype=complex), 0)
+
+
+def probe_states(host):
+    """The origin basis states and the balanced origin state, one walk each."""
+    terms = origin_basis_terms(host) + [balanced_origin_terms(host)]
+    return [state_from_terms(host, t) for t in terms]
+
+
+@pytest.mark.parametrize("host_name", ["host_d1", "host_d2"])
+@pytest.mark.parametrize("walk_class", ["random_dicycle+carried", "directional+recycled"])
+def test_batched_evolve_matches_per_walk_evolve(request, host_name, walk_class):
+    host = request.getfixturevalue(host_name)
+    if walk_class == "random_dicycle+carried":
+        p = random_dicycle_factorization(host, 11)
+        gc = carried_coin_shift(p)
+    else:
+        p = directional_partition(host)
+        gc = recycled_coin_shift(p)
+    singles = probe_states(host)
+    batch = WalkState(host, np.stack([s.amps for s in singles]))
+    batched = evolve(p, gc, hadamard_coin(), batch, 25)
+    assert [s.time for s in batched] == list(range(26))
+    for i, start in enumerate(singles):
+        for b, s in zip(batched, evolve(p, gc, hadamard_coin(), start, 25), strict=True):
+            assert np.array_equal(b.amps[i], s.amps)
+            assert np.array_equal(
+                analysis.position_marginal(b).probs[i], analysis.position_marginal(s).probs
+            )
+
+
+def test_batch_with_one_unnormalized_walk_is_rejected(host_d1):
+    p = directional_partition(host_d1)
+    amps = np.stack([s.amps for s in probe_states(host_d1)])
+    amps[2] *= 1.5
+    with pytest.raises(ValidationError, match="walk 2"):
+        evolve(p, recycled_coin_shift(p), hadamard_coin(), WalkState(host_d1, amps), 5)
+
+
+@pytest.mark.parametrize("factor", [1.0 + 1e-9, np.nan])
+def test_norm_drift_of_one_walk_in_a_batch_stops_the_run(host_d1, monkeypatch, factor):
+    p = directional_partition(host_d1)
+    op = build_shift_operator(p, recycled_coin_shift(p))
+    batch = WalkState(host_d1, np.stack([s.amps for s in probe_states(host_d1)]))
+    real_shift_step = engine.shift_step
+
+    def leaky_shift_step(state, shift):
+        moved = real_shift_step(state, shift)
+        if moved.time < 3:
+            return moved
+        amps = np.array(moved.amps)
+        amps[4] *= factor
+        return WalkState(moved.host, amps, moved.time)
+
+    monkeypatch.setattr(engine, "shift_step", leaky_shift_step)
+    stream = walk_states(lambda t: op, hadamard_coin(), batch, 10)
+    assert [next(stream).time for _ in range(3)] == [0, 1, 2]
+    with pytest.raises(NumericalCheckError, match="t=3"):
+        next(stream)

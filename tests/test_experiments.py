@@ -22,7 +22,7 @@ from memwalk.experiments import (
     run_simulate,
     run_sweep,
 )
-from memwalk import analysis
+from memwalk import analysis, experiments
 
 
 def spec_doc(**overrides):
@@ -220,6 +220,28 @@ def test_sweep_outputs_do_not_depend_on_workers(tmp_path):
         run_sweep(template, classes, [0, 1, 2], tmp_path / str(workers), workers=workers)
     for name in ("sweep_summary.json", "comparison.csv"):
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
+def test_sweep_runs_a_class_without_random_partitions_once(tmp_path, monkeypatch):
+    template = ExperimentSpec.from_json_dict(
+        spec_doc(t_max=20, outputs=["variance", "occrate", "origin-series"])
+    )
+    real_sweep_one = experiments._sweep_one
+    ran = []
+
+    def counting_sweep_one(job):
+        ran.append(job[1:])
+        return real_sweep_one(job)
+
+    monkeypatch.setattr(experiments, "_sweep_one", counting_sweep_one)
+    report = run_sweep(template, ["directional+recycled", "random+recycled"], [4, 5, 6], tmp_path)
+    assert ran == [("directional+recycled", 4)] + [("random+recycled", s) for s in (4, 5, 6)]
+    # The series stands for every seed: the means are those of a run per seed.
+    per_seed = [real_sweep_one((template, "directional+recycled", s))[2] for s in (4, 5, 6)]
+    got = report["classes"]["directional+recycled"]
+    for key in ("variance", "occupancy_rate", "origin_probability"):
+        want = np.mean([series[key] for series in per_seed], axis=0)
+        assert got[f"mean_{key}"] == [float(v) for v in want]
 
 
 def test_sweep_rejects_unknown_class(tmp_path):

@@ -10,7 +10,6 @@ cross-check the engine.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,18 +58,14 @@ SQRT2 = np.sqrt(2.0)
 
 @dataclass(frozen=True, eq=False)
 class PositionDistribution:
-    """Probability over positions at one time step (dense, sorted positions).
-
-    ``probs`` has shape (n,), or (S, n) for a batch of S walks; the methods
-    and statistics below take single-walk distributions.
-    """
+    """Probability over positions at one time step (dense, sorted positions)."""
 
     positions: np.ndarray
     probs: np.ndarray
     time: int
 
     def __post_init__(self):
-        if self.positions.ndim != 1 or self.probs.shape[-1:] != self.positions.shape:
+        if self.positions.shape != self.probs.shape:
             raise ValidationError("positions and probabilities differ in length")
         self.positions.flags.writeable = False
         self.probs.flags.writeable = False
@@ -83,17 +78,27 @@ class PositionDistribution:
         return {int(x): float(p) for x, p in zip(self.positions, self.probs)}
 
 
+def _position_probs(host: RegularDigraph, amps: np.ndarray) -> np.ndarray:
+    """Sum |amplitude|^2 over everything sharing a current position.
+
+    ``amps`` holds one state per row of its leading axes, shape (..., V, m);
+    the result has shape (..., n).  One bincount covers every row: row r
+    counts into bins r*n .. r*n + n - 1, and bincount adds the weights in
+    vertex order, like a plain loop would, so each row's probabilities are
+    bitwise those of that state alone.
+    """
+    weights = (np.abs(amps) ** 2).sum(axis=-1)
+    rows = weights.reshape(-1, host.n_vertices)
+    index = host.position_index + host.base_n * np.arange(len(rows))[:, None]
+    n_bins = len(rows) * host.base_n
+    probs = np.bincount(index.ravel(), weights=rows.ravel(), minlength=n_bins)
+    return probs.reshape(weights.shape[:-1] + (host.base_n,))
+
+
 def position_marginal(state: WalkState) -> PositionDistribution:
-    """Sum |amplitude|^2 over everything sharing a current position, per walk."""
-    host = state.host
-    weights = (np.abs(state.amps) ** 2).sum(axis=-1)
-    shape = weights.shape[:-1] + (host.base_n,)
-    index = host.position_index
-    if weights.ndim == 2:  # a batch: walk s counts into bins s*n .. s*n + n - 1
-        index = (index + host.base_n * np.arange(len(weights))[:, None]).ravel()
-    # bincount adds the weights in vertex order, like a plain loop would.
-    probs = np.bincount(index, weights=weights.ravel(), minlength=math.prod(shape))
-    return PositionDistribution(host.positions, probs.reshape(shape), state.time)
+    """Sum |amplitude|^2 over everything sharing a current position."""
+    probs = _position_probs(state.host, state.amps)
+    return PositionDistribution(state.host.positions, probs, state.time)
 
 
 def marginal_history(states: list[WalkState]) -> list[PositionDistribution]:
@@ -384,30 +389,30 @@ def count_distinct_dicycle_carried_walks(
 ) -> DistinctWalkReport:
     """Group seeded dicycle factorizations by their carried-coin walk output.
 
-    Each seed's walk is run from a fixed probe set of origin states, evolved
-    as one batch; two seeds fall in the same class when all their
-    distribution histories agree to 1e-10.  The probe set is the four origin
-    basis states plus one memory-and-coin superposition: basis states alone
-    cannot see the routing bit at the origin itself (the first coin mix
-    feeds both of its arcs equal-modulus amplitudes), so without the
-    superposition the census merges classes pairwise.
+    Each seed's walk is run from a fixed probe set of origin states; two
+    seeds fall in the same class when all their distribution histories agree
+    to 1e-10.  The probe set is the four origin basis states plus one
+    memory-and-coin superposition: basis states alone cannot see the routing
+    bit at the origin itself (the first coin mix feeds both of its arcs
+    equal-modulus amplitudes), so without the superposition the census
+    merges classes pairwise.
     """
     probes = list(origin_basis_terms(host))
     ((lo, _, _),), ((hi, _, _),) = probes[0], probes[2]
     probes.append(
         [(lo, 1, 0.5), (lo, -1, 0.5j), (hi, 1, 0.5), (hi, -1, -0.5)]
     )
-    batch = WalkState(host, np.stack([state_from_terms(host, t).amps for t in probes]))
+    starts = [state_from_terms(host, terms) for terms in probes]
     coin = hadamard_coin()
     signatures: dict[bytes, int] = {}
     class_of: dict[int, int] = {}
     key_of: dict[int, tuple] = {}
     for seed in seeds:
         p = random_dicycle_factorization(host, seed)
-        hist = evolve(p, carried_coin_shift(p), coin, batch, t_max)
+        gc = carried_coin_shift(p)
         # Signature layout: (probe, time, position).
-        probs = np.stack([position_marginal(s).probs for s in hist], axis=1)
-        signature = np.round(probs, 10).tobytes()
+        amps = np.stack([[s.amps for s in evolve(p, gc, coin, start, t_max)] for start in starts])
+        signature = np.round(_position_probs(host, amps), 10).tobytes()
         if signature not in signatures:
             signatures[signature] = len(signatures)
         class_of[seed] = signatures[signature]

@@ -1,8 +1,7 @@
 """Coined-walk engine on partitioned hosts, plus independent memory-walk oracles.
 
-State layout: a complex amplitude per (vertex, coin index), shape (V, m), or
-shape (S, V, m) for a batch of S walks on one host evolved under one shift.
-One step applies the coin and then the shift, to every walk of a batch:
+State layout: a complex amplitude per (vertex, coin index), shape (V, m).
+One step applies the coin and then the shift:
 
 * coin:  amp'[v, j] = sum_c A[c, j] * amp[v, c]   (row = incoming coin)
 * shift: |v, c> -> |f_c(v), gc(v, c)>, an exact basis permutation applied
@@ -91,12 +90,12 @@ class ShiftOp:
 
 @dataclass(frozen=True, eq=False)
 class WalkState:
-    """Amplitudes of one walk, shape (V, m), or of a batch of S walks, (S, V, m).
+    """Amplitudes of one walk, shape (V, m).
 
     Only the shape is checked here.  Normalization is checked where a state
     enters a run (``state_from_terms`` and the start of ``evolve`` and
     ``experiments.iter_history``), and the loop checks the norm drift after
-    every step, so a step computes each walk's norm once.
+    every step, so a step computes the norm once.
     """
 
     host: RegularDigraph
@@ -104,28 +103,22 @@ class WalkState:
     time: int = 0
 
     def __post_init__(self):
-        n, m = self.host.n_vertices, self.host.degree
-        if self.amps.ndim not in (2, 3) or self.amps.shape[-2:] != (n, m):
+        expected = (self.host.n_vertices, self.host.degree)
+        if self.amps.shape != expected:
             raise ValidationError(
-                f"amplitude array shape {self.amps.shape}, expected ({n}, {m})"
-                f" or (S, {n}, {m})"
+                f"amplitude array shape {self.amps.shape}, expected {expected}"
             )
         self.amps.flags.writeable = False
 
-    def norm_squared(self) -> float | np.ndarray:
-        """Squared norm: a float, or one per walk, shape (S,), for a batch."""
-        if self.amps.ndim == 2:
-            return float(np.vdot(self.amps, self.amps).real)
-        flat = self.amps.reshape(len(self.amps), -1)
-        return np.einsum("ij,ij->i", flat.conj(), flat).real
+    def norm_squared(self) -> float:
+        return float(np.vdot(self.amps, self.amps).real)
 
 
 def _check_normalized(state: WalkState) -> None:
-    norms = np.atleast_1d(state.norm_squared())
-    bad = np.flatnonzero(~(np.abs(norms - 1.0) <= 100 * UNITARY_ATOL))
-    if bad.size:
-        where = f" of walk {int(bad[0])}" if state.amps.ndim == 3 else ""
-        raise ValidationError(f"state norm^2{where} = {norms[bad[0]]!r}, expected 1")
+    norm = state.norm_squared()
+    # Written so that a NaN norm fails too.
+    if not abs(norm - 1.0) <= 100 * UNITARY_ATOL:
+        raise ValidationError(f"state norm^2 = {norm!r}, expected 1")
 
 
 def state_from_terms(
@@ -215,25 +208,22 @@ def build_shift_operator(p: Partition, gc: CoinShift) -> ShiftOp:
 
 
 def coin_step(state: WalkState, coin: np.ndarray) -> WalkState:
-    """Apply the coin at every vertex of every walk.  ``walk_states`` checks
-    the coin once per run, so it is not checked here."""
+    """Apply the coin at every vertex.  ``walk_states`` checks the coin once
+    per run, so it is not checked here."""
     return WalkState(state.host, state.amps @ coin, state.time)
 
 
 def shift_step(state: WalkState, op: ShiftOp) -> WalkState:
-    amps = state.amps
-    moved = amps.reshape(amps.shape[:-2] + (-1,)).take(op.inverse_perm, axis=-1)
-    return WalkState(state.host, moved.reshape(amps.shape), state.time + 1)
+    flat = state.amps.ravel()
+    moved = flat[op.inverse_perm].reshape(state.amps.shape)
+    return WalkState(state.host, moved, state.time + 1)
 
 
 def _window_check(host: RegularDigraph, initial: WalkState, t_max: int) -> None:
     if not host.centered:
         raise ValidationError("window enforcement needs a centered host")
     half = (host.base_n - 1) // 2
-    # Vertices where any walk of a batch starts: the batch fits its window
-    # exactly when each of its walks does.
-    occupied = np.abs(initial.amps).sum(axis=-1) > 0
-    support = np.flatnonzero(occupied.reshape(-1, host.n_vertices).any(axis=0))
+    support = np.flatnonzero(np.abs(initial.amps).sum(axis=1) > 0)
     start = max(
         abs(entry) for v in support for entry in host.labels[int(v)]
     )
@@ -250,7 +240,7 @@ def _start_check(
     host: RegularDigraph, initial: WalkState, t_max: int, enforce_window: bool
 ) -> None:
     """Checks made before a run's shift is built: t_max, host, the start
-    state's normalization (per walk) and the window."""
+    state's normalization and the window."""
     if t_max < 0:
         raise ValidationError(f"t_max must be >= 0, got {t_max}")
     if initial.host is not host:
@@ -268,13 +258,11 @@ def walk_states(
 ) -> Iterator[WalkState]:
     """Yield the states for t = 0..t_max of coin-then-shift evolution.
 
-    ``initial`` holds one walk or a batch of walks (see ``WalkState``);
-    every walk of a batch takes the same steps.  ``shift(t)`` is the ShiftOp
-    moving the walks from t-1 to t (t = 1..t_max).  The coin is checked
-    once, when the first state is pulled, and each walk's norm after every
-    step; callers check t_max, the host, normalization and the window first
-    (``evolve`` and ``experiments.iter_history`` do).  Only the current
-    state is held, so memory does not grow with t_max.
+    ``shift(t)`` is the ShiftOp moving the walk from t-1 to t (t = 1..t_max).
+    The coin is checked once, when the first state is pulled, and the norm
+    drift after every step; callers check t_max, the host, normalization and
+    the window first (``evolve`` and ``experiments.iter_history`` do).  Only
+    the current state is held, so memory does not grow with t_max.
     """
     check_unitary(coin)
     if coin.shape[0] != initial.host.degree:
@@ -285,8 +273,8 @@ def walk_states(
     state = initial
     for t in range(1, t_max + 1):
         state = shift_step(coin_step(state, coin), shift(t))
-        norm = state.norm_squared()
-        drift = abs(norm - 1.0) if state.amps.ndim == 2 else np.abs(norm - 1.0).max()
+        drift = abs(state.norm_squared() - 1.0)
+        # Written so that a NaN norm fails too.
         if not drift <= UNITARY_ATOL:
             raise NumericalCheckError(
                 f"norm drift {drift:.3e} at t={state.time} exceeds {UNITARY_ATOL}"
@@ -304,10 +292,10 @@ def evolve(
 ) -> list[WalkState]:
     """Run t_max steps of coin-then-shift; returns states for t = 0..t_max.
 
-    ``initial`` may be a batch of walks, which all run under ``partition``
-    and ``gc``.  Checks the no-wrap window up front (line-surrogate
-    semantics) and norm preservation after every step.  The whole history is kept; stream
-    ``walk_states`` instead when only a per-step summary is needed.
+    Checks the start state's normalization and the no-wrap window up front
+    (line-surrogate semantics) and norm preservation after every step.  The
+    whole history is kept; stream ``walk_states`` instead when only a
+    per-step summary is needed.
     """
     _start_check(partition.host, initial, t_max, enforce_window)
     op = build_shift_operator(partition, gc)

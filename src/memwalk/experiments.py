@@ -571,22 +571,14 @@ def _class_spec(template: ExperimentSpec, walk_class: str, seed: int) -> Experim
     return ExperimentSpec.from_json_dict(doc)
 
 
-def _sweep_one(args: tuple[ExperimentSpec, str, int]) -> tuple[str, int, dict]:
-    template, walk_class, seed = args
-    spec = _class_spec(template, walk_class, seed)
+def _sweep_one(spec: ExperimentSpec) -> dict:
     resolved = resolve_spec(spec)
     dists = [analysis.position_marginal(s) for s in iter_history(resolved)]
-    return (
-        walk_class,
-        seed,
-        {
-            "variance": [analysis.variance(d) for d in dists],
-            "occupancy_rate": [
-                analysis.occupancy_rate(d, 2 * d.time + 1) for d in dists
-            ],
-            "origin_probability": [float(d.prob(0)) for d in dists],
-        },
-    )
+    return {
+        "variance": [analysis.variance(d) for d in dists],
+        "occupancy_rate": [analysis.occupancy_rate(d, 2 * d.time + 1) for d in dists],
+        "origin_probability": [float(d.prob(0)) for d in dists],
+    }
 
 
 def _ratio_verdict(ratio: float) -> str:
@@ -626,12 +618,16 @@ def run_sweep(
     for walk_class in classes:
         resolve_spec(_class_spec(template, walk_class, seeds[0]))
 
-    # A class whose partition kind is not random ignores the seed: it runs
-    # once and its series stands for every seed.
-    seeded = {c: c.split("+")[0] in RANDOM_PARTITION_KINDS for c in classes}
-    jobs = [
-        (template, c, s) for c in classes for s in (seeds if seeded[c] else seeds[:1])
-    ]
+    # Each distinct spec runs once.  A class whose partition kind is not
+    # random gets the same spec at every seed (_class_spec drops the seed),
+    # so its one series stands for every seed.
+    key_of: dict[tuple[str, int], str] = {}
+    jobs: dict[str, ExperimentSpec] = {}
+    for c in classes:
+        for s in seeds:
+            spec = _class_spec(template, c, s)
+            key_of[c, s] = json.dumps(spec.to_json_dict(), sort_keys=True)
+            jobs.setdefault(key_of[c, s], spec)
     # Processes, not threads: a job's steps are Python code and small numpy
     # calls that hold the GIL.  pool.map returns results in job order, so the
     # outputs do not depend on scheduling.  The executor is imported here to
@@ -641,14 +637,11 @@ def run_sweep(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_one, jobs))
+            results = list(pool.map(_sweep_one, jobs.values()))
     else:
-        results = [_sweep_one(j) for j in jobs]
-
-    by_class: dict[str, dict[int, dict]] = {c: {} for c in classes}
-    for walk_class, seed, series in results:
-        for s in ((seed,) if seeded[walk_class] else seeds):
-            by_class[walk_class][s] = series
+        results = [_sweep_one(spec) for spec in jobs.values()]
+    series_of = dict(zip(jobs, results))
+    by_class = {c: {s: series_of[key_of[c, s]] for s in seeds} for c in classes}
 
     t_max = template.t_max
     times = list(range(t_max + 1))

@@ -19,6 +19,7 @@ from memwalk import (
     reflect_transmit_partition,
     state_from_terms,
 )
+from memwalk import analysis
 from memwalk.analysis import (
     PositionDistribution,
     alpha_distribution,
@@ -194,8 +195,28 @@ def test_partition_center_key(host_d1):
     assert partition_center_key(directional_partition(host_d1)) == (0, 0, 0)
 
 
+@pytest.mark.parametrize("host_name", ["host_d1", "host_d2"])
+@pytest.mark.parametrize("walk_class", ["random_dicycle+carried", "directional+recycled"])
+def test_stacked_marginals_equal_per_state_marginals(request, host_name, walk_class):
+    host = request.getfixturevalue(host_name)
+    if walk_class == "random_dicycle+carried":
+        p = random_dicycle_factorization(host, 11)
+        gc = carried_coin_shift(p)
+    else:
+        p = directional_partition(host)
+        gc = recycled_coin_shift(p)
+    hists = [
+        evolve(p, gc, hadamard_coin(), state_from_terms(host, terms), 25)
+        for terms in origin_basis_terms(host)
+    ]
+    stacked = analysis._position_probs(host, np.stack([[s.amps for s in h] for h in hists]))
+    assert stacked.shape == (len(hists), 26, host.base_n)
+    for row, hist in zip(stacked, hists, strict=True):
+        assert np.array_equal(row, np.stack([position_marginal(s).probs for s in hist]))
+
+
 def per_probe_census(host, seeds, t_max):
-    """The census run one probe walk at a time, with the census's probes."""
+    """The census with one position_marginal call per probe state and step."""
     probes = list(origin_basis_terms(host))
     ((lo, _, _),), ((hi, _, _),) = probes[0], probes[2]
     probes.append([(lo, 1, 0.5), (lo, -1, 0.5j), (hi, 1, 0.5), (hi, -1, -0.5)])
@@ -213,7 +234,7 @@ def per_probe_census(host, seeds, t_max):
     return len(signatures), class_of, key_of
 
 
-def test_batched_census_matches_per_probe_census():
+def test_census_matches_per_probe_census():
     host = iterate_line_digraph(make_bidirected_cycle(minimal_window(30, 1)), 1)
     seeds = list(range(200))
     report = count_distinct_dicycle_carried_walks(host, seeds, 30)

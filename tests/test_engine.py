@@ -29,7 +29,7 @@ from memwalk import (
     walk_states,
 )
 from memwalk.engine import WalkState, check_unitary
-from memwalk import NumericalCheckError, analysis, engine, random_dicycle_factorization
+from memwalk import NumericalCheckError, analysis, engine
 
 
 def test_hadamard_is_unitary():
@@ -305,59 +305,30 @@ def test_walk_state_shape_guard(host_d1):
         WalkState(host_d1, np.zeros((3, 2), dtype=complex), 0)
 
 
-def probe_states(host):
-    """The origin basis states and the balanced origin state, one walk each."""
-    terms = origin_basis_terms(host) + [balanced_origin_terms(host)]
-    return [state_from_terms(host, t) for t in terms]
-
-
-@pytest.mark.parametrize("host_name", ["host_d1", "host_d2"])
-@pytest.mark.parametrize("walk_class", ["random_dicycle+carried", "directional+recycled"])
-def test_batched_evolve_matches_per_walk_evolve(request, host_name, walk_class):
-    host = request.getfixturevalue(host_name)
-    if walk_class == "random_dicycle+carried":
-        p = random_dicycle_factorization(host, 11)
-        gc = carried_coin_shift(p)
-    else:
-        p = directional_partition(host)
-        gc = recycled_coin_shift(p)
-    singles = probe_states(host)
-    batch = WalkState(host, np.stack([s.amps for s in singles]))
-    batched = evolve(p, gc, hadamard_coin(), batch, 25)
-    assert [s.time for s in batched] == list(range(26))
-    for i, start in enumerate(singles):
-        for b, s in zip(batched, evolve(p, gc, hadamard_coin(), start, 25), strict=True):
-            assert np.array_equal(b.amps[i], s.amps)
-            assert np.array_equal(
-                analysis.position_marginal(b).probs[i], analysis.position_marginal(s).probs
-            )
-
-
-def test_batch_with_one_unnormalized_walk_is_rejected(host_d1):
+@pytest.mark.parametrize("factor", [1.5, np.nan])
+def test_unnormalized_start_state_is_rejected_when_run(host_d1, factor):
     p = directional_partition(host_d1)
-    amps = np.stack([s.amps for s in probe_states(host_d1)])
-    amps[2] *= 1.5
-    with pytest.raises(ValidationError, match="walk 2"):
-        evolve(p, recycled_coin_shift(p), hadamard_coin(), WalkState(host_d1, amps), 5)
+    amps = state_from_terms(host_d1, balanced_origin_terms(host_d1)).amps * factor
+    start = WalkState(host_d1, amps)  # only the shape is checked here
+    with pytest.raises(ValidationError, match="norm"):
+        evolve(p, recycled_coin_shift(p), hadamard_coin(), start, 5)
 
 
 @pytest.mark.parametrize("factor", [1.0 + 1e-9, np.nan])
-def test_norm_drift_of_one_walk_in_a_batch_stops_the_run(host_d1, monkeypatch, factor):
+def test_norm_drift_stops_the_run(host_d1, monkeypatch, factor):
     p = directional_partition(host_d1)
     op = build_shift_operator(p, recycled_coin_shift(p))
-    batch = WalkState(host_d1, np.stack([s.amps for s in probe_states(host_d1)]))
+    start = state_from_terms(host_d1, balanced_origin_terms(host_d1))
     real_shift_step = engine.shift_step
 
     def leaky_shift_step(state, shift):
         moved = real_shift_step(state, shift)
         if moved.time < 3:
             return moved
-        amps = np.array(moved.amps)
-        amps[4] *= factor
-        return WalkState(moved.host, amps, moved.time)
+        return WalkState(moved.host, moved.amps * factor, moved.time)
 
     monkeypatch.setattr(engine, "shift_step", leaky_shift_step)
-    stream = walk_states(lambda t: op, hadamard_coin(), batch, 10)
+    stream = walk_states(lambda t: op, hadamard_coin(), start, 10)
     assert [next(stream).time for _ in range(3)] == [0, 1, 2]
     with pytest.raises(NumericalCheckError, match="t=3"):
         next(stream)

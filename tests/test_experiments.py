@@ -229,15 +229,18 @@ def test_sweep_runs_a_class_without_random_partitions_once(tmp_path, monkeypatch
     real_sweep_one = experiments._sweep_one
     ran = []
 
-    def counting_sweep_one(job):
-        ran.append(job[1:])
-        return real_sweep_one(job)
+    def counting_sweep_one(spec):
+        ran.append((spec.partition_kind, spec.partition_seed))
+        return real_sweep_one(spec)
 
     monkeypatch.setattr(experiments, "_sweep_one", counting_sweep_one)
     report = run_sweep(template, ["directional+recycled", "random+recycled"], [4, 5, 6], tmp_path)
-    assert ran == [("directional+recycled", 4)] + [("random+recycled", s) for s in (4, 5, 6)]
+    assert ran == [("directional", None)] + [("random", s) for s in (4, 5, 6)]
     # The series stands for every seed: the means are those of a run per seed.
-    per_seed = [real_sweep_one((template, "directional+recycled", s))[2] for s in (4, 5, 6)]
+    per_seed = [
+        real_sweep_one(experiments._class_spec(template, "directional+recycled", s))
+        for s in (4, 5, 6)
+    ]
     got = report["classes"]["directional+recycled"]
     for key in ("variance", "occupancy_rate", "origin_probability"):
         want = np.mean([series[key] for series in per_seed], axis=0)

@@ -411,7 +411,9 @@ def count_distinct_dicycle_carried_walks(
         p = random_dicycle_factorization(host, seed)
         gc = carried_coin_shift(p)
         # Signature layout: (probe, time, position).
-        amps = np.stack([[s.amps for s in evolve(p, gc, coin, start, t_max)] for start in starts])
+        amps = np.stack(
+            [[s.amps for s in evolve(p, gc, coin, start, t_max)] for start in starts]
+        )
         signature = np.round(_position_probs(host, amps), 10).tobytes()
         if signature not in signatures:
             signatures[signature] = len(signatures)

@@ -31,8 +31,6 @@ __all__ = [
     "marginal_history",
     "variance",
     "occupancy_rate",
-    "origin_probability_series",
-    "late_origin_average",
     "max_distribution_difference",
     "total_variation",
     "ScalingFit",
@@ -115,21 +113,6 @@ def occupancy_rate(dist: PositionDistribution, n_range: int) -> float:
     if n_range < 1:
         raise ValidationError(f"range must be >= 1, got {n_range}")
     return float((dist.probs >= 1.0 / n_range).sum()) / n_range
-
-
-def origin_probability_series(dists: list[PositionDistribution]) -> np.ndarray:
-    return np.array([d.prob(0) for d in dists])
-
-
-def late_origin_average(
-    dists: list[PositionDistribution], window: tuple[int, int]
-) -> float:
-    """Average P(0, t) over even steps t in [window[0], window[1]]."""
-    lo, hi = window
-    vals = [d.prob(0) for d in dists if lo <= d.time <= hi and d.time % 2 == 0]
-    if not vals:
-        raise ValidationError(f"no even steps inside {window}")
-    return float(np.mean(vals))
 
 
 def _aligned(a: PositionDistribution, b: PositionDistribution) -> tuple[np.ndarray, np.ndarray]:

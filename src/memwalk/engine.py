@@ -32,7 +32,6 @@ from .partitions import Partition, coin_index
 
 __all__ = [
     "hadamard_coin",
-    "identity_coin",
     "check_unitary",
     "ShiftOp",
     "WalkState",
@@ -52,10 +51,6 @@ __all__ = [
 
 def hadamard_coin() -> np.ndarray:
     return np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
-
-
-def identity_coin(m: int = 2) -> np.ndarray:
-    return np.eye(m, dtype=np.complex128)
 
 
 def check_unitary(a: np.ndarray, atol: float = UNITARY_ATOL) -> None:
@@ -83,9 +78,6 @@ class ShiftOp:
         inv = np.argsort(self.perm)
         inv.flags.writeable = False
         return inv
-
-    def inverse(self) -> "ShiftOp":
-        return ShiftOp(self.host, np.array(self.inverse_perm))
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,15 +188,7 @@ def build_shift_operator(p: Partition, gc: CoinShift) -> ShiftOp:
             f"{len(report.violations)} target(s)",
             report.violations,
         )
-    m = p.degree
-    perm = (p.succ * m + gc.table).ravel()
-    counts = np.bincount(perm, minlength=perm.size)
-    if not (counts == 1).all():
-        raise ConstraintViolationError(
-            "assembled shift is not a bijection (bug)",
-            [int(i) for i in np.flatnonzero(counts != 1)],
-        )
-    return ShiftOp(p.host, perm)
+    return ShiftOp(p.host, (p.succ * p.degree + gc.table).ravel())
 
 
 def coin_step(state: WalkState, coin: np.ndarray) -> WalkState:

@@ -92,8 +92,6 @@ from .partitions import (
     Partition,
     coin_index,
     named_partition,
-    random_dicycle_factorization,
-    random_partition,
     reflect_transmit_partition,
 )
 
@@ -249,15 +247,19 @@ class ResolvedExperiment:
     enforce_window: bool
 
 
-def _step_seeds(master: int, t_max: int) -> list[int]:
-    state = np.random.SeedSequence(master).generate_state(max(t_max, 1), dtype=np.uint64)
+def _partition_seeds(spec: ExperimentSpec) -> list[int | None]:
+    """The partition seed of each step: entry t - 1 is step t's.
+
+    A frozen partition ("never") has one entry, the spec's partition seed
+    or else its master seed.  A "per_step" spec draws max(t_max, 1) step
+    seeds from that seed; without one, the single None entry makes
+    named_partition ask for a seed.
+    """
+    seed = spec.partition_seed if spec.partition_seed is not None else spec.seed
+    if spec.partition_resample != "per_step" or seed is None:
+        return [seed]
+    state = np.random.SeedSequence(seed).generate_state(max(spec.t_max, 1), dtype=np.uint64)
     return [int(s) for s in state]
-
-
-def _sample_partition(kind: str, host: RegularDigraph, seed: int) -> Partition:
-    if kind == "random":
-        return random_partition(host, seed)
-    return random_dicycle_factorization(host, seed)
 
 
 def _resolve_coin(spec: ExperimentSpec) -> np.ndarray:
@@ -274,20 +276,6 @@ def _resolve_coin(spec: ExperimentSpec) -> np.ndarray:
         cells = [[_check_pair("coin.rows cell", cell) for cell in row] for row in rows]
         return np.array(cells, dtype=np.complex128)
     raise ValidationError(f"unknown coin kind {spec.coin_kind!r}")
-
-
-def _resolve_partition(spec: ExperimentSpec, host: RegularDigraph) -> Partition:
-    kind = spec.partition_kind
-    if kind in ("directional", "reflect_transmit"):
-        return named_partition(host, kind)
-    seed = spec.partition_seed if spec.partition_seed is not None else spec.seed
-    if seed is None:
-        raise ValidationError(f"partition kind {kind!r} needs a seed")
-    if kind == "random":
-        return random_partition(host, seed)
-    if kind == "random_dicycle":
-        return random_dicycle_factorization(host, seed)
-    raise ValidationError(f"unknown partition kind {kind!r}")
 
 
 def _resolve_coin_shift(spec: ExperimentSpec, p: Partition) -> CoinShift:
@@ -421,26 +409,12 @@ def resolve_spec(spec: ExperimentSpec) -> ResolvedExperiment:
     spec.window = window
 
     host = iterate_line_digraph(make_bidirected_cycle(window), spec.memory_depth)
-    if spec.partition_resample == "per_step":
-        # Resolve (and validate against) the first step's sample.
-        partition = _sample_partition(
-            spec.partition_kind, host, _step_seeds(_master_seed(spec), spec.t_max)[0]
-        )
-    else:
-        partition = _resolve_partition(spec, host)
+    # A per-step spec resolves (and is validated against) its first step's sample.
+    partition = named_partition(host, spec.partition_kind, _partition_seeds(spec)[0])
     gc = _resolve_coin_shift(spec, partition)
     coin = _resolve_coin(spec)
     initial = _resolve_initial(spec, host)
     return ResolvedExperiment(spec, host, partition, gc, coin, initial, enforce)
-
-
-def _master_seed(spec: ExperimentSpec) -> int:
-    seed = spec.partition_seed if spec.partition_seed is not None else spec.seed
-    if seed is None:
-        raise ValidationError(
-            f"partition kind {spec.partition_kind!r} needs a seed"
-        )
-    return seed
 
 
 def iter_history(resolved: ResolvedExperiment) -> Iterator[WalkState]:
@@ -451,10 +425,10 @@ def iter_history(resolved: ResolvedExperiment) -> Iterator[WalkState]:
     spec = resolved.spec
     _start_check(resolved.host, resolved.initial, spec.t_max, resolved.enforce_window)
     if spec.partition_resample == "per_step":
-        seeds = _step_seeds(_master_seed(spec), spec.t_max)
+        seeds = _partition_seeds(spec)
 
         def shift(t: int) -> ShiftOp:
-            p = _sample_partition(spec.partition_kind, resolved.host, seeds[t - 1])
+            p = named_partition(resolved.host, spec.partition_kind, seeds[t - 1])
             return build_shift_operator(p, _resolve_coin_shift(spec, p))
 
     else:
@@ -574,11 +548,7 @@ def _class_spec(template: ExperimentSpec, walk_class: str, seed: int) -> Experim
 def _sweep_one(spec: ExperimentSpec) -> dict:
     resolved = resolve_spec(spec)
     dists = [analysis.position_marginal(s) for s in iter_history(resolved)]
-    return {
-        "variance": [analysis.variance(d) for d in dists],
-        "occupancy_rate": [analysis.occupancy_rate(d, 2 * d.time + 1) for d in dists],
-        "origin_probability": [float(d.prob(0)) for d in dists],
-    }
+    return _series_summary(dists, ALL_OUTPUTS)
 
 
 def _ratio_verdict(ratio: float) -> str:
@@ -896,6 +866,9 @@ def enumerate_report(
 ) -> dict:
     """Valid coin-shift counting plus the distinct-dicycle-walk census."""
     seeds = list(seeds) if seeds is not None else []
+    _check_int("t_max", t_max, 0)
+    for seed in seeds:
+        _check_int("enumerate seed", seed, 0)
     host = iterate_line_digraph(make_bidirected_cycle(cycle_size), 1)
     partition = reflect_transmit_partition(host)
     shifts = enumerate_coin_shifts(partition)

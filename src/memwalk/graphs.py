@@ -22,7 +22,6 @@ __all__ = [
     "PathTuple",
     "RegularDigraph",
     "make_bidirected_cycle",
-    "make_directed_cycle",
     "dicycle_factorize_base",
     "line_digraph",
     "iterate_line_digraph",
@@ -152,27 +151,6 @@ class RegularDigraph:
         twins.flags.writeable = False
         return twins
 
-    def adjacency_matrix(self) -> np.ndarray:
-        """Dense 0/1 adjacency matrix (row = tail, column = head)."""
-        mat = np.zeros((self.n_vertices, self.n_vertices), dtype=np.int8)
-        rows = np.repeat(np.arange(self.n_vertices), self.degree)
-        mat[rows, self.out_neighbors.ravel()] = 1
-        return mat
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_vertices": int(self.n_vertices),
-            "degree": int(self.degree),
-            "base_n": int(self.base_n),
-            "centered": bool(self.centered),
-            "arcs": [
-                [int(v), int(w)]
-                for v in range(self.n_vertices)
-                for w in self.out_neighbors[v]
-            ],
-            "labels": [list(map(int, lab)) for lab in self.labels],
-        }
-
 
 # -- position bookkeeping on the cycle surrogate -------------------------------
 
@@ -234,14 +212,6 @@ def make_bidirected_cycle(n: int) -> RegularDigraph:
         (centered_label(x, n),) if centered else (int(x),) for x in range(n)
     )
     return RegularDigraph(out, labels, base_n=n, centered=centered)
-
-
-def make_directed_cycle(n: int) -> RegularDigraph:
-    """The 1-regular directed n-cycle (arcs x -> x+1 mod n)."""
-    if n < 2:
-        raise InvalidGraphError(f"directed cycle needs n >= 2, got {n}")
-    out = ((np.arange(n) + 1) % n).astype(np.int64).reshape(n, 1)
-    return RegularDigraph(out, tuple((int(x),) for x in range(n)), base_n=n)
 
 
 # -- dicycle factorization -------------------------------------------------------

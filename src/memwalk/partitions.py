@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -24,19 +23,16 @@ from . import graphs as _graphs
 
 __all__ = [
     "Partition",
-    "PartitionReport",
     "directional_partition",
     "reflect_transmit_partition",
     "named_partition",
     "random_partition",
     "random_dicycle_factorization",
-    "validate_partition",
-    "successor",
     "coin_label",
     "coin_index",
 ]
 
-NAMED_PARTITION_KINDS = ("directional", "reflect_transmit")
+PARTITION_KINDS = ("directional", "reflect_transmit", "random", "random_dicycle")
 
 
 def coin_label(index: int, m: int) -> int:
@@ -87,55 +83,6 @@ class Partition:
             np.array_equal(np.sort(self.succ[:, k]), np.arange(v))
             for k in range(self.degree)
         )
-
-    def class_matrix(self, k: int) -> np.ndarray:
-        """Dense 0/1 adjacency matrix of class k."""
-        v = self.host.n_vertices
-        mat = np.zeros((v, v), dtype=np.int8)
-        mat[np.arange(v), self.succ[:, k]] = 1
-        return mat
-
-    def to_json_dict(self) -> dict:
-        m = self.degree
-        return {
-            "kind": self.kind,
-            "seed": self.seed,
-            "degree": m,
-            "is_dicycle": bool(self.is_dicycle),
-            "classes": [
-                [[coin_label(k, m), int(self.succ[v, k])] for k in range(m)]
-                for v in range(self.host.n_vertices)
-            ],
-        }
-
-
-class PartitionReport(NamedTuple):
-    cover_ok: bool
-    outdeg_ok: bool
-    is_dicycle: bool
-
-
-def validate_partition(p: Partition) -> PartitionReport:
-    """Diagnose a partition without raising.
-
-    outdeg_ok: every table entry is an actual out-neighbor of its vertex.
-    cover_ok:  additionally, each vertex's entries cover its out-arcs exactly.
-    """
-    host = p.host
-    outdeg_ok = bool(
-        (p.succ[:, :, None] == host.out_neighbors[:, None, :]).any(axis=2).all()
-    )
-    cover_ok = outdeg_ok and bool(
-        np.array_equal(np.sort(p.succ, axis=1), np.sort(host.out_neighbors, axis=1))
-    )
-    return PartitionReport(cover_ok, outdeg_ok, p.is_dicycle)
-
-
-def successor(p: Partition, coin: int, v: int) -> int:
-    """f_{C_coin}(v): the class-coin successor of vertex v."""
-    if not 0 <= coin < p.degree:
-        raise ValidationError(f"coin index {coin} out of range for m={p.degree}")
-    return int(p.succ[v, coin])
 
 
 def _require_cycle_host(host: RegularDigraph, min_depth: int = 1) -> None:
@@ -188,14 +135,25 @@ def reflect_transmit_partition(host: RegularDigraph) -> Partition:
     return Partition(host, succ, kind="reflect_transmit")
 
 
-def named_partition(host: RegularDigraph, kind: str) -> Partition:
+def named_partition(
+    host: RegularDigraph, kind: str, seed: int | None = None
+) -> Partition:
+    """The partition of a given kind on ``host``: the one place that turns
+    (kind, host, seed) into a Partition.  The random kinds need a seed; the
+    other two ignore it."""
     if kind == "directional":
         return directional_partition(host)
     if kind == "reflect_transmit":
         return reflect_transmit_partition(host)
-    raise ValidationError(
-        f"unknown partition kind {kind!r}; expected one of {NAMED_PARTITION_KINDS}"
-    )
+    if kind not in PARTITION_KINDS:
+        raise ValidationError(
+            f"unknown partition kind {kind!r}; expected one of {PARTITION_KINDS}"
+        )
+    if seed is None:
+        raise ValidationError(f"partition kind {kind!r} needs a seed")
+    if kind == "random":
+        return random_partition(host, seed)
+    return random_dicycle_factorization(host, seed)
 
 
 def random_partition(host: RegularDigraph, seed: int) -> Partition:

@@ -102,12 +102,7 @@ def criterion(num: int, name: str, budget: float, log: list[str]):
 
 def class_pair(host, walk_class: str, seed: int = 0):
     partition_kind, shift_kind = walk_class.split("+")
-    if partition_kind == "random":
-        p = random_partition(host, seed)
-    elif partition_kind == "random_dicycle":
-        p = random_dicycle_factorization(host, seed)
-    else:
-        p = named_partition(host, partition_kind)
+    p = named_partition(host, partition_kind, seed)
     gc = recycled_coin_shift(p) if shift_kind == "recycled" else carried_coin_shift(p)
     return p, gc
 

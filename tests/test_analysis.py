@@ -31,11 +31,9 @@ from memwalk.analysis import (
     classify_scaling,
     count_distinct_dicycle_carried_walks,
     equivalence_initial_beta,
-    late_origin_average,
     marginal_history,
     max_distribution_difference,
     occupancy_rate,
-    origin_probability_series,
     partition_center_key,
     position_marginal,
     qwom_initial_alpha,
@@ -82,15 +80,6 @@ def test_occupancy_rate_counts_loaded_sites():
     assert occupancy_rate(d, 10) == pytest.approx(4 / 10)
     with pytest.raises(ValidationError):
         occupancy_rate(d, 0)
-
-
-def test_origin_series_and_late_average():
-    dists = [dist([-1, 0, 1], [0.0, t / 10, 1 - t / 10], time=t) for t in range(11)]
-    series = origin_probability_series(dists)
-    assert series[3] == pytest.approx(0.3)
-    assert late_origin_average(dists, (3, 7)) == pytest.approx(0.5)  # t = 4, 6
-    with pytest.raises(ValidationError):
-        late_origin_average(dists, (3, 3))
 
 
 def test_distribution_comparison_aligns_positions():

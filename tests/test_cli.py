@@ -76,7 +76,7 @@ def test_negative_t_max_is_validation_error(tmp_path, config):
 
 
 @pytest.mark.parametrize(
-    "overrides",
+    "args",
     [
         {"t_max": "5"},
         {"t_max": True},
@@ -86,15 +86,21 @@ def test_negative_t_max_is_validation_error(tmp_path, config):
         {"seed": -2},
         {"memory_depth": 1.5},
         {"graph": {"family": "line", "window": 61.0}},
+        ["enumerate", "--seeds=-1"],
+        ["enumerate", "--t-max", "-1"],
     ],
     ids=[
         "string-t_max", "bool-t_max", "negative-partition-seed",
         "negative-per-step-seed", "negative-seed", "float-depth", "float-window",
+        "enumerate-negative-seed", "enumerate-negative-t_max",
     ],
 )
-def test_spec_types_are_strict(tmp_path, config, capsys, overrides):
+def test_spec_types_are_strict(tmp_path, config, capsys, args):
+    """A dict overrides the simulate config; a list is a whole command line."""
+    if isinstance(args, dict):
+        args = ["simulate", "--config", config(simulate_doc(**args))]
     out = tmp_path / "run"
-    code = main(["simulate", "--config", config(simulate_doc(**overrides)), "--out", str(out)])
+    code = main(args + ["--out", str(out)])
     assert code == 2
     assert "must be" in capsys.readouterr().err
     assert not out.exists()

@@ -12,6 +12,7 @@ from memwalk import (
     carried_coin_shift,
     directional_partition,
     enumerate_coin_shifts,
+    named_partition,
     random_coin_shift,
     random_dicycle_factorization,
     random_partition,
@@ -20,6 +21,7 @@ from memwalk import (
     validate_coin_shift,
 )
 from memwalk.coin_shift import CoinShift
+from memwalk.partitions import PARTITION_KINDS
 
 
 def test_recycled_is_vertex_only(host_d1):
@@ -37,14 +39,18 @@ def test_recycled_emits_oldest_step(host_d1):
 
 def test_recycled_valid_for_every_partition_kind(host_d1):
     # validity must not depend on the partition; sample widely
-    for seed in range(25):
-        validate_ok = validate_coin_shift(
-            random_partition(host_d1, seed),
-            recycled_coin_shift(random_partition(host_d1, seed)),
-        )
-        assert validate_ok.ok
-    for p in (directional_partition(host_d1), reflect_transmit_partition(host_d1)):
-        assert validate_coin_shift(p, recycled_coin_shift(p)).ok
+    for kind in PARTITION_KINDS:
+        for seed in range(25):
+            p = named_partition(host_d1, kind, seed)
+            assert validate_coin_shift(p, recycled_coin_shift(p)).ok
+
+
+@pytest.mark.parametrize("entry", [-1, 2])
+def test_table_entries_outside_the_coin_range_are_rejected(host_d1, entry):
+    table = np.zeros((host_d1.n_vertices, 2), dtype=np.int64)
+    table[3, 1] = entry
+    with pytest.raises(ValidationError, match="0..1"):
+        CoinShift(host_d1, table)
 
 
 def test_carried_is_identity_table(host_d1):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from memwalk import (
+    ConstraintViolationError,
     ValidationError,
     balanced_origin_terms,
     build_shift_operator,
@@ -14,7 +15,6 @@ from memwalk import (
     equivalence_initial_terms,
     evolve,
     hadamard_coin,
-    identity_coin,
     iterate_line_digraph,
     make_bidirected_cycle,
     origin_basis_terms,
@@ -26,8 +26,10 @@ from memwalk import (
     reflect_transmit_walk,
     shift_step,
     state_from_terms,
+    validate_coin_shift,
     walk_states,
 )
+from memwalk.coin_shift import CoinShift
 from memwalk.engine import WalkState, check_unitary
 from memwalk import NumericalCheckError, analysis, engine
 
@@ -70,11 +72,7 @@ def test_coin_of_the_wrong_dimension_is_rejected(host_d1):
     p = directional_partition(host_d1)
     s = state_from_terms(host_d1, balanced_origin_terms(host_d1))
     with pytest.raises(ValidationError, match="coin dimension"):
-        evolve(p, recycled_coin_shift(p), identity_coin(3), s, 5)
-
-
-def test_identity_coin():
-    assert np.array_equal(identity_coin(3), np.eye(3, dtype=complex))
+        evolve(p, recycled_coin_shift(p), np.eye(3, dtype=np.complex128), s, 5)
 
 
 def test_state_from_terms_places_amplitudes(host_d1):
@@ -132,12 +130,11 @@ def test_shift_operator_is_permutation(host_d1):
 
 def test_shift_operator_rejects_invalid_pair(host_d1):
     p = directional_partition(host_d1)
-    table = np.zeros((host_d1.n_vertices, 2), dtype=np.int64)
-    from memwalk.coin_shift import CoinShift
-
-    with pytest.raises(Exception) as err:
-        build_shift_operator(p, CoinShift(host_d1, table))
-    assert hasattr(err.value, "violations")
+    gc = CoinShift(host_d1, np.zeros((host_d1.n_vertices, 2), dtype=np.int64))
+    with pytest.raises(ConstraintViolationError) as err:
+        build_shift_operator(p, gc)
+    assert err.value.violations
+    assert err.value.violations == validate_coin_shift(p, gc).violations
 
 
 def test_coin_step_mixes_in_place(host_d1):
@@ -253,20 +250,20 @@ def test_norm_preserved_along_random_walks(host_d1, seed):
 
 def test_recycled_oracle_identity_coin_streams():
     # identity coin keeps re-playing the +1 memory: point mass at x = t
-    dists = recycled_coin_walk(1, identity_coin(2), [(0, (1, 1), 1.0)], 3, 21)
+    dists = recycled_coin_walk(1, np.eye(2, dtype=np.complex128), [(0, (1, 1), 1.0)], 3, 21)
     positions = list(range(-10, 11))
     assert dists[3][positions.index(3)] == pytest.approx(1.0)
 
 
 def test_reflect_transmit_oracle_pure_transmit():
-    dists = reflect_transmit_walk(identity_coin(2), [(0, -1, -1, 1.0)], 3, 21)
+    dists = reflect_transmit_walk(np.eye(2, dtype=np.complex128), [(0, -1, -1, 1.0)], 3, 21)
     positions = list(range(-10, 11))
     assert dists[3][positions.index(3)] == pytest.approx(1.0)
 
 
 def test_reflect_transmit_oracle_pure_reflect():
     # coin +1 with identity coin bounces between 0 and -1 forever
-    dists = reflect_transmit_walk(identity_coin(2), [(0, -1, 1, 1.0)], 4, 21)
+    dists = reflect_transmit_walk(np.eye(2, dtype=np.complex128), [(0, -1, 1, 1.0)], 4, 21)
     positions = list(range(-10, 11))
     assert dists[1][positions.index(-1)] == pytest.approx(1.0)
     assert dists[2][positions.index(0)] == pytest.approx(1.0)

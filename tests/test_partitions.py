@@ -14,9 +14,13 @@ from memwalk import (
     random_dicycle_factorization,
     random_partition,
     reflect_transmit_partition,
-    validate_partition,
 )
-from memwalk.partitions import Partition, coin_index, coin_label, successor
+from memwalk.partitions import PARTITION_KINDS, Partition, coin_index, coin_label
+
+
+def covers_out_arcs(p: Partition) -> bool:
+    """Each vertex's classes take its out-arcs exactly once."""
+    return np.array_equal(np.sort(p.succ, 1), np.sort(p.host.out_neighbors, 1))
 
 
 def test_coin_labels_m2():
@@ -74,6 +78,14 @@ def test_reflect_transmit_needs_depth_1(host_d2):
 def test_named_partition_dispatch(host_d1):
     assert named_partition(host_d1, "directional").kind == "directional"
     assert named_partition(host_d1, "reflect_transmit").kind == "reflect_transmit"
+    p = named_partition(host_d1, "random", 7)
+    assert (p.kind, p.seed) == ("random", 7)
+    assert np.array_equal(p.succ, random_partition(host_d1, 7).succ)
+    p = named_partition(host_d1, "random_dicycle", 7)
+    assert (p.kind, p.seed) == ("random_dicycle", 7)
+    assert np.array_equal(p.succ, random_dicycle_factorization(host_d1, 7).succ)
+    with pytest.raises(ValidationError, match="needs a seed"):
+        named_partition(host_d1, "random")
     with pytest.raises(ValidationError):
         named_partition(host_d1, "nope")
 
@@ -85,23 +97,8 @@ def test_dicycle_flags(host_d1):
 
 
 def test_validate_partition_all_kinds(host_d1):
-    for p in (
-        directional_partition(host_d1),
-        reflect_transmit_partition(host_d1),
-        random_partition(host_d1, 1),
-        random_dicycle_factorization(host_d1, 1),
-    ):
-        report = validate_partition(p)
-        assert report.cover_ok and report.outdeg_ok
-
-
-def test_successor_helper(host_d1):
-    p = directional_partition(host_d1)
-    v = host_d1.index_of((0, 1))
-    assert successor(p, 0, v) == host_d1.index_of((1, 2))
-    assert successor(p, 1, v) == host_d1.index_of((1, 0))
-    with pytest.raises(ValidationError):
-        successor(p, 2, v)
+    for kind in PARTITION_KINDS:
+        assert covers_out_arcs(named_partition(host_d1, kind, 1))
 
 
 def test_random_partition_deterministic(host_d1):
@@ -137,8 +134,7 @@ def test_partition_count_matches_enumeration(small_host):
         for i, flip in enumerate(choice):
             if flip:
                 succ[i] = succ[i, ::-1]
-        report = validate_partition(Partition(small_host, succ, kind="custom"))
-        assert report.cover_ok and report.outdeg_ok
+        assert covers_out_arcs(Partition(small_host, succ, kind="custom"))
         count += 1
     assert count == 2**v
 
@@ -150,9 +146,7 @@ def test_random_dicycle_deterministic(host_d1):
 
 
 def test_class_matrix_sums_to_adjacency(host_d1):
-    p = reflect_transmit_partition(host_d1)
-    total = sum(p.class_matrix(k) for k in range(2))
-    assert np.array_equal(total, host_d1.adjacency_matrix())
+    assert covers_out_arcs(reflect_transmit_partition(host_d1))
 
 
 def test_partition_rejects_wrong_shape(host_d1):

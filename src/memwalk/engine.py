@@ -75,7 +75,8 @@ class ShiftOp:
 
     @cached_property
     def inverse_perm(self) -> np.ndarray:
-        inv = np.argsort(self.perm)
+        inv = np.empty_like(self.perm)
+        inv[self.perm] = np.arange(self.perm.size)
         inv.flags.writeable = False
         return inv
 
@@ -243,16 +244,26 @@ def walk_states(
     """Yield the states for t = 0..t_max of coin-then-shift evolution.
 
     ``shift(t)`` is the ShiftOp moving the walk from t-1 to t (t = 1..t_max).
-    The coin is checked once, when the first state is pulled, and the norm
-    drift after every step; callers check t_max, the host, normalization and
-    the window first (``evolve`` and ``experiments.iter_history`` do).  Only
-    the current state is held, so memory does not grow with t_max.
+    The coin is checked once, when this is called, so a bad coin fails
+    before the caller writes anything; the norm drift is checked after
+    every step.  Callers check t_max, the host, normalization and the window
+    first (``evolve`` and ``experiments.iter_history`` do).  Only the current
+    state is held, so memory does not grow with t_max.
     """
     check_unitary(coin)
     if coin.shape[0] != initial.host.degree:
         raise ValidationError(
             f"coin dimension {coin.shape[0]} != host degree {initial.host.degree}"
         )
+    return _steps(shift, coin, initial, t_max)
+
+
+def _steps(
+    shift: Callable[[int], ShiftOp],
+    coin: np.ndarray,
+    initial: WalkState,
+    t_max: int,
+) -> Iterator[WalkState]:
     yield initial
     state = initial
     for t in range(1, t_max + 1):

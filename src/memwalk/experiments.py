@@ -45,7 +45,8 @@ from __future__ import annotations
 import csv
 import json
 import os
-from collections.abc import Iterator
+import shutil
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -452,54 +453,86 @@ def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _write_distribution_csv(path: Path, dists: list[analysis.PositionDistribution]) -> None:
-    """One "t,x,p" row per position and time step, "\\r\\n"-terminated.
+def _distribution_csv_writer(fh) -> Callable[[analysis.PositionDistribution], None]:
+    """Write the "t,x,p" header to ``fh``; return a function that writes one
+    step's rows, one row per position, "\\r\\n"-terminated.
 
     These are the bytes csv.writer produces for the same rows: no field
     (an int or a float repr) holds a delimiter, quote or line break, so
-    nothing is quoted.  Exact zeros, about three quarters of the entries,
-    skip repr unless some entry of the step has its sign bit set: -0.0 == 0.0
-    but its repr is "-0.0".
+    nothing is quoted.  A row is the step's time followed by a tail
+    ",x,p\\r\\n".  Exact zeros, about three quarters of the cells, keep a
+    prebuilt ",x,0.0\\r\\n" tail; each distinct nonzero value of a step is
+    repr'd once (a symmetric walk repeats most of them).  A step with any
+    sign bit set reprs every cell: -0.0 == 0.0 but its repr is "-0.0".
     """
-    with path.open("w", newline="") as fh:
-        fh.write("t,x,p\r\n")
-        positions = None
-        for d in dists:
-            if d.positions is not positions:
-                positions = d.positions
-                xs = [f",{int(x)}," for x in positions.tolist()]
-            probs = d.probs.tolist()
-            if np.signbit(d.probs).any():
-                cells = [repr(p) for p in probs]
-            else:
-                cells = ["0.0" if p == 0.0 else repr(p) for p in probs]
-            t = str(d.time)
-            fh.write("".join([f"{t}{x}{c}\r\n" for x, c in zip(xs, cells)]))
+    fh.write("t,x,p\r\n")
+    positions = None
+    heads: list[str] = []
+    zero_tails: list[str] = []
+
+    def write(d: analysis.PositionDistribution) -> None:
+        nonlocal positions, heads, zero_tails
+        if d.positions is not positions:
+            positions = d.positions
+            heads = [f",{int(x)}," for x in positions.tolist()]
+            zero_tails = [h + "0.0\r\n" for h in heads]
+        p = d.probs
+        if np.signbit(p).any():
+            tails = [f"{h}{c!r}\r\n" for h, c in zip(heads, p.tolist())]
+        else:
+            tails = zero_tails.copy()
+            nz = np.flatnonzero(p)
+            values, which = np.unique(p[nz], return_inverse=True)
+            cells = [repr(v) + "\r\n" for v in values.tolist()]
+            for i, k in zip(nz.tolist(), which.tolist()):
+                tails[i] = heads[i] + cells[k]
+        t = str(d.time)
+        fh.write(t + t.join(tails))
+
+    return write
 
 
-def _series_summary(
-    dists: list[analysis.PositionDistribution], outputs: tuple[str, ...]
+def _fold_series(
+    states: Iterator[WalkState],
+    outputs: tuple[str, ...],
+    on_step: Callable[[analysis.PositionDistribution], None] | None = None,
 ) -> dict:
-    times = [d.time for d in dists]
-    series: dict = {"t": times}
-    if "variance" in outputs:
-        series["variance"] = [analysis.variance(d) for d in dists]
+    """Run the walk, folding each step's position distribution into scalar
+    series; ``on_step`` sees each distribution before the next step is taken.
+
+    The series hold "t" plus whichever of "variance", "occupancy_rate" and
+    "origin_probability" the outputs ask for; "variance" is also kept when
+    only "scaling-fit" asks for it.  Only the current distribution is held,
+    so memory grows with t_max by a few scalars per step.
+    """
+    series: dict[str, list] = {"t": []}
+    if "variance" in outputs or "scaling-fit" in outputs:
+        series["variance"] = []
     if "occrate" in outputs:
-        series["occupancy_rate"] = [
-            analysis.occupancy_rate(d, 2 * d.time + 1) for d in dists
-        ]
+        series["occupancy_rate"] = []
     if "origin-series" in outputs:
-        series["origin_probability"] = [float(d.prob(0)) for d in dists]
+        series["origin_probability"] = []
+    for state in states:
+        d = analysis.position_marginal(state)
+        series["t"].append(d.time)
+        if "variance" in series:
+            series["variance"].append(analysis.variance(d))
+        if "occupancy_rate" in series:
+            series["occupancy_rate"].append(analysis.occupancy_rate(d, 2 * d.time + 1))
+        if "origin_probability" in series:
+            series["origin_probability"].append(float(d.prob(0)))
+        if on_step is not None:
+            on_step(d)
     return series
 
 
-def _fit_summary(dists: list[analysis.PositionDistribution], t_max: int) -> dict:
+def _fit_summary(times: list[int], variances: list[float], t_max: int) -> dict:
     t1 = max(20, t_max // 4)
-    times = np.array([d.time for d in dists if t1 <= d.time <= t_max])
-    variances = np.array([analysis.variance(d) for d in dists if t1 <= d.time <= t_max])
-    fit = analysis.classify_scaling(times, variances)
+    t = np.array(times)
+    keep = (t1 <= t) & (t <= t_max)
+    fit = analysis.classify_scaling(t[keep], np.array(variances)[keep])
     return {
-        "t_range": [int(times.min()), int(times.max())],
+        "t_range": [int(t[keep].min()), int(t[keep].max())],
         "k2": fit.k2,
         "k1": fit.k1,
         "k0_sq": fit.k0_sq,
@@ -508,20 +541,52 @@ def _fit_summary(dists: list[analysis.PositionDistribution], t_max: int) -> dict
     }
 
 
-def run_simulate(spec: ExperimentSpec, out_dir: str | Path) -> dict:
-    """Evolve one spec and write distributions.csv plus summary.json."""
-    resolved = resolve_spec(spec)
-    dists = [analysis.position_marginal(s) for s in iter_history(resolved)]
+def _first_missing(path: Path) -> Path | None:
+    """The outermost of ``path`` and its parents that does not exist yet."""
+    missing = None
+    for p in (path, *path.parents):
+        if p.exists():
+            break
+        missing = p
+    return missing
 
-    summary = {"spec": spec.to_json_dict(), "series": _series_summary(dists, spec.outputs)}
-    if "scaling-fit" in spec.outputs:
-        summary["scaling_fit"] = _fit_summary(dists, spec.t_max)
+
+def run_simulate(spec: ExperimentSpec, out_dir: str | Path) -> dict:
+    """Evolve one spec and write distributions.csv plus summary.json.
+
+    The CSV is streamed step by step into distributions.csv.tmp and renamed
+    into place only after the last step.  If the run fails (a norm drift
+    mid-run, say), the temp file goes, and so does every directory the run
+    created, so a failed run leaves no file and an earlier run's outputs in
+    ``out_dir`` stay as they were.
+    """
+    resolved = resolve_spec(spec)
+    states = iter_history(resolved)  # checks the start state and the coin
 
     out = Path(out_dir)
+    created = _first_missing(out)
     out.mkdir(parents=True, exist_ok=True)
-    if "distribution" in spec.outputs:
-        _write_distribution_csv(out / "distributions.csv", dists)
-    _write_json(out / "summary.json", summary)
+    csv_path = out / "distributions.csv"
+    tmp_path = out / "distributions.csv.tmp"
+    try:
+        if "distribution" in spec.outputs:
+            with tmp_path.open("w", newline="") as fh:
+                series = _fold_series(states, spec.outputs, _distribution_csv_writer(fh))
+        else:
+            series = _fold_series(states, spec.outputs)
+        summary = {"spec": spec.to_json_dict(), "series": series}
+        if "scaling-fit" in spec.outputs:
+            summary["scaling_fit"] = _fit_summary(series["t"], series["variance"], spec.t_max)
+            if "variance" not in spec.outputs:
+                del series["variance"]
+        if "distribution" in spec.outputs:
+            os.replace(tmp_path, csv_path)
+        _write_json(out / "summary.json", summary)
+    except BaseException:
+        tmp_path.unlink(missing_ok=True)
+        if created is not None:
+            shutil.rmtree(created, ignore_errors=True)
+        raise
     return summary
 
 
@@ -542,13 +607,14 @@ def _class_spec(template: ExperimentSpec, walk_class: str, seed: int) -> Experim
         "resample": "per_step" if walk_class in ANNEALED_CLASSES else "never",
     }
     doc["coin_shift"] = {"kind": shift_kind}
+    # The sweep fits the seed-averaged variance itself (and skips the fit on
+    # short horizons), so a class run never needs the per-run scaling fit.
+    doc["outputs"] = [o for o in doc["outputs"] if o != "scaling-fit"]
     return ExperimentSpec.from_json_dict(doc)
 
 
 def _sweep_one(spec: ExperimentSpec) -> dict:
-    resolved = resolve_spec(spec)
-    dists = [analysis.position_marginal(s) for s in iter_history(resolved)]
-    return _series_summary(dists, ALL_OUTPUTS)
+    return _fold_series(iter_history(resolve_spec(spec)), ALL_OUTPUTS)
 
 
 def _ratio_verdict(ratio: float) -> str:

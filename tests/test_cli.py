@@ -1,10 +1,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import memwalk
+from memwalk import engine
 from memwalk.cli import main
+from memwalk.engine import WalkState
 
 
 @pytest.fixture
@@ -209,6 +216,17 @@ def test_sweep_subcommand(tmp_path, config, capsys):
     assert "ratio=" in captured
 
 
+def test_short_sweep_needs_no_config(tmp_path):
+    # The default template asks for a scaling fit, which only single runs
+    # write; the sweep reports no fit verdict for horizons this short.
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--t-max", "30", "--seeds", "0", "--out", str(out)]) == 0
+    assert (out / "comparison.csv").exists()
+    report = json.loads((out / "sweep_summary.json").read_text())
+    assert "scaling-fit" in report["template"]["outputs"]
+    assert {entry["fit_verdict"] for entry in report["classes"].values()} == {None}
+
+
 def test_sweep_seed_flag_and_workers(tmp_path, config):
     doc = {"template": {"t_max": 20, "outputs": ["variance"]}, "classes": ["directional+recycled"]}
     out = tmp_path / "sweep"
@@ -244,3 +262,54 @@ def test_enumerate_subcommand(tmp_path, capsys):
     captured = capsys.readouterr().out
     assert "64 valid coin shifts" in captured
     assert "distinct walks" in captured
+
+
+def drift_from(monkeypatch, t_bad, seen=None):
+    """Make every step from t_bad on leak norm, as a numerical fault would."""
+    real_shift_step = engine.shift_step
+
+    def leaky_shift_step(state, shift):
+        moved = real_shift_step(state, shift)
+        if moved.time < t_bad:
+            return moved
+        if seen is not None:
+            seen()
+        return WalkState(moved.host, moved.amps * (1.0 + 1e-9), moved.time)
+
+    monkeypatch.setattr(engine, "shift_step", leaky_shift_step)
+
+
+def test_norm_drift_mid_run_writes_nothing(tmp_path, config, monkeypatch, capsys):
+    out = tmp_path / "new" / "run"
+    tmp_seen = []
+    drift_from(monkeypatch, 5, lambda: tmp_seen.append((out / "distributions.csv.tmp").exists()))
+    assert main(["simulate", "--config", config(simulate_doc()), "--out", str(out)]) == 4
+    assert "norm drift" in capsys.readouterr().err
+    assert tmp_seen == [True]  # the rows were being streamed when the run failed
+    assert not (tmp_path / "new").exists()
+
+
+def test_failed_rerun_keeps_the_earlier_outputs(tmp_path, config, monkeypatch):
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", config(simulate_doc()), "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(before) == ["distributions.csv", "summary.json"]
+    drift_from(monkeypatch, 5)
+    rerun = config(simulate_doc(t_max=40), name="rerun.json")
+    assert main(["simulate", "--config", rerun, "--out", str(out)]) == 4
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # run_sweep imports the executor only when workers > 1, which keeps it
+    # out of every command's start-up time.
+    src = Path(memwalk.__file__).resolve().parents[1]
+    code = "import sys, memwalk.cli; print('concurrent.futures' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        check=True,
+    )
+    assert result.stdout.strip() == "False"

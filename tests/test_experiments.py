@@ -9,11 +9,12 @@ import pytest
 from memwalk import ConstraintViolationError, ValidationError, minimal_window
 from memwalk.analysis import BetaField, equivalence_initial_beta
 from memwalk.experiments import (
+    ALL_OUTPUTS,
     ANNEALED_CLASSES,
     WALK_CLASSES,
     ExperimentSpec,
     _class_spec,
-    _write_distribution_csv,
+    _distribution_csv_writer,
     equivalence_report,
     enumerate_report,
     iter_history,
@@ -118,6 +119,13 @@ def _csv_writer_reference(path, dists):
                 writer.writerow([d.time, int(x), repr(float(p))])
 
 
+def _write_csv(path, dists):
+    with path.open("w", newline="") as fh:
+        write = _distribution_csv_writer(fh)
+        for d in dists:
+            write(d)
+
+
 def test_distribution_csv_matches_csv_writer(tmp_path):
     # fixed-notation and scientific reprs, exact zero and the smallest subnormal
     values = [0.0, 1.0, 0.1 + 0.2, 1e-05, 2.5e-16, 5e-324]
@@ -127,12 +135,21 @@ def test_distribution_csv_matches_csv_writer(tmp_path):
     ]
     # -0.0 == 0.0, but csv.writer wrote its repr
     dists.append(analysis.PositionDistribution(positions, np.array([-0.0, 0.0, *values[1:5]]), 4))
-    _write_distribution_csv(tmp_path / "got.csv", dists)
+    # repeated nonzero values share one repr; then -0.0 right after that step
+    dists.append(
+        analysis.PositionDistribution(positions, np.array([0.25, 0.0, 0.3, 0.25, 0.3, 0.25]), 5)
+    )
+    dists.append(
+        analysis.PositionDistribution(positions, np.array([0.25, -0.0, 0.25, 0.0, 0.5, 0.0]), 6)
+    )
+    _write_csv(tmp_path / "got.csv", dists)
     _csv_writer_reference(tmp_path / "want.csv", dists)
     got = (tmp_path / "got.csv").read_bytes()
     assert got == (tmp_path / "want.csv").read_bytes()
     assert b"-3,5e-324" in got
     assert b"\r\n4,-3,-0.0\r\n4,-2,0.0\r\n" in got
+    assert b"\r\n5,-3,0.25\r\n5,-2,0.0\r\n5,-1,0.3\r\n5,0,0.25\r\n" in got
+    assert b"\r\n6,-2,-0.0\r\n6,-1,0.25\r\n6,0,0.0\r\n" in got
 
     spec = ExperimentSpec.from_json_dict(spec_doc(t_max=60))
     run_simulate(spec, tmp_path / "run")
@@ -141,6 +158,10 @@ def test_distribution_csv_matches_csv_writer(tmp_path):
     got = (tmp_path / "run" / "distributions.csv").read_bytes()
     assert got == (tmp_path / "run_want.csv").read_bytes()
     assert got.count(b"\r\n") == 1 + 61 * dists[0].positions.size
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
+        "distributions.csv",
+        "summary.json",
+    ]
 
 
 def test_simulate_memory_does_not_grow_with_stored_states(tmp_path):
@@ -157,6 +178,25 @@ def test_simulate_memory_does_not_grow_with_stored_states(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < history_bytes / 2
+
+
+def _simulate_peak_bytes(t_max, out):
+    spec = ExperimentSpec.from_json_dict(spec_doc(t_max=t_max, outputs=list(ALL_OUTPUTS)))
+    tracemalloc.start()
+    try:
+        run_simulate(spec, out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_simulate_memory_grows_linearly_with_t_max(tmp_path):
+    # Doubling t_max doubles the window, so a run that keeps one
+    # distribution per step peaks about 4x higher; a per-step fold about 2x.
+    small = _simulate_peak_bytes(400, tmp_path / "small")
+    large = _simulate_peak_bytes(800, tmp_path / "large")
+    assert large < 3 * small
 
 
 def test_annealed_differs_from_frozen():

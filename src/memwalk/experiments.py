@@ -45,7 +45,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-import shutil
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -461,9 +460,11 @@ def _distribution_csv_writer(fh) -> Callable[[analysis.PositionDistribution], No
     (an int or a float repr) holds a delimiter, quote or line break, so
     nothing is quoted.  A row is the step's time followed by a tail
     ",x,p\\r\\n".  Exact zeros, about three quarters of the cells, keep a
-    prebuilt ",x,0.0\\r\\n" tail; each distinct nonzero value of a step is
-    repr'd once (a symmetric walk repeats most of them).  A step with any
-    sign bit set reprs every cell: -0.0 == 0.0 but its repr is "-0.0".
+    prebuilt ",x,0.0\\r\\n" tail.  A mirror-symmetric step (every step of
+    the default reflect_transmit+carried walk is one) reprs its left half
+    and copies each cell to its mirror position, since equal floats have
+    equal reprs.  A step with any sign bit set reprs every cell: -0.0 == 0.0
+    but its repr is "-0.0".
     """
     fh.write("t,x,p\r\n")
     positions = None
@@ -481,11 +482,17 @@ def _distribution_csv_writer(fh) -> Callable[[analysis.PositionDistribution], No
             tails = [f"{h}{c!r}\r\n" for h, c in zip(heads, p.tolist())]
         else:
             tails = zero_tails.copy()
-            nz = np.flatnonzero(p)
-            values, which = np.unique(p[nz], return_inverse=True)
-            cells = [repr(v) + "\r\n" for v in values.tolist()]
-            for i, k in zip(nz.tolist(), which.tolist()):
-                tails[i] = heads[i] + cells[k]
+            if np.array_equal(p, p[::-1]):
+                last = p.size - 1
+                nz = np.flatnonzero(p[: last // 2 + 1])
+                for i, c in zip(nz.tolist(), p[nz].tolist()):
+                    cell = f"{c!r}\r\n"
+                    tails[i] = heads[i] + cell
+                    tails[last - i] = heads[last - i] + cell
+            else:
+                nz = np.flatnonzero(p)
+                for i, c in zip(nz.tolist(), p[nz].tolist()):
+                    tails[i] = f"{heads[i]}{c!r}\r\n"
         t = str(d.time)
         fh.write(t + t.join(tails))
 
@@ -551,13 +558,26 @@ def _first_missing(path: Path) -> Path | None:
     return missing
 
 
+def _remove_empty_dirs(path: Path, top: Path) -> None:
+    """rmdir ``path`` and its parents up to ``top``, stopping at the first
+    that is not empty: a run started alongside may be writing there."""
+    for p in (path, *path.parents):
+        try:
+            p.rmdir()
+        except OSError:
+            return
+        if p == top:
+            return
+
+
 def run_simulate(spec: ExperimentSpec, out_dir: str | Path) -> dict:
     """Evolve one spec and write distributions.csv plus summary.json.
 
-    The CSV is streamed step by step into distributions.csv.tmp and renamed
-    into place only after the last step.  If the run fails (a norm drift
-    mid-run, say), the temp file goes, and so does every directory the run
-    created, so a failed run leaves no file and an earlier run's outputs in
+    The CSV is streamed step by step into distributions.csv.tmp and the
+    summary is written to summary.json.tmp; both are renamed into place only
+    after the last step.  If the run fails (a norm drift mid-run, say), the
+    temp files go, and so does every directory the run created that is left
+    empty, so a failed run leaves no file and an earlier run's outputs in
     ``out_dir`` stay as they were.
     """
     resolved = resolve_spec(spec)
@@ -566,11 +586,11 @@ def run_simulate(spec: ExperimentSpec, out_dir: str | Path) -> dict:
     out = Path(out_dir)
     created = _first_missing(out)
     out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "distributions.csv"
-    tmp_path = out / "distributions.csv.tmp"
+    csv_tmp = out / "distributions.csv.tmp"
+    summary_tmp = out / "summary.json.tmp"
     try:
         if "distribution" in spec.outputs:
-            with tmp_path.open("w", newline="") as fh:
+            with csv_tmp.open("w", newline="") as fh:
                 series = _fold_series(states, spec.outputs, _distribution_csv_writer(fh))
         else:
             series = _fold_series(states, spec.outputs)
@@ -579,13 +599,15 @@ def run_simulate(spec: ExperimentSpec, out_dir: str | Path) -> dict:
             summary["scaling_fit"] = _fit_summary(series["t"], series["variance"], spec.t_max)
             if "variance" not in spec.outputs:
                 del series["variance"]
+        _write_json(summary_tmp, summary)
         if "distribution" in spec.outputs:
-            os.replace(tmp_path, csv_path)
-        _write_json(out / "summary.json", summary)
+            os.replace(csv_tmp, out / "distributions.csv")
+        os.replace(summary_tmp, out / "summary.json")
     except BaseException:
-        tmp_path.unlink(missing_ok=True)
+        csv_tmp.unlink(missing_ok=True)
+        summary_tmp.unlink(missing_ok=True)
         if created is not None:
-            shutil.rmtree(created, ignore_errors=True)
+            _remove_empty_dirs(out, created)
         raise
     return summary
 

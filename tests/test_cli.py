@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import memwalk
-from memwalk import engine
+from memwalk import engine, experiments
 from memwalk.cli import main
 from memwalk.engine import WalkState
 
@@ -298,6 +298,37 @@ def test_failed_rerun_keeps_the_earlier_outputs(tmp_path, config, monkeypatch):
     rerun = config(simulate_doc(t_max=40), name="rerun.json")
     assert main(["simulate", "--config", rerun, "--out", str(out)]) == 4
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_failed_summary_write_keeps_the_earlier_outputs(tmp_path, config, monkeypatch):
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", config(simulate_doc()), "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def disk_full(path, doc):
+        path.write_text("{")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(experiments, "_write_json", disk_full)
+    rerun = config(simulate_doc(t_max=40), name="rerun.json")
+    with pytest.raises(OSError):
+        main(["simulate", "--config", rerun, "--out", str(out)])
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_failed_run_keeps_a_sibling_run_directory(tmp_path, config, monkeypatch):
+    # A second run into new/other starts after this one created new/.
+    out = tmp_path / "new" / "run"
+    other = tmp_path / "new" / "other"
+
+    def start_other():
+        other.mkdir(exist_ok=True)
+        (other / "distributions.csv.tmp").write_text("t,x,p\r\n")
+
+    drift_from(monkeypatch, 5, start_other)
+    assert main(["simulate", "--config", config(simulate_doc()), "--out", str(out)]) == 4
+    assert not out.exists()
+    assert [p.name for p in other.iterdir()] == ["distributions.csv.tmp"]
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():

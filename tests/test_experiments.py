@@ -135,12 +135,16 @@ def test_distribution_csv_matches_csv_writer(tmp_path):
     ]
     # -0.0 == 0.0, but csv.writer wrote its repr
     dists.append(analysis.PositionDistribution(positions, np.array([-0.0, 0.0, *values[1:5]]), 4))
-    # repeated nonzero values share one repr; then -0.0 right after that step
+    # a mirror-symmetric step copies its left half's cells to the right; a
+    # -0.0 right after one; an odd mirror-symmetric step on new positions
     dists.append(
-        analysis.PositionDistribution(positions, np.array([0.25, 0.0, 0.3, 0.25, 0.3, 0.25]), 5)
+        analysis.PositionDistribution(positions, np.array([0.25, 0.0, 0.3, 0.3, 0.0, 0.25]), 5)
     )
     dists.append(
-        analysis.PositionDistribution(positions, np.array([0.25, -0.0, 0.25, 0.0, 0.5, 0.0]), 6)
+        analysis.PositionDistribution(positions, np.array([0.25, -0.0, 0.5, 0.5, 0.0, 0.25]), 6)
+    )
+    dists.append(
+        analysis.PositionDistribution(np.arange(-2, 3), np.array([0.1, 0.0, 0.6, 0.0, 0.1]), 7)
     )
     _write_csv(tmp_path / "got.csv", dists)
     _csv_writer_reference(tmp_path / "want.csv", dists)
@@ -148,8 +152,9 @@ def test_distribution_csv_matches_csv_writer(tmp_path):
     assert got == (tmp_path / "want.csv").read_bytes()
     assert b"-3,5e-324" in got
     assert b"\r\n4,-3,-0.0\r\n4,-2,0.0\r\n" in got
-    assert b"\r\n5,-3,0.25\r\n5,-2,0.0\r\n5,-1,0.3\r\n5,0,0.25\r\n" in got
-    assert b"\r\n6,-2,-0.0\r\n6,-1,0.25\r\n6,0,0.0\r\n" in got
+    assert b"\r\n5,-3,0.25\r\n5,-2,0.0\r\n5,-1,0.3\r\n5,0,0.3\r\n5,1,0.0\r\n5,2,0.25\r\n" in got
+    assert b"\r\n6,-3,0.25\r\n6,-2,-0.0\r\n6,-1,0.5\r\n6,0,0.5\r\n6,1,0.0\r\n" in got
+    assert got.endswith(b"\r\n7,-2,0.1\r\n7,-1,0.0\r\n7,0,0.6\r\n7,1,0.0\r\n7,2,0.1\r\n")
 
     spec = ExperimentSpec.from_json_dict(spec_doc(t_max=60))
     run_simulate(spec, tmp_path / "run")

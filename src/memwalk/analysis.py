@@ -72,9 +72,6 @@ class PositionDistribution:
         hits = np.flatnonzero(self.positions == x)
         return float(self.probs[hits[0]]) if hits.size else 0.0
 
-    def as_dict(self) -> dict[int, float]:
-        return {int(x): float(p) for x, p in zip(self.positions, self.probs)}
-
 
 def _position_probs(host: RegularDigraph, amps: np.ndarray) -> np.ndarray:
     """Sum |amplitude|^2 over everything sharing a current position.
@@ -116,14 +113,9 @@ def occupancy_rate(dist: PositionDistribution, n_range: int) -> float:
 
 
 def _aligned(a: PositionDistribution, b: PositionDistribution) -> tuple[np.ndarray, np.ndarray]:
-    if np.array_equal(a.positions, b.positions):
-        return a.probs, b.probs
-    da, db = a.as_dict(), b.as_dict()
-    keys = sorted(set(da) | set(db))
-    return (
-        np.array([da.get(k, 0.0) for k in keys]),
-        np.array([db.get(k, 0.0) for k in keys]),
-    )
+    if not np.array_equal(a.positions, b.positions):
+        raise ValidationError("distributions over different positions cannot be compared")
+    return a.probs, b.probs
 
 
 def max_distribution_difference(a: PositionDistribution, b: PositionDistribution) -> float:

@@ -49,7 +49,6 @@ class CoinShift:
 
     host: RegularDigraph
     table: np.ndarray
-    name: str = "custom"
 
     def __post_init__(self):
         if self.table.shape != (self.host.n_vertices, self.host.degree):
@@ -100,7 +99,7 @@ def recycled_coin_shift(p: Partition) -> CoinShift:
     # Coin index 0 is the +1 step; the host caches its oldest steps, so a
     # per-step redraw only builds the table.  build_shift_operator checks it.
     coins = (host.oldest_steps != 1).astype(np.int64)
-    return CoinShift(host, np.repeat(coins[:, None], 2, axis=1), name="recycled")
+    return CoinShift(host, np.repeat(coins[:, None], 2, axis=1))
 
 
 def carried_coin_shift(p: Partition) -> CoinShift:
@@ -111,7 +110,7 @@ def carried_coin_shift(p: Partition) -> CoinShift:
     """
     host = p.host
     table = np.tile(np.arange(host.degree, dtype=np.int64), (host.n_vertices, 1))
-    gc = CoinShift(host, table, name="carried")
+    gc = CoinShift(host, table)
     if not p.is_dicycle:
         report = validate_coin_shift(p, gc)
         raise ConstraintViolationError(
@@ -155,7 +154,7 @@ def enumerate_coin_shifts(p: Partition) -> list[CoinShift]:
         for group, perm in zip(groups, assignment):
             for (vertex, c_in), c_out in zip(group, perm):
                 table[vertex, c_in] = c_out
-        shifts.append(CoinShift(host, table, name="enumerated"))
+        shifts.append(CoinShift(host, table))
     return shifts
 
 
@@ -168,5 +167,5 @@ def random_coin_shift(p: Partition, seed: int) -> CoinShift:
         perm = rng.permutation(host.degree)
         for (vertex, c_in), c_out in zip(group, perm):
             table[vertex, c_in] = c_out
-    return CoinShift(host, table, name="random")
+    return CoinShift(host, table)
 

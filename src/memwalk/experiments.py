@@ -46,7 +46,8 @@ import csv
 import json
 import os
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -307,7 +308,7 @@ def _resolve_coin_shift(spec: ExperimentSpec, p: Partition) -> CoinShift:
             table[vertex, coin_index(c_in, m)] = coin_index(c_out, m)
         if (table < 0).any():
             raise ValidationError("coin shift table is incomplete")
-        return CoinShift(p.host, table, name="table")
+        return CoinShift(p.host, table)
     raise ValidationError(f"unknown coin shift kind {kind!r}")
 
 
@@ -533,13 +534,16 @@ def _fold_series(
     return series
 
 
-def _fit_summary(times: list[int], variances: list[float], t_max: int) -> dict:
+def _fit_summary(variances, t_max: int) -> dict | None:
+    """Fit the variance series (t = 0..t_max) over its last three quarters,
+    from t = 20 at the earliest; None when t_max < 40 leaves too short a
+    series for a stable fit."""
+    if t_max < 40:
+        return None
     t1 = max(20, t_max // 4)
-    t = np.array(times)
-    keep = (t1 <= t) & (t <= t_max)
-    fit = analysis.classify_scaling(t[keep], np.array(variances)[keep])
+    fit = analysis.classify_scaling(np.arange(t1, t_max + 1), np.asarray(variances)[t1:])
     return {
-        "t_range": [int(t[keep].min()), int(t[keep].max())],
+        "t_range": [t1, t_max],
         "k2": fit.k2,
         "k1": fit.k1,
         "k0_sq": fit.k0_sq,
@@ -570,25 +574,64 @@ def _remove_empty_dirs(path: Path, top: Path) -> None:
             return
 
 
+@contextmanager
+def _staged(out_dir: str | Path) -> Iterator[Callable[[str], Path]]:
+    """Create ``out_dir`` and yield ``stage(name)``, which hands out the temp
+    path ``out_dir/<name>.tmp`` for output ``name``.
+
+    When the block ends cleanly every staged temp file is moved onto its name
+    by os.replace; a staged name whose temp file was never written is removed,
+    so no earlier run's file stays next to this run's outputs.  If the block
+    raises, the temp files go, and so does every directory this run created
+    that is left empty, so a failed run leaves no file, an earlier run's
+    outputs stay as they were, and a run started alongside in a sibling
+    directory keeps its files.  An ``out_dir`` that is, or lies under, a
+    regular file is a ValidationError, and so is an output name that is a
+    directory there.
+    """
+    out = Path(out_dir)
+    created = _first_missing(out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ValidationError(f"output directory {out} is, or lies under, a file") from None
+    staged: dict[Path, Path] = {}
+
+    def stage(name: str) -> Path:
+        if (out / name).is_dir():
+            raise ValidationError(f"output {out / name} is a directory")
+        tmp = out / f"{name}.tmp"
+        staged[tmp] = out / name
+        return tmp
+
+    try:
+        yield stage
+        for tmp, final in staged.items():
+            if tmp.exists():
+                os.replace(tmp, final)
+            else:
+                final.unlink(missing_ok=True)
+    except BaseException:
+        for tmp in staged:
+            tmp.unlink(missing_ok=True)
+        if created is not None:
+            _remove_empty_dirs(out, created)
+        raise
+
+
 def run_simulate(spec: ExperimentSpec, out_dir: str | Path) -> dict:
     """Evolve one spec and write distributions.csv plus summary.json.
 
-    The CSV is streamed step by step into distributions.csv.tmp and the
-    summary is written to summary.json.tmp; both are renamed into place only
-    after the last step.  If the run fails (a norm drift mid-run, say), the
-    temp files go, and so does every directory the run created that is left
-    empty, so a failed run leaves no file and an earlier run's outputs in
-    ``out_dir`` stay as they were.
+    The CSV is streamed step by step into its staged temp file (see
+    _staged), so a run that fails mid-walk writes nothing.  Without the
+    "distribution" output no CSV is written and an earlier run's is removed.
     """
     resolved = resolve_spec(spec)
     states = iter_history(resolved)  # checks the start state and the coin
 
-    out = Path(out_dir)
-    created = _first_missing(out)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_tmp = out / "distributions.csv.tmp"
-    summary_tmp = out / "summary.json.tmp"
-    try:
+    with _staged(out_dir) as stage:
+        csv_tmp = stage("distributions.csv")
+        summary_tmp = stage("summary.json")
         if "distribution" in spec.outputs:
             with csv_tmp.open("w", newline="") as fh:
                 series = _fold_series(states, spec.outputs, _distribution_csv_writer(fh))
@@ -596,19 +639,10 @@ def run_simulate(spec: ExperimentSpec, out_dir: str | Path) -> dict:
             series = _fold_series(states, spec.outputs)
         summary = {"spec": spec.to_json_dict(), "series": series}
         if "scaling-fit" in spec.outputs:
-            summary["scaling_fit"] = _fit_summary(series["t"], series["variance"], spec.t_max)
+            summary["scaling_fit"] = _fit_summary(series["variance"], spec.t_max)
             if "variance" not in spec.outputs:
                 del series["variance"]
         _write_json(summary_tmp, summary)
-        if "distribution" in spec.outputs:
-            os.replace(csv_tmp, out / "distributions.csv")
-        os.replace(summary_tmp, out / "summary.json")
-    except BaseException:
-        csv_tmp.unlink(missing_ok=True)
-        summary_tmp.unlink(missing_ok=True)
-        if created is not None:
-            _remove_empty_dirs(out, created)
-        raise
     return summary
 
 
@@ -616,23 +650,20 @@ def run_simulate(spec: ExperimentSpec, out_dir: str | Path) -> dict:
 
 
 def _class_spec(template: ExperimentSpec, walk_class: str, seed: int) -> ExperimentSpec:
-    try:
-        partition_kind, shift_kind = walk_class.split("+")
-    except ValueError:
-        raise ValidationError(f"bad walk class {walk_class!r}") from None
     if walk_class not in WALK_CLASSES:
         raise ValidationError(f"unknown walk class {walk_class!r}")
-    doc = template.to_json_dict()
-    doc["partition"] = {
-        "kind": partition_kind,
-        "seed": seed if partition_kind in RANDOM_PARTITION_KINDS else None,
-        "resample": "per_step" if walk_class in ANNEALED_CLASSES else "never",
-    }
-    doc["coin_shift"] = {"kind": shift_kind}
+    partition_kind, shift_kind = walk_class.split("+")
     # The sweep fits the seed-averaged variance itself (and skips the fit on
     # short horizons), so a class run never needs the per-run scaling fit.
-    doc["outputs"] = [o for o in doc["outputs"] if o != "scaling-fit"]
-    return ExperimentSpec.from_json_dict(doc)
+    return replace(
+        template,
+        partition_kind=partition_kind,
+        partition_seed=seed if partition_kind in RANDOM_PARTITION_KINDS else None,
+        partition_resample="per_step" if walk_class in ANNEALED_CLASSES else "never",
+        coin_shift_kind=shift_kind,
+        coin_shift_entries=None,
+        outputs=tuple(o for o in template.outputs if o != "scaling-fit"),
+    )
 
 
 def _sweep_one(spec: ExperimentSpec) -> dict:
@@ -669,22 +700,17 @@ def run_sweep(
         raise ValidationError("sweep needs at least one seed")
     for seed in seeds:
         _check_int("sweep seed", seed, 0)
-    for walk_class in classes:
-        if walk_class not in WALK_CLASSES:
-            raise ValidationError(f"unknown walk class {walk_class!r}")
-    # Validate the template (and every class variant) before running anything.
-    for walk_class in classes:
-        resolve_spec(_class_spec(template, walk_class, seeds[0]))
 
     # Each distinct spec runs once.  A class whose partition kind is not
     # random gets the same spec at every seed (_class_spec drops the seed),
-    # so its one series stands for every seed.
-    key_of: dict[tuple[str, int], str] = {}
-    jobs: dict[str, ExperimentSpec] = {}
+    # so its one series stands for every seed.  Each job resolves (and so
+    # validates) its own spec; nothing is written until every job returns.
+    key_of: dict[tuple[str, int], tuple[str, int | None]] = {}
+    jobs: dict[tuple[str, int | None], ExperimentSpec] = {}
     for c in classes:
         for s in seeds:
             spec = _class_spec(template, c, s)
-            key_of[c, s] = json.dumps(spec.to_json_dict(), sort_keys=True)
+            key_of[c, s] = (c, spec.partition_seed)
             jobs.setdefault(key_of[c, s], spec)
     # Processes, not threads: a job's steps are Python code and small numpy
     # calls that hold the GIL.  pool.map returns results in job order, so the
@@ -699,30 +725,20 @@ def run_sweep(
     else:
         results = [_sweep_one(spec) for spec in jobs.values()]
     series_of = dict(zip(jobs, results))
-    by_class = {c: {s: series_of[key_of[c, s]] for s in seeds} for c in classes}
 
     t_max = template.t_max
-    times = list(range(t_max + 1))
     checkpoints = [t for t in (50, 100, 200) if t <= t_max]
+    lo, hi = LOCALIZATION_WINDOW
     class_reports = {}
     rows = []
     for walk_class in classes:
-        per_seed = by_class[walk_class]
-        var = np.mean([per_seed[s]["variance"] for s in seeds], axis=0)
-        occ = np.mean([per_seed[s]["occupancy_rate"] for s in seeds], axis=0)
-        origin = np.mean([per_seed[s]["origin_probability"] for s in seeds], axis=0)
+        runs = [series_of[key_of[walk_class, s]] for s in seeds]
+        var = np.mean([r["variance"] for r in runs], axis=0)
+        occ = np.mean([r["occupancy_rate"] for r in runs], axis=0)
+        origin = np.mean([r["origin_probability"] for r in runs], axis=0)
         ratio = float(var[t_max] / var[t_max // 2]) if var[t_max // 2] > 0 else float("nan")
-        t1 = max(20, t_max // 4)
-        if t_max >= 2 * t1:
-            fit_verdict = analysis.classify_scaling(
-                np.arange(t1, t_max + 1), var[t1 : t_max + 1]
-            ).verdict
-        else:
-            fit_verdict = None  # horizon too short for a stable fit
-        lo, hi = LOCALIZATION_WINDOW
-        origin_late = [
-            origin[t] for t in times if lo <= t <= min(hi, t_max) and t % 2 == 0
-        ]
+        fit = _fit_summary(var, t_max)
+        origin_late = [origin[t] for t in range(lo, min(hi, t_max) + 1) if t % 2 == 0]
         report = {
             "seeds": list(seeds),
             "mean_variance": [float(v) for v in var],
@@ -730,7 +746,7 @@ def run_sweep(
             "mean_origin_probability": [float(v) for v in origin],
             "variance_ratio": ratio,
             "ratio_verdict": _ratio_verdict(ratio),
-            "fit_verdict": fit_verdict,
+            "fit_verdict": fit["verdict"] if fit is not None else None,
             "occupancy_at": {str(t): float(occ[t]) for t in checkpoints},
             "origin_late_average": (
                 float(np.mean(origin_late)) if origin_late else None
@@ -753,21 +769,18 @@ def run_sweep(
             ]
         )
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(
-        out / "sweep_summary.json",
-        {"template": template.to_json_dict(), "classes": class_reports},
-    )
-    with (out / "comparison.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["class", "n_seeds", "variance_ratio", "ratio_verdict", "fit_verdict"]
-            + [f"occupancy_t{t}" for t in checkpoints]
-            + ["origin_late_average"]
-        )
-        writer.writerows(rows)
-    return {"template": template.to_json_dict(), "classes": class_reports}
+    summary = {"template": template.to_json_dict(), "classes": class_reports}
+    with _staged(out_dir) as stage:
+        _write_json(stage("sweep_summary.json"), summary)
+        with stage("comparison.csv").open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(
+                ["class", "n_seeds", "variance_ratio", "ratio_verdict", "fit_verdict"]
+                + [f"occupancy_t{t}" for t in checkpoints]
+                + ["origin_late_average"]
+            )
+            writer.writerows(rows)
+    return summary
 
 
 # -- equivalence pipeline ------------------------------------------------------------
@@ -838,48 +851,38 @@ def equivalence_report(
                 ),
             )
 
-    # Position-and-memory oracles against the engine, one memory register.
+    # Position-and-memory oracles against engine marginals: the recycled-coin
+    # walk at depths 1 and 2, then the reflect/transmit walk at depth 1.
     oracle_window = minimal_window(oracle_t_max, 2)
     oracle_report = {}
-    for depth, name in ((1, "recycled_d1"), (2, "recycled_d2")):
+    for name, depth, kind in (
+        ("recycled_d1", 1, "directional"),
+        ("recycled_d2", 2, "directional"),
+        ("reflect_transmit_d1", 1, "reflect_transmit"),
+    ):
         o_host = iterate_line_digraph(make_bidirected_cycle(oracle_window), depth)
-        o_partition = named_partition(o_host, "directional")
-        o_gc = recycled_coin_shift(o_partition)
-        terms, oracle_terms = _paired_origin_state(depth, seed=20260819 + depth)
+        o_partition = named_partition(o_host, kind)
+        if kind == "directional":
+            o_gc = recycled_coin_shift(o_partition)
+            terms, oracle_terms = _paired_origin_state(depth, seed=20260819 + depth)
+            oracle = recycled_coin_walk(
+                depth, hadamard_coin(), oracle_terms, oracle_t_max, oracle_window
+            )
+        else:
+            o_gc = carried_coin_shift(o_partition)
+            terms, oracle_terms = _paired_reflect_transmit_state(seed=20260819)
+            oracle = reflect_transmit_walk(
+                hadamard_coin(), oracle_terms, oracle_t_max, oracle_window
+            )
         states = evolve(
             o_partition, o_gc, hadamard_coin(), state_from_terms(o_host, terms), oracle_t_max
         )
-        oracle = recycled_coin_walk(
-            depth, hadamard_coin(), oracle_terms, oracle_t_max, oracle_window
-        )
-        diff = max(
+        oracle_report[name] = max(
             analysis.max_distribution_difference(
-                analysis.position_marginal(s),
-                analysis.PositionDistribution(
-                    analysis.position_marginal(s).positions, oracle[t], t
-                ),
+                d, analysis.PositionDistribution(d.positions, oracle[t], t)
             )
-            for t, s in enumerate(states)
+            for t, d in enumerate(map(analysis.position_marginal, states))
         )
-        oracle_report[name] = diff
-
-    rt_host = iterate_line_digraph(make_bidirected_cycle(oracle_window), 1)
-    rt_partition = reflect_transmit_partition(rt_host)
-    rt_gc = carried_coin_shift(rt_partition)
-    terms, rt_terms = _paired_reflect_transmit_state(seed=20260819)
-    states = evolve(
-        rt_partition, rt_gc, hadamard_coin(), state_from_terms(rt_host, terms), oracle_t_max
-    )
-    oracle = reflect_transmit_walk(hadamard_coin(), rt_terms, oracle_t_max, oracle_window)
-    oracle_report["reflect_transmit_d1"] = max(
-        analysis.max_distribution_difference(
-            analysis.position_marginal(s),
-            analysis.PositionDistribution(
-                analysis.position_marginal(s).positions, oracle[t], t
-            ),
-        )
-        for t, s in enumerate(states)
-    )
 
     return {
         "window": window,
@@ -938,9 +941,8 @@ def _paired_reflect_transmit_state(seed: int):
 
 def run_equivalence(out_dir: str | Path, t_max: int = 100) -> dict:
     report = equivalence_report(t_max=t_max)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "equivalence.json", report)
+    with _staged(out_dir) as stage:
+        _write_json(stage("equivalence.json"), report)
     if not report["passed"]:
         raise NumericalCheckError("equivalence pipeline failed; see equivalence.json")
     return report
@@ -993,7 +995,6 @@ def run_enumerate(
     t_max: int = 30,
 ) -> dict:
     report = enumerate_report(cycle_size=cycle_size, seeds=seeds, t_max=t_max)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "enumerate.json", report)
+    with _staged(out_dir) as stage:
+        _write_json(stage("enumerate.json"), report)
     return report

@@ -28,22 +28,14 @@ __all__ = [
     "named_partition",
     "random_partition",
     "random_dicycle_factorization",
-    "coin_label",
     "coin_index",
 ]
 
 PARTITION_KINDS = ("directional", "reflect_transmit", "random", "random_dicycle")
 
 
-def coin_label(index: int, m: int) -> int:
-    """Rendered coin label: +1/-1 for m = 2, else 1..m."""
-    if m == 2:
-        return 1 if index == 0 else -1
-    return index + 1
-
-
 def coin_index(label: int, m: int) -> int:
-    """Inverse of coin_label."""
+    """0-based coin index of a serialized coin label: +1/-1 for m = 2, else 1..m."""
     if m == 2:
         if label == 1:
             return 0

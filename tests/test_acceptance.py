@@ -7,6 +7,7 @@ to the report echoed at the end of the run.  Criteria 6, 7 and 9 share one
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import shutil
@@ -117,7 +118,7 @@ def class_sweep(tmp_path_factory):
     start = time.monotonic()
     report = run_sweep(template, list(WALK_CLASSES), list(range(20)), out, workers=2)
     elapsed = time.monotonic() - start
-    return report, elapsed, template
+    return report, elapsed, out
 
 
 def test_criterion_01_recycled_oracle_correspondence(acceptance_log):
@@ -279,6 +280,20 @@ def test_criterion_06_scaling_classes(class_sweep, acceptance_log):
             f"{c.split('+')[0][:7]}+{c.split('+')[1][:4]}={r:.2f}"
             for c, r in ratios.items()
         )
+
+
+def test_class_sweep_bytes_are_pinned(class_sweep):
+    # Job order, job deduplication and the worker count must not change a
+    # byte of the sweep's outputs.
+    _, _, out = class_sweep
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()[:16]
+        for name in ("sweep_summary.json", "comparison.csv")
+    }
+    assert digests == {
+        "sweep_summary.json": "37d6d0f975783fd5",
+        "comparison.csv": "606589c26369ceab",
+    }
 
 
 def test_criterion_07_occupancy_floor(class_sweep, acceptance_log):

@@ -52,7 +52,6 @@ def test_distribution_prob_lookup():
     d = dist([-1, 0, 1], [0.25, 0.5, 0.25])
     assert d.prob(0) == 0.5
     assert d.prob(7) == 0.0
-    assert d.as_dict() == {-1: 0.25, 0: 0.5, 1: 0.25}
 
 
 def test_distribution_shape_guard():
@@ -83,11 +82,17 @@ def test_occupancy_rate_counts_loaded_sites():
 
 
 def test_distribution_comparison_aligns_positions():
+    # Distributions are compared cell by cell, so their positions must agree.
     a = dist([-1, 0, 1], [0.2, 0.5, 0.3])
-    b = dist([0, 1, 2], [0.5, 0.3, 0.2])
+    b = dist([-1, 0, 1], [0.0, 0.5, 0.5])
     assert max_distribution_difference(a, b) == pytest.approx(0.2)
     assert total_variation(a, b) == pytest.approx(0.2)
     assert total_variation(a, a) == 0.0
+    shifted = dist([0, 1, 2], [0.5, 0.3, 0.2])
+    with pytest.raises(ValidationError, match="different positions"):
+        max_distribution_difference(a, shifted)
+    with pytest.raises(ValidationError, match="different positions"):
+        total_variation(a, shifted)
 
 
 def test_classify_scaling_quadratic():

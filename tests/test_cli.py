@@ -331,6 +331,85 @@ def test_failed_run_keeps_a_sibling_run_directory(tmp_path, config, monkeypatch)
     assert [p.name for p in other.iterdir()] == ["distributions.csv.tmp"]
 
 
+def test_rerun_without_distribution_removes_the_earlier_csv(tmp_path, config):
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", config(simulate_doc()), "--out", str(out)]) == 0
+    rerun = config(simulate_doc(t_max=40, outputs=["variance"]), name="rerun.json")
+    assert main(["simulate", "--config", rerun, "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["summary.json"]
+    assert json.loads((out / "summary.json").read_text())["spec"]["t_max"] == 40
+
+
+def test_failed_rerun_without_distribution_keeps_the_earlier_csv(
+    tmp_path, config, monkeypatch
+):
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", config(simulate_doc()), "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    drift_from(monkeypatch, 5)
+    rerun = config(simulate_doc(t_max=40, outputs=["variance"]), name="rerun.json")
+    assert main(["simulate", "--config", rerun, "--out", str(out)]) == 4
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["out-is-a-file", "out-under-a-file"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simulate", "--t-max", "40"],
+        ["sweep", "--t-max", "5", "--seeds", "0"],
+        ["equivalence", "--t-max", "5"],
+        ["enumerate"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_out_on_a_regular_file_is_validation_error(tmp_path, capsys, args, under):
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = afile / "run" if under else afile
+    assert main(args + ["--out", str(out)]) == 2
+    assert f"error: output directory {out} is" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+    assert afile.read_text() == "kept\n"
+
+
+def test_output_name_taken_by_a_directory_is_validation_error(tmp_path, capsys):
+    out = tmp_path / "run"
+    (out / "summary.json").mkdir(parents=True)
+    assert main(["simulate", "--t-max", "40", "--out", str(out)]) == 2
+    assert "is a directory" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["summary.json"]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_on_a_depth_2_template_writes_nothing(tmp_path, config, capsys, workers):
+    # Each job resolves its own spec; the reflect/transmit classes reject the
+    # depth-2 host before any output is staged.
+    doc = {"template": {"memory_depth": 2, "t_max": 10, "outputs": ["variance"]}}
+    out = tmp_path / "sweep"
+    code = main(
+        ["sweep", "--config", config(doc), "--seeds", "0,1", "--workers", workers,
+         "--out", str(out)]
+    )
+    assert code == 2
+    assert "depth-1 host" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_failed_equivalence_still_writes_its_report(tmp_path, monkeypatch, capsys):
+    real_report = experiments.equivalence_report
+    monkeypatch.setattr(
+        experiments,
+        "equivalence_report",
+        lambda t_max: {**real_report(t_max=t_max, oracle_t_max=10), "passed": False},
+    )
+    out = tmp_path / "eq"
+    assert main(["equivalence", "--out", str(out), "--t-max", "40"]) == 4
+    assert "numerical check failed" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["equivalence.json"]
+    assert json.loads((out / "equivalence.json").read_text())["passed"] is False
+
+
 def test_cli_import_leaves_the_process_pool_unloaded():
     # run_sweep imports the executor only when workers > 1, which keeps it
     # out of every command's start-up time.

@@ -77,7 +77,7 @@ def test_carried_accepts_random_dicycles(host_d1):
 def test_validator_counts_violating_targets(host_d1):
     p = reflect_transmit_partition(host_d1)
     table = np.zeros((host_d1.n_vertices, 2), dtype=np.int64)  # constant coin
-    report = validate_coin_shift(p, CoinShift(host_d1, table, name="constant"))
+    report = validate_coin_shift(p, CoinShift(host_d1, table))
     assert not report.ok
     # a constant coin shift starves every target of one coin value
     assert len(report.violations) == host_d1.n_vertices

@@ -15,7 +15,7 @@ from memwalk import (
     random_partition,
     reflect_transmit_partition,
 )
-from memwalk.partitions import PARTITION_KINDS, Partition, coin_index, coin_label
+from memwalk.partitions import PARTITION_KINDS, Partition, coin_index
 
 
 def covers_out_arcs(p: Partition) -> bool:
@@ -23,18 +23,14 @@ def covers_out_arcs(p: Partition) -> bool:
     return np.array_equal(np.sort(p.succ, 1), np.sort(p.host.out_neighbors, 1))
 
 
-def test_coin_labels_m2():
-    assert coin_label(0, 2) == 1
-    assert coin_label(1, 2) == -1
+def test_coin_index_of_labels():
     assert coin_index(1, 2) == 0
     assert coin_index(-1, 2) == 1
+    assert coin_index(3, 3) == 2
     with pytest.raises(ValidationError):
         coin_index(2, 2)
-
-
-def test_coin_labels_general_m():
-    assert [coin_label(i, 3) for i in range(3)] == [1, 2, 3]
-    assert coin_index(3, 3) == 2
+    with pytest.raises(ValidationError):
+        coin_index(0, 3)
 
 
 def test_directional_successors(host_d1):

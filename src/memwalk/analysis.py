@@ -80,9 +80,14 @@ def _position_probs(host: RegularDigraph, amps: np.ndarray) -> np.ndarray:
     the result has shape (..., n).  One bincount covers every row: row r
     counts into bins r*n .. r*n + n - 1, and bincount adds the weights in
     vertex order, like a plain loop would, so each row's probabilities are
-    bitwise those of that state alone.
+    bitwise those of that state alone.  The coin columns are added one at a
+    time: on the length-m axis that is much cheaper than ``.sum(axis=-1)``,
+    and at m = 2 it is the same single addition, so bitwise equal.
     """
-    weights = (np.abs(amps) ** 2).sum(axis=-1)
+    w = np.abs(amps) ** 2
+    weights = w[..., 0]
+    for c in range(1, w.shape[-1]):
+        weights = weights + w[..., c]
     rows = weights.reshape(-1, host.n_vertices)
     index = host.position_index + host.base_n * np.arange(len(rows))[:, None]
     n_bins = len(rows) * host.base_n
@@ -109,7 +114,7 @@ def occupancy_rate(dist: PositionDistribution, n_range: int) -> float:
     """Fraction of an n_range-site window holding at least 1/n_range each."""
     if n_range < 1:
         raise ValidationError(f"range must be >= 1, got {n_range}")
-    return float((dist.probs >= 1.0 / n_range).sum()) / n_range
+    return float(np.count_nonzero(dist.probs >= 1.0 / n_range)) / n_range
 
 
 def _aligned(a: PositionDistribution, b: PositionDistribution) -> tuple[np.ndarray, np.ndarray]:

@@ -85,8 +85,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     report = run_sweep(template, classes, seeds, args.out, workers=args.workers)
     for walk_class in classes:
         entry = report["classes"][walk_class]
+        ratio = entry["variance_ratio"]
+        ratio_text = "None" if ratio is None else f"{ratio:.3f}"
         print(
-            f"sweep: {walk_class}: ratio={entry['variance_ratio']:.3f}"
+            f"sweep: {walk_class}: ratio={ratio_text}"
             f" ({entry['ratio_verdict']}), fit={entry['fit_verdict']}"
         )
     return EXIT_OK

@@ -96,8 +96,8 @@ def recycled_coin_shift(p: Partition) -> CoinShift:
         )
     if host.depth < 1:
         raise ValidationError("recycled coin shift needs a depth >= 1 line digraph")
-    # Coin index 0 is the +1 step; the host caches its oldest steps, so a
-    # per-step redraw only builds the table.  build_shift_operator checks it.
+    # Coin index 0 is the +1 step.  The table does not depend on the
+    # partition; build_shift_operator checks it against each one.
     coins = (host.oldest_steps != 1).astype(np.int64)
     return CoinShift(host, np.repeat(coins[:, None], 2, axis=1))
 

@@ -421,7 +421,11 @@ def resolve_spec(spec: ExperimentSpec) -> ResolvedExperiment:
 def iter_history(resolved: ResolvedExperiment) -> Iterator[WalkState]:
     """States for t = 0..t_max under the spec's partition mode, one at a time.
 
-    A "per_step" spec draws a fresh seeded partition before every step.
+    A "per_step" spec draws a fresh seeded partition before every step and
+    keeps the resolved coin-shift table: every coin-shift kind builds a
+    table that depends on the host and the spec only, never on the
+    partition.  build_shift_operator checks each step's shift for
+    bijectivity, which is also the carried kind's dicycle requirement.
     """
     spec = resolved.spec
     _start_check(resolved.host, resolved.initial, spec.t_max, resolved.enforce_window)
@@ -430,7 +434,7 @@ def iter_history(resolved: ResolvedExperiment) -> Iterator[WalkState]:
 
         def shift(t: int) -> ShiftOp:
             p = named_partition(resolved.host, spec.partition_kind, seeds[t - 1])
-            return build_shift_operator(p, _resolve_coin_shift(spec, p))
+            return build_shift_operator(p, resolved.gc)
 
     else:
         op = build_shift_operator(resolved.partition, resolved.gc)
@@ -670,7 +674,9 @@ def _sweep_one(spec: ExperimentSpec) -> dict:
     return _fold_series(iter_history(resolve_spec(spec)), ALL_OUTPUTS)
 
 
-def _ratio_verdict(ratio: float) -> str:
+def _ratio_verdict(ratio: float | None) -> str:
+    if ratio is None:
+        return "indeterminate"
     lo, hi = BALLISTIC_RATIO_RANGE
     if lo <= ratio <= hi:
         return "ballistic"
@@ -700,6 +706,7 @@ def run_sweep(
         raise ValidationError("sweep needs at least one seed")
     for seed in seeds:
         _check_int("sweep seed", seed, 0)
+    _check_int("workers", workers, 1)
 
     # Each distinct spec runs once.  A class whose partition kind is not
     # random gets the same spec at every seed (_class_spec drops the seed),
@@ -736,7 +743,9 @@ def run_sweep(
         var = np.mean([r["variance"] for r in runs], axis=0)
         occ = np.mean([r["occupancy_rate"] for r in runs], axis=0)
         origin = np.mean([r["origin_probability"] for r in runs], axis=0)
-        ratio = float(var[t_max] / var[t_max // 2]) if var[t_max // 2] > 0 else float("nan")
+        # No ratio (JSON null, an empty CSV cell) while the half-time variance
+        # is still zero, as it is for t_max 0 and 1.
+        ratio = float(var[t_max] / var[t_max // 2]) if var[t_max // 2] > 0 else None
         fit = _fit_summary(var, t_max)
         origin_late = [origin[t] for t in range(lo, min(hi, t_max) + 1) if t % 2 == 0]
         report = {
@@ -757,7 +766,7 @@ def run_sweep(
             [
                 walk_class,
                 len(seeds),
-                repr(ratio),
+                repr(ratio) if ratio is not None else "",
                 report["ratio_verdict"],
                 report["fit_verdict"] or "",
             ]

@@ -295,7 +295,7 @@ def _twin_factorization(
         adj = rng.permuted(adj, axis=1)
         rank = np.empty(n, dtype=np.int64)
         rank[rng.permutation(n)] = np.arange(n)
-    rowsum = adj.sum(axis=1)
+    rowsum = adj[:, 0] + adj[:, 1]  # twins exist only at m = 2
     first = np.where(rank > rank[twins], adj[:, 0], rowsum - adj[twins, 0])
     return [first, rowsum - first]
 

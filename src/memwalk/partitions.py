@@ -69,10 +69,17 @@ class Partition:
 
     @cached_property
     def is_dicycle(self) -> bool:
-        """True when every class is a spanning permutation of the host."""
-        v = self.host.n_vertices
+        """True when every class is a spanning permutation of the host.
+
+        A class is one iff each vertex 0..V-1 is hit exactly once; the range
+        guard keeps bincount from failing on a negative entry and from
+        counting an out-of-range one.
+        """
+        v, succ = self.host.n_vertices, self.succ
+        if succ.min() < 0 or succ.max() >= v:
+            return False
         return all(
-            np.array_equal(np.sort(self.succ[:, k]), np.arange(v))
+            (np.bincount(succ[:, k], minlength=v) == 1).all()
             for k in range(self.degree)
         )
 
@@ -151,8 +158,11 @@ def named_partition(
 def random_partition(host: RegularDigraph, seed: int) -> Partition:
     """Uniform independent per-vertex coin->arc bijections."""
     rng = np.random.default_rng(seed)
-    perms = np.argsort(rng.random((host.n_vertices, host.degree)), axis=1)
-    succ = np.take_along_axis(host.out_neighbors, perms, axis=1).astype(np.int64)
+    v, m = host.n_vertices, host.degree
+    # A stable sort orders each row's distinct draws as any sort does (a tie
+    # keeps coin order); one flat gather then picks row v's arcs.
+    perms = np.argsort(rng.random((v, m)), axis=1, kind="stable")
+    succ = host.out_neighbors.ravel()[perms + m * np.arange(v)[:, None]]
     return Partition(host, succ, kind="random", seed=seed)
 
 

@@ -77,6 +77,7 @@ def test_occupancy_rate_counts_loaded_sites():
     d = dist([-2, -1, 0, 1, 2], [0.4, 0.1, 0.0, 0.1, 0.4])
     assert occupancy_rate(d, 5) == pytest.approx(2 / 5)
     assert occupancy_rate(d, 10) == pytest.approx(4 / 10)
+    assert type(occupancy_rate(d, 5)) is float
     with pytest.raises(ValidationError):
         occupancy_rate(d, 0)
 
@@ -243,3 +244,19 @@ def test_dicycle_census_small(host_d1):
     assert report.keys_consistent
     assert set(report.class_of) == set(range(12))
     assert all(len(k) == 3 for k in report.key_of.values())
+
+
+def _reference_position_probs(host, amps):
+    """The marginal from a sum over the coin axis and one bincount per state."""
+    weights = (np.abs(amps) ** 2).sum(axis=-1)
+    rows = weights.reshape(-1, host.n_vertices)
+    probs = [np.bincount(host.position_index, weights=row, minlength=host.base_n) for row in rows]
+    return np.stack(probs).reshape(weights.shape[:-1] + (host.base_n,))
+
+
+@pytest.mark.parametrize("lead", [(), (5, 31)])
+def test_position_probs_match_a_coin_axis_sum_bitwise(host_d1, rng, lead):
+    shape = lead + (host_d1.n_vertices, 2)
+    amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    got = analysis._position_probs(host_d1, amps)
+    assert np.array_equal(got, _reference_position_probs(host_d1, amps))

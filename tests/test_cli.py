@@ -238,6 +238,33 @@ def test_sweep_seed_flag_and_workers(tmp_path, config):
     assert report["classes"]["directional+recycled"]["seeds"] == [0, 1, 2]
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_sweep_rejects_workers_below_one(tmp_path, workers):
+    out = tmp_path / "o"
+    args = ["sweep", "--t-max", "4", "--seeds", "0", "--workers", workers, "--out", str(out)]
+    assert main(args) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("t_max", ["0", "1"])
+def test_sweep_without_a_variance_ratio_writes_valid_json(tmp_path, capsys, t_max):
+    # At t_max 0 and 1 the half-time variance is 0, so there is no ratio:
+    # JSON null and an empty CSV cell, never NaN.
+    out = tmp_path / "o"
+    assert main(["sweep", "--t-max", t_max, "--seeds", "1", "--out", str(out)]) == 0
+    assert "ratio=None (indeterminate)" in capsys.readouterr().out
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    report = json.loads((out / "sweep_summary.json").read_text(), parse_constant=reject)
+    for entry in report["classes"].values():
+        assert entry["variance_ratio"] is None
+        assert entry["ratio_verdict"] == "indeterminate"
+    rows = (out / "comparison.csv").read_text().splitlines()[1:]
+    assert rows and all(row.split(",")[2] == "" for row in rows)
+
+
 def test_sweep_bad_seed_list(tmp_path, config):
     doc = {"template": {"t_max": 20}, "classes": ["directional+recycled"]}
     assert main(["sweep", "--config", config(doc), "--seeds", "1,q", "--out", str(tmp_path / "o")]) == 2

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -98,6 +99,106 @@ def test_run_simulate_outputs_are_deterministic(tmp_path):
     run_simulate(spec, tmp_path / "b")
     for name in ("summary.json", "distributions.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+# sha256 of summary.json and distributions.csv, recorded before the per-step
+# loop reused the resolved coin-shift table and took the rewritten marginal,
+# sampler and dicycle check.
+PINNED_RUNS = [
+    (
+        ("random", "recycled", 5, "per_step", 200),
+        "0e46d8568c9fb26e0f638754aacbc57e18f676592bec058df4775f420b8080a9",
+        "35b6761424b4922efbeaf00d21d8a7d57c47309d429c69970477aedd04d04567",
+    ),
+    (
+        ("random_dicycle", "recycled", 5, "per_step", 200),
+        "d49005d35120be7bd1e624aa2f035ef3c3704ba426dcfc43129344c94bc9ec14",
+        "b5bc84a61bd1072c7797b73981ea21a0353d871e08f89f3a94ef89920e0d246a",
+    ),
+    (
+        ("random_dicycle", "carried", 7, "per_step", 200),
+        "cfdf2952d8da90d93f4f52c2ec714a0f4d733fb81327960e29f5f6e35c785969",
+        "744e21c9ee283618ad362f920478311c929e78df4a21ba03b50684dc955f3dd2",
+    ),
+    (
+        ("random_dicycle", "carried", 11, "never", 300),
+        "0391ec9388e2f27ba9e1c6dac18fd4e2884c1696e771f1b6a7c11be210b1802d",
+        "97ae83a22623dad08b44d6c636214b61019813047581a91449230692de353a33",
+    ),
+]
+
+
+@pytest.mark.parametrize("run, summary_sha, csv_sha", PINNED_RUNS, ids=lambda v: str(v)[:12])
+def test_simulate_bytes_are_pinned(tmp_path, run, summary_sha, csv_sha):
+    kind, shift, seed, resample, t_max = run
+    doc = spec_doc(
+        partition={"kind": kind, "seed": seed, "resample": resample},
+        coin_shift={"kind": shift},
+        t_max=t_max,
+        outputs=["distribution", "variance", "occrate", "origin-series"],
+    )
+    run_simulate(ExperimentSpec.from_json_dict(doc), tmp_path)
+    digest = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("summary.json", "distributions.csv")
+    }
+    assert digest == {"summary.json": summary_sha, "distributions.csv": csv_sha}
+
+
+@pytest.mark.parametrize("shift", ["recycled", "carried"])
+def test_per_step_run_builds_its_coin_shift_table_once(monkeypatch, shift):
+    builder = f"{shift}_coin_shift"
+    real = getattr(experiments, builder)
+    calls = []
+
+    def counting(p):
+        calls.append(p.seed)
+        return real(p)
+
+    monkeypatch.setattr(experiments, builder, counting)
+    doc = spec_doc(
+        partition={"kind": "random_dicycle", "seed": 5, "resample": "per_step"},
+        coin_shift={"kind": shift},
+        t_max=20,
+    )
+    states = list(iter_history(resolve_spec(ExperimentSpec.from_json_dict(doc))))
+    assert len(states) == 21
+    assert len(calls) == 1
+
+
+def test_per_step_carried_run_rejects_a_later_non_dicycle_sample(tmp_path):
+    # Seed 30's first sample on this 10-vertex host is a dicycle
+    # factorization, so the spec resolves; its second is not, and the
+    # carried table then fails the step's bijectivity check.
+    doc = spec_doc(
+        graph={"family": "cycle", "window": 5},
+        partition={"kind": "random", "seed": 30, "resample": "per_step"},
+        t_max=10,
+    )
+    spec = ExperimentSpec.from_json_dict(doc)
+    assert resolve_spec(spec).partition.is_dicycle
+    out = tmp_path / "never"
+    with pytest.raises(ConstraintViolationError):
+        run_simulate(spec, out)
+    assert not out.exists()
+
+
+def test_hadamard_variance_meets_the_konno_limit():
+    # The reflect/transmit carried walk from the equivalence state has the
+    # position distribution of the memoryless Hadamard walk from
+    # (1, i)/sqrt(2), whose var/t^2 tends to 1 - 1/sqrt(2) (Konno, J. Math.
+    # Soc. Japan 57 (2005)); the gap shrinks like 0.49/t^2.
+    doc = spec_doc(initial_state={"preset": "equivalence"}, t_max=400)
+    resolved = resolve_spec(ExperimentSpec.from_json_dict(doc))
+    limit = 1 - 1 / np.sqrt(2)
+    checked = []
+    for state in iter_history(resolved):
+        t = state.time
+        if t in (100, 200, 400):
+            var = analysis.variance(analysis.position_marginal(state))
+            assert abs(var / t**2 - limit) < 1 / t**2
+            checked.append(t)
+    assert checked == [100, 200, 400]
 
 
 def test_run_simulate_validates_before_writing(tmp_path):

@@ -148,3 +148,22 @@ def test_class_matrix_sums_to_adjacency(host_d1):
 def test_partition_rejects_wrong_shape(host_d1):
     with pytest.raises(ValidationError):
         Partition(host_d1, np.zeros((3, 2), dtype=np.int64), kind="custom")
+
+
+def test_random_partition_matches_default_argsort_gather(host_d1):
+    # The stable sort and the flat gather reproduce the default-kind argsort
+    # and take_along_axis, seed for seed.
+    for seed in range(100):
+        draws = np.random.default_rng(seed).random((host_d1.n_vertices, 2))
+        perms = np.argsort(draws, axis=1)
+        want = np.take_along_axis(host_d1.out_neighbors, perms, axis=1).astype(np.int64)
+        got = random_partition(host_d1, seed).succ
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+
+def test_is_dicycle_rejects_out_of_range_entries(host_d1):
+    for bad in (-1, host_d1.n_vertices):
+        succ = reflect_transmit_partition(host_d1).succ.copy()
+        succ[0, 0] = bad
+        assert not Partition(host_d1, succ, kind="custom").is_dicycle

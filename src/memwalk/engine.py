@@ -104,7 +104,11 @@ class WalkState:
         self.amps.flags.writeable = False
 
     def norm_squared(self) -> float:
-        return float(np.vdot(self.amps, self.amps).real)
+        # A plain numpy reduction, not np.vdot: above 10,000 amplitudes
+        # OpenBLAS runs a dot product on its worker threads, which then spin
+        # on a second core for every step's check.
+        x = self.amps.ravel().view(np.float64)
+        return float(np.add.reduce(np.square(x)))
 
 
 def _check_normalized(state: WalkState) -> None:

@@ -43,12 +43,18 @@ walk census and ballistic behaviour only exist for a frozen partition.
 from __future__ import annotations
 
 import csv
+import gc
 import json
+import math
 import os
+import pickle
+import signal
+import tempfile
 from collections.abc import Callable, Iterator
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import IO
 
 import numpy as np
 
@@ -424,8 +430,9 @@ def iter_history(resolved: ResolvedExperiment) -> Iterator[WalkState]:
     A "per_step" spec draws a fresh seeded partition before every step and
     keeps the resolved coin-shift table: every coin-shift kind builds a
     table that depends on the host and the spec only, never on the
-    partition.  build_shift_operator checks each step's shift for
-    bijectivity, which is also the carried kind's dicycle requirement.
+    partition.  Step 1 takes the resolved partition, which resolve_spec
+    drew from step 1's seed.  build_shift_operator checks each step's shift
+    for bijectivity, which is also the carried kind's dicycle requirement.
     """
     spec = resolved.spec
     _start_check(resolved.host, resolved.initial, spec.t_max, resolved.enforce_window)
@@ -433,7 +440,10 @@ def iter_history(resolved: ResolvedExperiment) -> Iterator[WalkState]:
         seeds = _partition_seeds(spec)
 
         def shift(t: int) -> ShiftOp:
-            p = named_partition(resolved.host, spec.partition_kind, seeds[t - 1])
+            if t == 1:
+                p = resolved.partition
+            else:
+                p = named_partition(resolved.host, spec.partition_kind, seeds[t - 1])
             return build_shift_operator(p, resolved.gc)
 
     else:
@@ -457,9 +467,13 @@ def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _distribution_csv_writer(fh) -> Callable[[analysis.PositionDistribution], None]:
-    """Write the "t,x,p" header to ``fh``; return a function that writes one
-    step's rows, one row per position, "\\r\\n"-terminated.
+def _distribution_csv_writer(
+    fh, header: bool = True
+) -> Callable[[analysis.PositionDistribution], None]:
+    """Write the "t,x,p" header to ``fh`` (unless ``header`` is false);
+    return a function that writes one step's rows, one row per position,
+    "\\r\\n"-terminated.  run_simulate's forked writer process formats
+    the later steps' rows with one of these, without the header.
 
     These are the bytes csv.writer produces for the same rows: no field
     (an int or a float repr) holds a delimiter, quote or line break, so
@@ -471,7 +485,8 @@ def _distribution_csv_writer(fh) -> Callable[[analysis.PositionDistribution], No
     equal reprs.  A step with any sign bit set reprs every cell: -0.0 == 0.0
     but its repr is "-0.0".
     """
-    fh.write("t,x,p\r\n")
+    if header:
+        fh.write("t,x,p\r\n")
     positions = None
     heads: list[str] = []
     zero_tails: list[str] = []
@@ -623,12 +638,104 @@ def _staged(out_dir: str | Path) -> Iterator[Callable[[str], Path]]:
         raise
 
 
+def _csv_split(t_max: int) -> int:
+    """The first step whose distribution rows a forked process writes.
+
+    Formatting a step's rows costs about as much as its light cone is wide,
+    so about t_max / sqrt(2) splits the formatting of t = 0..t_max in equal
+    halves.  With one CPU there is no second core to share it: t_max + 1,
+    every row is written in the calling process.
+    """
+    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        return t_max + 1
+    return round(t_max / math.sqrt(2))
+
+
+def _write_later_rows(resolved: ResolvedExperiment, split: int, fd: int) -> None:
+    """Walk ``resolved`` again and write the rows for t >= split to ``fd``."""
+    with open(fd, "w", newline="", closefd=False) as fh:
+        write = _distribution_csv_writer(fh, header=False)
+        for state in iter_history(resolved):
+            if state.time >= split:
+                write(analysis.position_marginal(state))
+
+
+@contextmanager
+def _later_rows(
+    resolved: ResolvedExperiment, split: int, out: Path
+) -> Iterator[Callable[[IO[str]], None]]:
+    """Fork a process that writes the distribution rows for t >= split, and
+    yield ``append(fh)``, which waits for it and appends its rows to ``fh``.
+
+    The child re-runs the same deterministic walk from ``resolved`` into an
+    unnamed temp file in ``out``, which no failure can leave behind.  It
+    ends with os._exit, so it runs no atexit handler and flushes none of
+    this process's buffers.  If the child fails, ``append`` raises its
+    exception (a RuntimeError when it died without reporting one); if the
+    block raises first, the child is killed.  Either way it is reaped before
+    this returns.  A split past t_max forks nothing and ``append`` does
+    nothing.
+    """
+    if split > resolved.spec.t_max:
+        yield lambda fh: None
+        return
+    with tempfile.TemporaryFile(dir=out) as rows, tempfile.TemporaryFile(dir=out) as error:
+        pid = os.fork()
+        if pid == 0:  # the child, which must never return into the caller
+            try:
+                gc.freeze()  # collect none of the parent's objects (or flush its files)
+                _write_later_rows(resolved, split, rows.fileno())
+                os._exit(0)
+            except BaseException as exc:
+                with suppress(BaseException):
+                    pickle.dump(exc, error)
+                    error.flush()
+            finally:
+                os._exit(1)
+        reaped = False
+
+        def append(fh: IO[str]) -> None:
+            nonlocal reaped
+            status = os.waitpid(pid, 0)[1]
+            reaped = True
+            if status != 0:
+                error.seek(0)
+                try:
+                    exc = pickle.load(error)
+                except Exception:  # killed, or its exception did not pickle
+                    exc = None
+                if isinstance(exc, BaseException):
+                    raise exc
+                raise RuntimeError(
+                    f"distribution writer process failed"
+                    f" (exit code {os.waitstatus_to_exitcode(status)})"
+                )
+            fh.flush()
+            size, offset = os.fstat(rows.fileno()).st_size, 0
+            while offset < size:
+                offset += os.sendfile(fh.fileno(), rows.fileno(), offset, size - offset)
+
+        try:
+            yield append
+        finally:
+            if not reaped:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
 def run_simulate(spec: ExperimentSpec, out_dir: str | Path) -> dict:
     """Evolve one spec and write distributions.csv plus summary.json.
 
     The CSV is streamed step by step into its staged temp file (see
     _staged), so a run that fails mid-walk writes nothing.  Without the
     "distribution" output no CSV is written and an earlier run's is removed.
+
+    With two CPUs the rows are formatted in two processes (_later_rows):
+    this one walks every step, folds the statistics and writes the rows for
+    t < _csv_split(t_max); a forked child walks again and writes the rest,
+    which are appended before the outputs are committed.  The bytes are
+    those of one process writing every row, and a failure in either process
+    fails the run with nothing written.
     """
     resolved = resolve_spec(spec)
     states = iter_history(resolved)  # checks the start state and the coin
@@ -637,8 +744,19 @@ def run_simulate(spec: ExperimentSpec, out_dir: str | Path) -> dict:
         csv_tmp = stage("distributions.csv")
         summary_tmp = stage("summary.json")
         if "distribution" in spec.outputs:
-            with csv_tmp.open("w", newline="") as fh:
-                series = _fold_series(states, spec.outputs, _distribution_csv_writer(fh))
+            split = _csv_split(spec.t_max)
+            with (
+                csv_tmp.open("w", newline="") as fh,
+                _later_rows(resolved, split, csv_tmp.parent) as append_later_rows,
+            ):
+                write = _distribution_csv_writer(fh)
+
+                def write_early_rows(d: analysis.PositionDistribution) -> None:
+                    if d.time < split:
+                        write(d)
+
+                series = _fold_series(states, spec.outputs, write_early_rows)
+                append_later_rows(fh)
         else:
             series = _fold_series(states, spec.outputs)
         summary = {"spec": spec.to_json_dict(), "series": series}

@@ -238,6 +238,20 @@ def test_census_matches_per_probe_census():
     )
 
 
+def test_census_builds_each_seed_shift_once(host_d1, monkeypatch):
+    built = []
+    real = analysis.build_shift_operator
+
+    def counting(p, gc):
+        built.append(p.seed)
+        return real(p, gc)
+
+    monkeypatch.setattr(analysis, "build_shift_operator", counting)
+    seeds = list(range(6))
+    count_distinct_dicycle_carried_walks(host_d1, seeds, 10)
+    assert built == seeds
+
+
 def test_dicycle_census_small(host_d1):
     report = count_distinct_dicycle_carried_walks(host_d1, list(range(12)), 30)
     assert report.n_classes <= 8

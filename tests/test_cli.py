@@ -358,6 +358,55 @@ def test_failed_run_keeps_a_sibling_run_directory(tmp_path, config, monkeypatch)
     assert [p.name for p in other.iterdir()] == ["distributions.csv.tmp"]
 
 
+# Runs the CLI with the row formatter failing from step 20 on, and the rows
+# from step 20 on written by the forked writer process: only the writer fails.
+WRITER_FAILS = """
+import sys
+from memwalk import cli, experiments
+
+real = experiments._distribution_csv_writer
+
+def failing(fh, header=True):
+    write = real(fh, header)
+
+    def rows(d):
+        if d.time >= 20:
+            raise OSError(28, "No space left on device")
+        write(d)
+
+    return rows
+
+experiments._distribution_csv_writer = failing
+experiments._csv_split = lambda t_max: 20
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def simulate_with_failing_writer(config_path, out):
+    src = Path(memwalk.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-c", WRITER_FAILS, "simulate", "--config", config_path, "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+
+
+def test_failed_writer_process_exits_nonzero_and_keeps_the_earlier_outputs(
+    tmp_path, config
+):
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", config(simulate_doc()), "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    rerun = config(simulate_doc(t_max=40), name="rerun.json")
+    result = simulate_with_failing_writer(rerun, out)
+    assert result.returncode != 0
+    assert "No space left on device" in result.stderr
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert simulate_with_failing_writer(rerun, tmp_path / "fresh").returncode != 0
+    assert not (tmp_path / "fresh").exists()
+
+
 def test_rerun_without_distribution_removes_the_earlier_csv(tmp_path, config):
     out = tmp_path / "run"
     assert main(["simulate", "--config", config(simulate_doc()), "--out", str(out)]) == 0

@@ -17,6 +17,7 @@ from memwalk import (
     hadamard_coin,
     iterate_line_digraph,
     make_bidirected_cycle,
+    minimal_window,
     origin_basis_terms,
     random_coin_shift,
     random_partition,
@@ -331,3 +332,18 @@ def test_norm_drift_stops_the_run(host_d1, monkeypatch, factor):
     assert [next(stream).time for _ in range(3)] == [0, 1, 2]
     with pytest.raises(NumericalCheckError, match="t=3"):
         next(stream)
+
+
+@pytest.mark.parametrize("window", [65, minimal_window(1500, 1)], ids=["260", "12020"])
+def test_norm_squared_agrees_with_a_complex_dot_product(rng, window):
+    # 260 amplitudes: a census probe state; 12,020: the host of a
+    # --t-max 1500 simulate run, where OpenBLAS would thread the dot product.
+    host = iterate_line_digraph(make_bidirected_cycle(window), 1)
+    for _ in range(5):
+        amps = rng.standard_normal((host.n_vertices, 2)) + 1j * rng.standard_normal(
+            (host.n_vertices, 2)
+        )
+        amps /= np.linalg.norm(amps)
+        state = WalkState(host, amps)
+        assert amps.size in (260, 12020)
+        assert abs(state.norm_squared() - np.vdot(amps, amps).real) <= 1e-14

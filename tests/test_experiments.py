@@ -2,12 +2,19 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import os
+import signal
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from memwalk import ConstraintViolationError, ValidationError, minimal_window
+from memwalk import (
+    ConstraintViolationError,
+    NumericalCheckError,
+    ValidationError,
+    minimal_window,
+)
 from memwalk.analysis import BetaField, equivalence_initial_beta
 from memwalk.experiments import (
     ALL_OUTPUTS,
@@ -24,7 +31,8 @@ from memwalk.experiments import (
     run_simulate,
     run_sweep,
 )
-from memwalk import analysis, experiments
+from memwalk import analysis, engine, experiments
+from memwalk.engine import WalkState
 
 
 def spec_doc(**overrides):
@@ -166,6 +174,28 @@ def test_per_step_run_builds_its_coin_shift_table_once(monkeypatch, shift):
     assert len(calls) == 1
 
 
+def test_per_step_run_samples_each_step_partition_once(monkeypatch):
+    # resolve_spec draws step 1's partition; the walk reuses it.
+    real = experiments.named_partition
+    seeds = []
+
+    def counting(host, kind, seed=None):
+        seeds.append(seed)
+        return real(host, kind, seed)
+
+    monkeypatch.setattr(experiments, "named_partition", counting)
+    doc = spec_doc(
+        partition={"kind": "random", "seed": 5, "resample": "per_step"},
+        coin_shift={"kind": "recycled"},
+        t_max=20,
+    )
+    spec = ExperimentSpec.from_json_dict(doc)
+    states = list(iter_history(resolve_spec(spec)))
+    assert len(states) == 21
+    assert len(seeds) == spec.t_max
+    assert seeds == experiments._partition_seeds(spec)
+
+
 def test_per_step_carried_run_rejects_a_later_non_dicycle_sample(tmp_path):
     # Seed 30's first sample on this 10-vertex host is a dicycle
     # factorization, so the spec resolves; its second is not, and the
@@ -268,6 +298,143 @@ def test_distribution_csv_matches_csv_writer(tmp_path):
         "distributions.csv",
         "summary.json",
     ]
+
+
+SPLIT_WALKS = {
+    "symmetric": {},
+    "frozen-dicycle": {
+        "partition": {"kind": "random_dicycle", "seed": 11},
+        "coin_shift": {"kind": "carried"},
+    },
+}
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the processes forked while the test runs."""
+    real_fork = os.fork
+    pids = []
+
+    def fork():
+        pid = real_fork()
+        if pid != 0:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def _split_at(monkeypatch, split):
+    monkeypatch.setattr(experiments, "_csv_split", lambda t_max: split)
+
+
+@pytest.mark.parametrize("walk", SPLIT_WALKS)
+@pytest.mark.parametrize("where", ["0", "1", "half", "t_max", "past"])
+def test_two_process_csv_matches_one_process(tmp_path, monkeypatch, forks, walk, where):
+    t_max = 40
+    split = {"0": 0, "1": 1, "half": t_max // 2, "t_max": t_max, "past": t_max + 1}[where]
+    spec = ExperimentSpec.from_json_dict(
+        spec_doc(t_max=t_max, outputs=["distribution", "variance"], **SPLIT_WALKS[walk])
+    )
+    dists = [analysis.position_marginal(s) for s in iter_history(resolve_spec(spec))]
+    _csv_writer_reference(tmp_path / "want.csv", dists)
+    _split_at(monkeypatch, t_max + 1)
+    run_simulate(spec, tmp_path / "one")
+    _split_at(monkeypatch, split)
+    run_simulate(spec, tmp_path / "two")
+    assert len(forks) == (split <= t_max)
+    with pytest.raises(ChildProcessError):  # the writer has been reaped
+        os.waitpid(-1, os.WNOHANG)
+    for name in ("distributions.csv", "summary.json"):
+        assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+    assert (tmp_path / "two" / "distributions.csv").read_bytes() == (
+        tmp_path / "want.csv"
+    ).read_bytes()
+    assert sorted(p.name for p in (tmp_path / "two").iterdir()) == [
+        "distributions.csv",
+        "summary.json",
+    ]
+
+
+def test_one_cpu_forks_no_writer(tmp_path, monkeypatch, forks):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    spec = ExperimentSpec.from_json_dict(spec_doc(t_max=20))
+    assert experiments._csv_split(20) == 21
+    run_simulate(spec, tmp_path)
+    assert forks == []
+    assert (tmp_path / "distributions.csv").read_bytes().count(b"\r\n") == 1 + 21 * (
+        resolve_spec(spec).host.base_n
+    )
+
+
+def test_two_cpus_split_the_rows_near_t_max_over_root_two(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert experiments._csv_split(1500) == 1061
+    assert experiments._csv_split(0) == 0
+
+
+def _drift_in(monkeypatch, in_parent, t_bad=5):
+    """Leak norm from step t_bad on, only in this process or only in its forks."""
+    parent = os.getpid()
+    real_shift_step = engine.shift_step
+
+    def leaky_shift_step(state, shift):
+        moved = real_shift_step(state, shift)
+        if moved.time < t_bad or (os.getpid() == parent) != in_parent:
+            return moved
+        return WalkState(moved.host, moved.amps * (1.0 + 1e-9), moved.time)
+
+    monkeypatch.setattr(engine, "shift_step", leaky_shift_step)
+
+
+def test_parent_drift_kills_and_reaps_the_writer(tmp_path, monkeypatch, forks):
+    _drift_in(monkeypatch, in_parent=True)
+    _split_at(monkeypatch, 20)
+    out = tmp_path / "new" / "run"
+    with pytest.raises(NumericalCheckError, match="norm drift"):
+        run_simulate(ExperimentSpec.from_json_dict(spec_doc(t_max=40)), out)
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert list(tmp_path.rglob("*.tmp")) == []
+    assert not (tmp_path / "new").exists()
+
+
+def test_writer_drift_fails_the_run(tmp_path, monkeypatch, forks):
+    _split_at(monkeypatch, 20)
+    out = tmp_path / "run"
+    run_simulate(ExperimentSpec.from_json_dict(spec_doc(t_max=40)), out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    _drift_in(monkeypatch, in_parent=False)
+    with pytest.raises(NumericalCheckError, match="norm drift"):
+        run_simulate(ExperimentSpec.from_json_dict(spec_doc(t_max=30)), out)
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_writer_killed_by_a_signal_fails_the_run(tmp_path, monkeypatch, forks):
+    real = experiments._distribution_csv_writer
+
+    def dying(fh, header=True):
+        write = real(fh, header)
+
+        def rows(d):
+            if d.time >= 10:
+                os.kill(os.getpid(), signal.SIGKILL)
+            write(d)
+
+        return rows
+
+    monkeypatch.setattr(experiments, "_distribution_csv_writer", dying)
+    _split_at(monkeypatch, 10)
+    out = tmp_path / "new"
+    with pytest.raises(RuntimeError, match="exit code -9"):
+        run_simulate(ExperimentSpec.from_json_dict(spec_doc(t_max=20)), out)
+    assert len(forks) == 1
+    assert not out.exists()
 
 
 def test_simulate_memory_does_not_grow_with_stored_states(tmp_path):

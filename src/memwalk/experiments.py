@@ -50,6 +50,7 @@ import os
 import pickle
 import signal
 import tempfile
+import threading
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
@@ -467,13 +468,11 @@ def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _distribution_csv_writer(
-    fh, header: bool = True
-) -> Callable[[analysis.PositionDistribution], None]:
-    """Write the "t,x,p" header to ``fh`` (unless ``header`` is false);
-    return a function that writes one step's rows, one row per position,
-    "\\r\\n"-terminated.  run_simulate's forked writer process formats
-    the later steps' rows with one of these, without the header.
+def _distribution_csv_writer(fh) -> Callable[[analysis.PositionDistribution], None]:
+    """Return a function that writes one step's rows to ``fh``, one row per
+    position, "\\r\\n"-terminated, under the "t,x,p" header the caller
+    writes.  run_simulate formats the early steps' rows with one of these and
+    its forked writer process the later steps' rows with another.
 
     These are the bytes csv.writer produces for the same rows: no field
     (an int or a float repr) holds a delimiter, quote or line break, so
@@ -485,8 +484,6 @@ def _distribution_csv_writer(
     equal reprs.  A step with any sign bit set reprs every cell: -0.0 == 0.0
     but its repr is "-0.0".
     """
-    if header:
-        fh.write("t,x,p\r\n")
     positions = None
     heads: list[str] = []
     zero_tails: list[str] = []
@@ -638,15 +635,57 @@ def _staged(out_dir: str | Path) -> Iterator[Callable[[str], Path]]:
         raise
 
 
+#: The shortest walk whose CSV rows run_simulate splits between two
+#: processes.  Forking and walking twice cost a few ms, which the shared
+#: formatting repays from about t_max 200 on: run_simulate of the default
+#: walk, timed in fresh processes on a 2-core VM with one and two processes
+#: alternating, took 21.5 against 23.6 ms at t_max 100 (two faster in 4 of
+#: 16 pairs), 33.8 against 35.7 ms at 150 (8 of 16) and 51.6 against
+#: 45.0 ms at 200 (15 of 20).
+TWO_PROCESS_MIN_T_MAX = 200
+
+
+def _cgroup_cpu_quota(root: Path = Path("/sys/fs/cgroup")) -> float:
+    """The CPU quota, in CPUs, of the cgroup mounted at ``root``, or inf when
+    none is set or none can be read.
+
+    A container limited to fewer CPUs than its affinity mask holds sees its
+    own cgroup there: cgroup v2's cpu.max ("max 100000" for none, "150000
+    100000" for 1.5 CPUs), else cgroup v1's cpu/cpu.cfs_quota_us (-1 for
+    none) over cpu/cpu.cfs_period_us.
+    """
+    try:
+        quota, period = (root / "cpu.max").read_text().split()
+    except (OSError, ValueError):
+        try:
+            quota = (root / "cpu" / "cpu.cfs_quota_us").read_text()
+            period = (root / "cpu" / "cpu.cfs_period_us").read_text()
+        except OSError:
+            return math.inf
+    try:
+        quota_us, period_us = int(quota), int(period)
+    except ValueError:  # "max"
+        return math.inf
+    return quota_us / period_us if quota_us > 0 and period_us > 0 else math.inf
+
+
 def _csv_split(t_max: int) -> int:
     """The first step whose distribution rows a forked process writes.
 
     Formatting a step's rows costs about as much as its light cone is wide,
     so about t_max / sqrt(2) splits the formatting of t = 0..t_max in equal
-    halves.  With one CPU there is no second core to share it: t_max + 1,
-    every row is written in the calling process.
+    halves.  Every row is written in the calling process (t_max + 1) when
+    the walk is shorter than TWO_PROCESS_MIN_T_MAX, when the affinity mask
+    or the cgroup CPU quota leaves fewer than two CPUs, or when the process
+    runs other threads: a lock one of them holds at the fork would stay
+    locked in the child for good.
     """
-    if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+    if (
+        t_max < TWO_PROCESS_MIN_T_MAX
+        or threading.active_count() > 1
+        or not hasattr(os, "sched_getaffinity")
+        or min(len(os.sched_getaffinity(0)), _cgroup_cpu_quota()) < 2
+    ):
         return t_max + 1
     return round(t_max / math.sqrt(2))
 
@@ -654,7 +693,7 @@ def _csv_split(t_max: int) -> int:
 def _write_later_rows(resolved: ResolvedExperiment, split: int, fd: int) -> None:
     """Walk ``resolved`` again and write the rows for t >= split to ``fd``."""
     with open(fd, "w", newline="", closefd=False) as fh:
-        write = _distribution_csv_writer(fh, header=False)
+        write = _distribution_csv_writer(fh)
         for state in iter_history(resolved):
             if state.time >= split:
                 write(analysis.position_marginal(state))
@@ -730,7 +769,8 @@ def run_simulate(spec: ExperimentSpec, out_dir: str | Path) -> dict:
     _staged), so a run that fails mid-walk writes nothing.  Without the
     "distribution" output no CSV is written and an earlier run's is removed.
 
-    With two CPUs the rows are formatted in two processes (_later_rows):
+    With two CPUs and t_max >= TWO_PROCESS_MIN_T_MAX, in a process that runs
+    no other thread, the rows are formatted in two processes (_later_rows):
     this one walks every step, folds the statistics and writes the rows for
     t < _csv_split(t_max); a forked child walks again and writes the rest,
     which are appended before the outputs are committed.  The bytes are
@@ -749,6 +789,7 @@ def run_simulate(spec: ExperimentSpec, out_dir: str | Path) -> dict:
                 csv_tmp.open("w", newline="") as fh,
                 _later_rows(resolved, split, csv_tmp.parent) as append_later_rows,
             ):
+                fh.write("t,x,p\r\n")
                 write = _distribution_csv_writer(fh)
 
                 def write_early_rows(d: analysis.PositionDistribution) -> None:

@@ -366,8 +366,8 @@ from memwalk import cli, experiments
 
 real = experiments._distribution_csv_writer
 
-def failing(fh, header=True):
-    write = real(fh, header)
+def failing(fh):
+    write = real(fh)
 
     def rows(d):
         if d.time >= 20:

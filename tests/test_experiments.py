@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 import os
 import signal
+import threading
 import tracemalloc
 
 import numpy as np
@@ -252,6 +254,7 @@ def _csv_writer_reference(path, dists):
 
 def _write_csv(path, dists):
     with path.open("w", newline="") as fh:
+        fh.write("t,x,p\r\n")
         write = _distribution_csv_writer(fh)
         for d in dists:
             write(d)
@@ -357,21 +360,73 @@ def test_two_process_csv_matches_one_process(tmp_path, monkeypatch, forks, walk,
     ]
 
 
-def test_one_cpu_forks_no_writer(tmp_path, monkeypatch, forks):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    spec = ExperimentSpec.from_json_dict(spec_doc(t_max=20))
-    assert experiments._csv_split(20) == 21
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two CPUs in the affinity mask and no cgroup CPU quota."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(experiments, "_cgroup_cpu_quota", lambda: math.inf)
+
+
+def _run_forks_no_writer(tmp_path, forks, t_max=experiments.TWO_PROCESS_MIN_T_MAX):
+    spec = ExperimentSpec.from_json_dict(spec_doc(t_max=t_max))
+    assert experiments._csv_split(t_max) == t_max + 1
     run_simulate(spec, tmp_path)
     assert forks == []
-    assert (tmp_path / "distributions.csv").read_bytes().count(b"\r\n") == 1 + 21 * (
-        resolve_spec(spec).host.base_n
-    )
+    assert (tmp_path / "distributions.csv").read_bytes().count(b"\r\n") == 1 + (
+        t_max + 1
+    ) * resolve_spec(spec).host.base_n
 
 
-def test_two_cpus_split_the_rows_near_t_max_over_root_two(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+def test_two_cpus_split_the_rows_near_t_max_over_root_two(two_cpus):
     assert experiments._csv_split(1500) == 1061
-    assert experiments._csv_split(0) == 0
+    assert experiments._csv_split(experiments.TWO_PROCESS_MIN_T_MAX) == 141
+
+
+def test_one_cpu_forks_no_writer(tmp_path, monkeypatch, forks, two_cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert experiments._csv_split(1500) == 1501
+    _run_forks_no_writer(tmp_path, forks)
+
+
+def test_a_one_cpu_cgroup_quota_forks_no_writer(tmp_path, monkeypatch, forks, two_cpus):
+    monkeypatch.setattr(experiments, "_cgroup_cpu_quota", lambda: 1.5)
+    assert experiments._csv_split(1500) == 1501
+    _run_forks_no_writer(tmp_path, forks)
+
+
+def test_a_short_walk_forks_no_writer(tmp_path, forks, two_cpus):
+    t_max = experiments.TWO_PROCESS_MIN_T_MAX - 1
+    assert experiments._csv_split(0) == 1
+    _run_forks_no_writer(tmp_path, forks, t_max)
+
+
+def test_a_process_with_other_threads_forks_no_writer(tmp_path, forks, two_cpus):
+    done = threading.Event()
+    other = threading.Thread(target=done.wait)
+    other.start()
+    try:
+        _run_forks_no_writer(tmp_path, forks)
+    finally:
+        done.set()
+        other.join()
+    assert experiments._csv_split(1500) == 1061
+
+
+@pytest.mark.parametrize(
+    "files, cpus",
+    [
+        ({}, math.inf),
+        ({"cpu.max": "max 100000\n"}, math.inf),
+        ({"cpu.max": "150000 100000\n"}, 1.5),
+        ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, math.inf),
+        ({"cpu/cpu.cfs_quota_us": "400000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 4.0),
+    ],
+)
+def test_cgroup_cpu_quota_reads_cgroup_v2_and_v1(tmp_path, files, cpus):
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text)
+    assert experiments._cgroup_cpu_quota(tmp_path) == cpus
 
 
 def _drift_in(monkeypatch, in_parent, t_bad=5):
@@ -418,8 +473,8 @@ def test_writer_drift_fails_the_run(tmp_path, monkeypatch, forks):
 def test_writer_killed_by_a_signal_fails_the_run(tmp_path, monkeypatch, forks):
     real = experiments._distribution_csv_writer
 
-    def dying(fh, header=True):
-        write = real(fh, header)
+    def dying(fh):
+        write = real(fh)
 
         def rows(d):
             if d.time >= 10:

@@ -22,7 +22,9 @@ from .constants import (
 )
 from .engine import (
     WalkState,
+    _coin_check,
     _start_check,
+    _steps,
     build_shift_operator,
     # Unused here since the census builds each seed's shift once; still bound
     # because perfbench/test_smoke.py checks that the tracer wraps this name
@@ -31,7 +33,6 @@ from .engine import (
     hadamard_coin,
     origin_basis_terms,
     state_from_terms,
-    walk_states,
 )
 from .errors import ValidationError
 from .graphs import RegularDigraph, step_direction
@@ -398,6 +399,7 @@ def count_distinct_dicycle_carried_walks(
     for start in starts:
         _start_check(host, start, t_max, True)
     coin = hadamard_coin()
+    _coin_check(coin, host)
     signatures: dict[bytes, int] = {}
     class_of: dict[int, int] = {}
     key_of: dict[int, tuple] = {}
@@ -405,10 +407,10 @@ def count_distinct_dicycle_carried_walks(
         p = random_dicycle_factorization(host, seed)
         op = build_shift_operator(p, carried_coin_shift(p))
         # Signature layout: (probe, time, position).  Every probe walks
-        # through the seed's one checked shift.
+        # through the seed's one checked shift, with the coin checked above.
         amps = np.stack(
             [
-                [s.amps for s in walk_states(lambda t: op, coin, start, t_max)]
+                [s.amps for s in _steps(lambda t: op, coin, start, t_max)]
                 for start in starts
             ]
         )

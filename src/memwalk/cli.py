@@ -138,7 +138,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seeds", help="comma-separated seed list")
         p.add_argument("--t-max", type=int, dest="t_max", help="number of steps")
         p.add_argument(
-            "--workers", type=int, default=1, help="parallel workers for sweeps"
+            "--workers",
+            type=int,
+            help="most processes a sweep runs in (default: the free CPUs)",
         )
 
     p = sub.add_parser("simulate", help="evolve one walk and write its statistics")

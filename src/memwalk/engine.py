@@ -254,12 +254,16 @@ def walk_states(
     first (``evolve`` and ``experiments.iter_history`` do).  Only the current
     state is held, so memory does not grow with t_max.
     """
-    check_unitary(coin)
-    if coin.shape[0] != initial.host.degree:
-        raise ValidationError(
-            f"coin dimension {coin.shape[0]} != host degree {initial.host.degree}"
-        )
+    _coin_check(coin, initial.host)
     return _steps(shift, coin, initial, t_max)
+
+
+def _coin_check(coin: np.ndarray, host: RegularDigraph) -> None:
+    """The coin is unitary and acts on the host's coin space.  A caller that
+    walks one coin from many starts checks it once and runs ``_steps``."""
+    check_unitary(coin)
+    if coin.shape[0] != host.degree:
+        raise ValidationError(f"coin dimension {coin.shape[0]} != host degree {host.degree}")
 
 
 def _steps(

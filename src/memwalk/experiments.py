@@ -52,10 +52,11 @@ import signal
 import tempfile
 import threading
 from collections.abc import Callable, Iterator
-from contextlib import contextmanager, suppress
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
-from typing import IO
+from typing import IO, TypeVar
 
 import numpy as np
 
@@ -117,6 +118,8 @@ __all__ = [
     "run_simulate",
     "run_sweep",
 ]
+
+_T = TypeVar("_T")
 
 ALL_OUTPUTS = ("distribution", "variance", "occrate", "origin-series", "scaling-fit")
 
@@ -669,23 +672,85 @@ def _cgroup_cpu_quota(root: Path = Path("/sys/fs/cgroup")) -> float:
     return quota_us / period_us if quota_us > 0 and period_us > 0 else math.inf
 
 
+def _free_cpus() -> int:
+    """How many processes this one may spread its work over: the CPUs in
+    its affinity mask, capped by the cgroup CPU quota rounded down.
+
+    The answer is 1 whenever another Python thread runs: a lock that thread
+    holds at a fork would stay locked in the child for good.
+    """
+    if threading.active_count() > 1 or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return max(1, math.floor(min(len(os.sched_getaffinity(0)), _cgroup_cpu_quota())))
+
+
+@contextmanager
+def _forked(work: Callable[[], _T]) -> Iterator[Callable[[], _T]]:
+    """Fork a process that runs ``work()``, and yield ``result()``, which
+    waits for it and returns what ``work`` returned.
+
+    The return value comes back pickled through an unnamed temp file, which
+    no failure can leave behind; Python floats pickle exactly.  The child
+    ends with os._exit, so it runs no atexit handler and flushes none of
+    this process's buffers.  If ``work`` raised, ``result`` raises its
+    exception; if the child died without reporting one (killed, or its
+    exception did not pickle), a RuntimeError naming its exit code.  If the
+    block raises before ``result`` has returned, the child is killed.
+    Either way it is reaped before this returns.  Callers fork only when
+    _free_cpus() allows it.
+    """
+    with tempfile.TemporaryFile() as channel:
+        pid = os.fork()
+        if pid == 0:  # the child, which must never return into the caller
+            try:
+                gc.freeze()  # collect none of the parent's objects (or flush its files)
+                pickle.dump(work(), channel)
+                channel.flush()
+                os._exit(0)
+            except BaseException as exc:
+                with suppress(BaseException):
+                    channel.seek(0)
+                    channel.truncate()
+                    pickle.dump(exc, channel)
+                    channel.flush()
+            finally:
+                os._exit(1)
+        reaped = False
+
+        def result() -> _T:
+            nonlocal reaped
+            status = os.waitpid(pid, 0)[1]
+            reaped = True
+            channel.seek(0)
+            if status == 0:
+                return pickle.load(channel)
+            try:
+                exc = pickle.load(channel)
+            except Exception:  # killed, or its exception did not pickle
+                exc = None
+            if isinstance(exc, BaseException):
+                raise exc
+            raise RuntimeError(
+                f"forked process failed (exit code {os.waitstatus_to_exitcode(status)})"
+            )
+
+        try:
+            yield result
+        finally:
+            if not reaped:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
 def _csv_split(t_max: int) -> int:
     """The first step whose distribution rows a forked process writes.
 
     Formatting a step's rows costs about as much as its light cone is wide,
     so about t_max / sqrt(2) splits the formatting of t = 0..t_max in equal
     halves.  Every row is written in the calling process (t_max + 1) when
-    the walk is shorter than TWO_PROCESS_MIN_T_MAX, when the affinity mask
-    or the cgroup CPU quota leaves fewer than two CPUs, or when the process
-    runs other threads: a lock one of them holds at the fork would stay
-    locked in the child for good.
+    the walk is shorter than TWO_PROCESS_MIN_T_MAX or _free_cpus() is 1.
     """
-    if (
-        t_max < TWO_PROCESS_MIN_T_MAX
-        or threading.active_count() > 1
-        or not hasattr(os, "sched_getaffinity")
-        or min(len(os.sched_getaffinity(0)), _cgroup_cpu_quota()) < 2
-    ):
+    if t_max < TWO_PROCESS_MIN_T_MAX or _free_cpus() < 2:
         return t_max + 1
     return round(t_max / math.sqrt(2))
 
@@ -703,63 +768,31 @@ def _write_later_rows(resolved: ResolvedExperiment, split: int, fd: int) -> None
 def _later_rows(
     resolved: ResolvedExperiment, split: int, out: Path
 ) -> Iterator[Callable[[IO[str]], None]]:
-    """Fork a process that writes the distribution rows for t >= split, and
-    yield ``append(fh)``, which waits for it and appends its rows to ``fh``.
+    """Fork a process (_forked) that writes the distribution rows for
+    t >= split, and yield ``append(fh)``, which waits for it and appends its
+    rows to ``fh``.
 
     The child re-runs the same deterministic walk from ``resolved`` into an
-    unnamed temp file in ``out``, which no failure can leave behind.  It
-    ends with os._exit, so it runs no atexit handler and flushes none of
-    this process's buffers.  If the child fails, ``append`` raises its
-    exception (a RuntimeError when it died without reporting one); if the
-    block raises first, the child is killed.  Either way it is reaped before
-    this returns.  A split past t_max forks nothing and ``append`` does
-    nothing.
+    unnamed temp file in ``out``.  A failed child makes ``append`` raise, and
+    a block that raises first kills the child.  A split past t_max forks
+    nothing and ``append`` does nothing.
     """
     if split > resolved.spec.t_max:
         yield lambda fh: None
         return
-    with tempfile.TemporaryFile(dir=out) as rows, tempfile.TemporaryFile(dir=out) as error:
-        pid = os.fork()
-        if pid == 0:  # the child, which must never return into the caller
-            try:
-                gc.freeze()  # collect none of the parent's objects (or flush its files)
-                _write_later_rows(resolved, split, rows.fileno())
-                os._exit(0)
-            except BaseException as exc:
-                with suppress(BaseException):
-                    pickle.dump(exc, error)
-                    error.flush()
-            finally:
-                os._exit(1)
-        reaped = False
+    with (
+        tempfile.TemporaryFile(dir=out) as rows,
+        _forked(lambda: _write_later_rows(resolved, split, rows.fileno())) as written,
+    ):
 
         def append(fh: IO[str]) -> None:
-            nonlocal reaped
-            status = os.waitpid(pid, 0)[1]
-            reaped = True
-            if status != 0:
-                error.seek(0)
-                try:
-                    exc = pickle.load(error)
-                except Exception:  # killed, or its exception did not pickle
-                    exc = None
-                if isinstance(exc, BaseException):
-                    raise exc
-                raise RuntimeError(
-                    f"distribution writer process failed"
-                    f" (exit code {os.waitstatus_to_exitcode(status)})"
-                )
+            written()
             fh.flush()
             size, offset = os.fstat(rows.fileno()).st_size, 0
             while offset < size:
                 offset += os.sendfile(fh.fileno(), rows.fileno(), offset, size - offset)
 
-        try:
-            yield append
-        finally:
-            if not reaped:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+        yield append
 
 
 def run_simulate(spec: ExperimentSpec, out_dir: str | Path) -> dict:
@@ -769,13 +802,14 @@ def run_simulate(spec: ExperimentSpec, out_dir: str | Path) -> dict:
     _staged), so a run that fails mid-walk writes nothing.  Without the
     "distribution" output no CSV is written and an earlier run's is removed.
 
-    With two CPUs and t_max >= TWO_PROCESS_MIN_T_MAX, in a process that runs
-    no other thread, the rows are formatted in two processes (_later_rows):
-    this one walks every step, folds the statistics and writes the rows for
-    t < _csv_split(t_max); a forked child walks again and writes the rest,
-    which are appended before the outputs are committed.  The bytes are
-    those of one process writing every row, and a failure in either process
-    fails the run with nothing written.
+    When t_max >= TWO_PROCESS_MIN_T_MAX and _free_cpus() (the one CPU gate
+    run_sweep also asks) allows two processes, the rows are formatted in
+    two (_later_rows, through the fork helper _forked that run_sweep also
+    uses): this one walks every step, folds the statistics and writes the
+    rows for t < _csv_split(t_max); a forked child walks again and writes
+    the rest, which are appended before the outputs are committed.  The
+    bytes are those of one process writing every row, and a failure in
+    either process fails the run with nothing written.
     """
     resolved = resolve_spec(spec)
     states = iter_history(resolved)  # checks the start state and the coin
@@ -833,6 +867,27 @@ def _sweep_one(spec: ExperimentSpec) -> dict:
     return _fold_series(iter_history(resolve_spec(spec)), ALL_OUTPUTS)
 
 
+def _sweep_jobs(specs: list[ExperimentSpec]) -> tuple[list[dict], Exception | None]:
+    """Run the jobs in order up to the first that fails: the series of the
+    jobs before it, and its exception (None when every job ran)."""
+    done = []
+    for spec in specs:
+        try:
+            done.append(_sweep_one(spec))
+        except Exception as exc:  # re-raised by run_sweep, in job order
+            return done, exc
+    return done, None
+
+
+#: The fewest job-steps (distinct jobs x t_max) that run_sweep spreads over
+#: several processes.  run_sweep alone, timed in fresh processes on a 2-core
+#: VM with one and two processes alternating (10 pairs each), ran two
+#: processes faster in 4 of 10 pairs at 120 job-steps (six classes, one
+#: seed, t_max 20), 6 at 240 and 8 at 360; of two frozen classes, 4 at 200,
+#: 5 at 300 and 9 at 400 (49.5 against 40.2 ms).
+SWEEP_FORK_MIN_JOB_STEPS = 400
+
+
 def _ratio_verdict(ratio: float | None) -> str:
     if ratio is None:
         return "indeterminate"
@@ -850,11 +905,18 @@ def run_sweep(
     classes: list[str],
     seeds: list[int],
     out_dir: str | Path,
-    workers: int = 1,
+    workers: int | None = None,
 ) -> dict:
     """Run each walk class across seeds; write per-class and comparison tables.
 
-    workers > 1 runs the jobs in up to min(workers, CPU count) processes.
+    The distinct jobs are spread over up to ``workers`` processes, by
+    default as many as _free_cpus() allows and never more than it allows or
+    than there are jobs.  A sweep of fewer than SWEEP_FORK_MIN_JOB_STEPS
+    job-steps runs in this process alone.  Process k of n runs jobs
+    k, k + n, k + 2n, ... in order, processes 1..n-1 forked (_forked), so
+    the bytes written never depend on the process count.  When jobs fail,
+    the first failing job in job order raises, as in one process, and
+    nothing is written.
     """
     for name, items in (("classes", classes), ("seeds", seeds)):
         if not isinstance(items, (list, tuple)):
@@ -865,7 +927,8 @@ def run_sweep(
         raise ValidationError("sweep needs at least one seed")
     for seed in seeds:
         _check_int("sweep seed", seed, 0)
-    _check_int("workers", workers, 1)
+    if workers is not None:
+        _check_int("workers", workers, 1)
 
     # Each distinct spec runs once.  A class whose partition kind is not
     # random gets the same spec at every seed (_class_spec drops the seed),
@@ -878,18 +941,31 @@ def run_sweep(
             spec = _class_spec(template, c, s)
             key_of[c, s] = (c, spec.partition_seed)
             jobs.setdefault(key_of[c, s], spec)
-    # Processes, not threads: a job's steps are Python code and small numpy
-    # calls that hold the GIL.  pool.map returns results in job order, so the
-    # outputs do not depend on scheduling.  The executor is imported here to
-    # keep it out of the CLI's start-up time.
-    workers = min(workers, os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    specs = list(jobs.values())
+    # The split below needs an integer t_max; each job checks it first, too.
+    _check_int("t_max", template.t_max, 0)
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_one, jobs.values()))
-    else:
-        results = [_sweep_one(spec) for spec in jobs.values()]
+    # Processes, not threads: a job's steps are Python code and small numpy
+    # calls that hold the GIL.  Interleaved slices share out the costlier
+    # annealed classes, which sit next to each other in job order.
+    n = 1
+    if len(specs) * template.t_max >= SWEEP_FORK_MIN_JOB_STEPS:
+        n = min(_free_cpus(), workers or len(specs), len(specs))
+    with ExitStack() as forks:
+        others = [
+            forks.enter_context(_forked(partial(_sweep_jobs, specs[k::n])))
+            for k in range(1, n)
+        ]
+        slices = [_sweep_jobs(specs[::n])] + [result() for result in others]
+    # Process k's failure at its j-th job is job k + n*j's.
+    failures = [
+        (k + n * len(done), exc) for k, (done, exc) in enumerate(slices) if exc is not None
+    ]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    results: list[dict] = [{}] * len(specs)
+    for k, (done, _) in enumerate(slices):
+        results[k::n] = done
     series_of = dict(zip(jobs, results))
 
     t_max = template.t_max

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import math
+import os
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from memwalk import iterate_line_digraph, make_bidirected_cycle, minimal_window
+from memwalk import experiments, iterate_line_digraph, make_bidirected_cycle, minimal_window
 
 settings.register_profile(
     "memwalk",
@@ -54,3 +57,26 @@ def host_d2():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260819)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two CPUs in the affinity mask and no cgroup CPU quota."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(experiments, "_cgroup_cpu_quota", lambda: math.inf)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the processes forked while the test runs."""
+    real_fork = os.fork
+    pids = []
+
+    def fork():
+        pid = real_fork()
+        if pid != 0:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids

@@ -19,7 +19,7 @@ from memwalk import (
     reflect_transmit_partition,
     state_from_terms,
 )
-from memwalk import analysis
+from memwalk import analysis, engine
 from memwalk.analysis import (
     PositionDistribution,
     alpha_distribution,
@@ -250,6 +250,25 @@ def test_census_builds_each_seed_shift_once(host_d1, monkeypatch):
     seeds = list(range(6))
     count_distinct_dicycle_carried_walks(host_d1, seeds, 10)
     assert built == seeds
+
+
+def test_census_checks_its_coin_once_and_every_probe_start(host_d1, monkeypatch):
+    checked, started = [], []
+    real_check, real_start = engine.check_unitary, analysis._start_check
+
+    def counting_check(a, *args):
+        checked.append(a.shape)
+        return real_check(a, *args)
+
+    def counting_start(host, initial, t_max, enforce_window):
+        started.append(t_max)
+        return real_start(host, initial, t_max, enforce_window)
+
+    monkeypatch.setattr(engine, "check_unitary", counting_check)
+    monkeypatch.setattr(analysis, "_start_check", counting_start)
+    count_distinct_dicycle_carried_walks(host_d1, list(range(6)), 10)
+    assert checked == [(2, 2)]
+    assert started == [10] * 5
 
 
 def test_dicycle_census_small(host_d1):

@@ -6,10 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import memwalk
 from memwalk import engine, experiments
+from memwalk.constants import UNITARY_ATOL
 from memwalk.cli import main
 from memwalk.engine import WalkState
 
@@ -358,6 +360,32 @@ def test_failed_run_keeps_a_sibling_run_directory(tmp_path, config, monkeypatch)
     assert [p.name for p in other.iterdir()] == ["distributions.csv.tmp"]
 
 
+@pytest.mark.parametrize(
+    "scale, residual, failure",
+    [
+        (2.5e-13, 4.998e-13, "norm drift 1.499e-12 at t=3 exceeds 1e-12"),
+        (5e-14, 9.97e-14, "norm drift 1.097e-12 at t=11 exceeds 1e-12"),
+    ],
+)
+def test_an_admitted_coin_can_fail_the_cumulative_drift_check(
+    tmp_path, config, capsys, scale, residual, failure
+):
+    # Pins an inconsistency, not a contract: check_unitary admits a coin
+    # whose residual is up to UNITARY_ATOL, but the loop bounds the drift
+    # summed over every step by the same 1e-12, so a coin it admitted
+    # fails a few steps in.
+    coin = engine.hadamard_coin() * (1 + scale)
+    got = np.abs(coin.conj().T @ coin - np.eye(2)).max()
+    assert got == pytest.approx(residual, rel=1e-3) and got < UNITARY_ATOL
+    engine.check_unitary(coin)
+    rows = [[[c.real, c.imag] for c in row] for row in coin.tolist()]
+    doc = {"coin": {"kind": "matrix", "rows": rows}, "t_max": 100}
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", config(doc), "--out", str(out)]) == 4
+    assert f"error: numerical check failed: {failure}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # Runs the CLI with the row formatter failing from step 20 on, and the rows
 # from step 20 on written by the forked writer process: only the writer fails.
 WRITER_FAILS = """
@@ -472,6 +500,49 @@ def test_sweep_on_a_depth_2_template_writes_nothing(tmp_path, config, capsys, wo
     assert not out.exists()
 
 
+def test_sweep_job_failing_in_the_child_fails_as_in_one_process(
+    tmp_path, config, capsys, monkeypatch, forks, two_cpus
+):
+    # On a depth-2 host job 0 (directional) runs and job 1 (reflect/transmit)
+    # fails; split over two processes, job 1 is the forked child's.
+    monkeypatch.setattr(experiments, "SWEEP_FORK_MIN_JOB_STEPS", 0)
+    doc = {
+        "template": {"memory_depth": 2, "t_max": 10, "outputs": ["variance"]},
+        "classes": ["directional+recycled", "reflect_transmit+recycled"],
+    }
+    outcomes = []
+    for workers in (["--workers", "1"], []):
+        out = tmp_path / f"sweep{len(workers)}"
+        code = main(["sweep", "--config", config(doc), "--seeds", "0", "--out", str(out)] + workers)
+        outcomes.append((code, capsys.readouterr().err))
+        assert not out.exists()
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == 2 and "depth-1 host" in outcomes[0][1]
+
+
+def test_default_sweep_leaves_the_process_pool_modules_unloaded(tmp_path):
+    # Six distinct jobs of t_max 70 pass SWEEP_FORK_MIN_JOB_STEPS, so with
+    # two free CPUs this sweep forks; with one it runs in this process.
+    src = Path(memwalk.__file__).resolve().parents[1]
+    code = (
+        "import sys, memwalk.cli\n"
+        "memwalk.cli.main(['sweep', '--t-max', '70', '--seeds', '0', '--out', sys.argv[1]])\n"
+        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "sweep")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        check=True,
+    )
+    assert result.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "sweep" / "comparison.csv").exists()
+
+
 def test_failed_equivalence_still_writes_its_report(tmp_path, monkeypatch, capsys):
     real_report = experiments.equivalence_report
     monkeypatch.setattr(
@@ -487,8 +558,8 @@ def test_failed_equivalence_still_writes_its_report(tmp_path, monkeypatch, capsy
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():
-    # run_sweep imports the executor only when workers > 1, which keeps it
-    # out of every command's start-up time.
+    # No command imports concurrent.futures, which would add to every
+    # command's start-up time.
     src = Path(memwalk.__file__).resolve().parents[1]
     code = "import sys, memwalk.cli; print('concurrent.futures' in sys.modules)"
     result = subprocess.run(

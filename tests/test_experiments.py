@@ -312,22 +312,6 @@ SPLIT_WALKS = {
 }
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids of the processes forked while the test runs."""
-    real_fork = os.fork
-    pids = []
-
-    def fork():
-        pid = real_fork()
-        if pid != 0:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    return pids
-
-
 def _split_at(monkeypatch, split):
     monkeypatch.setattr(experiments, "_csv_split", lambda t_max: split)
 
@@ -358,13 +342,6 @@ def test_two_process_csv_matches_one_process(tmp_path, monkeypatch, forks, walk,
         "distributions.csv",
         "summary.json",
     ]
-
-
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """Two CPUs in the affinity mask and no cgroup CPU quota."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(experiments, "_cgroup_cpu_quota", lambda: math.inf)
 
 
 def _run_forks_no_writer(tmp_path, forks, t_max=experiments.TWO_PROCESS_MIN_T_MAX):
@@ -579,15 +556,20 @@ def test_sweep_matches_single_run(tmp_path):
     assert (tmp_path / "comparison.csv").exists()
 
 
-def test_sweep_outputs_do_not_depend_on_workers(tmp_path):
+def test_sweep_outputs_do_not_depend_on_workers(tmp_path, monkeypatch, forks, two_cpus):
+    monkeypatch.setattr(experiments, "SWEEP_FORK_MIN_JOB_STEPS", 0)
     template = ExperimentSpec.from_json_dict(
         spec_doc(t_max=20, outputs=["variance", "occrate", "origin-series"])
     )
     classes = list(ANNEALED_CLASSES) + ["random_dicycle+carried"]
-    for workers in (1, 2):
+    for workers in (1, 2, 3, None):
         run_sweep(template, classes, [0, 1, 2], tmp_path / str(workers), workers=workers)
+    # Two CPUs: workers 2, 3 and the default each fork one process.
+    assert len(forks) == 3
     for name in ("sweep_summary.json", "comparison.csv"):
-        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+        want = (tmp_path / "1" / name).read_bytes()
+        for workers in (2, 3, None):
+            assert (tmp_path / str(workers) / name).read_bytes() == want
 
 
 def test_sweep_runs_a_class_without_random_partitions_once(tmp_path, monkeypatch):
@@ -613,6 +595,155 @@ def test_sweep_runs_a_class_without_random_partitions_once(tmp_path, monkeypatch
     for key in ("variance", "occupancy_rate", "origin_probability"):
         want = np.mean([series[key] for series in per_seed], axis=0)
         assert got[f"mean_{key}"] == [float(v) for v in want]
+
+
+SWEEP_CLASSES = ["directional+recycled", "reflect_transmit+recycled", "reflect_transmit+carried"]
+
+
+def _sweep(out, t_max=10, workers=None, classes=SWEEP_CLASSES, seeds=(0,)):
+    template = ExperimentSpec.from_json_dict(
+        spec_doc(t_max=t_max, outputs=["variance", "occrate", "origin-series"])
+    )
+    return run_sweep(template, classes, list(seeds), out, workers=workers)
+
+
+def _sweep_bytes(out):
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+@pytest.fixture
+def no_fork(monkeypatch, two_cpus):
+    """Two CPUs, a sweep of any size forks, and os.fork fails the test."""
+    monkeypatch.setattr(experiments, "SWEEP_FORK_MIN_JOB_STEPS", 0)
+
+    def fork():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+def test_one_cpu_runs_the_sweep_in_one_process(tmp_path, monkeypatch, no_fork):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    _sweep(tmp_path)
+    _sweep(tmp_path, workers=2)
+
+
+def test_a_one_cpu_cgroup_quota_runs_the_sweep_in_one_process(tmp_path, monkeypatch, no_fork):
+    monkeypatch.setattr(experiments, "_cgroup_cpu_quota", lambda: 1.5)
+    _sweep(tmp_path)
+
+
+def test_a_process_with_other_threads_runs_the_sweep_in_one_process(tmp_path, no_fork):
+    done = threading.Event()
+    other = threading.Thread(target=done.wait)
+    other.start()
+    try:
+        _sweep(tmp_path, workers=2)
+    finally:
+        done.set()
+        other.join()
+
+
+def test_a_sweep_below_the_job_step_threshold_runs_in_one_process(
+    tmp_path, monkeypatch, forks, two_cpus
+):
+    # Three distinct jobs of t_max 10: 30 job-steps.
+    monkeypatch.setattr(experiments, "SWEEP_FORK_MIN_JOB_STEPS", 31)
+    _sweep(tmp_path / "below")
+    assert forks == []
+    monkeypatch.setattr(experiments, "SWEEP_FORK_MIN_JOB_STEPS", 30)
+    _sweep(tmp_path / "at")
+    assert len(forks) == 1
+    assert _sweep_bytes(tmp_path / "at") == _sweep_bytes(tmp_path / "below")
+
+
+def test_two_cpus_split_the_sweep_with_one_child(tmp_path, monkeypatch, forks, two_cpus):
+    monkeypatch.setattr(experiments, "SWEEP_FORK_MIN_JOB_STEPS", 0)
+    ran = []
+    real_sweep_one = experiments._sweep_one
+
+    def counting_sweep_one(spec):
+        ran.append(spec.partition_kind)
+        return real_sweep_one(spec)
+
+    monkeypatch.setattr(experiments, "_sweep_one", counting_sweep_one)
+    _sweep(tmp_path / "one", workers=1)
+    assert forks == [] and len(ran) == 3
+    ran.clear()
+    _sweep(tmp_path / "two")
+    assert len(forks) == 1
+    assert ran == ["directional", "reflect_transmit"]  # jobs 0 and 2; the child ran job 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _sweep_bytes(tmp_path / "two") == _sweep_bytes(tmp_path / "one")
+
+
+def _failing_jobs(monkeypatch, seeds):
+    """Jobs whose partition seed is in ``seeds`` fail, each with its own message."""
+    real_sweep_one = experiments._sweep_one
+
+    def sweep_one(spec):
+        if spec.partition_seed in seeds:
+            raise ValidationError(f"job with seed {spec.partition_seed} failed")
+        return real_sweep_one(spec)
+
+    monkeypatch.setattr(experiments, "_sweep_one", sweep_one)
+
+
+@pytest.mark.parametrize("failing, first", [({1, 2}, 1), ({0, 1, 3}, 0), ({3}, 3)])
+def test_split_sweep_raises_the_first_failing_job_in_job_order(
+    tmp_path, monkeypatch, forks, two_cpus, failing, first
+):
+    # Jobs 0..3 are seeds 0..3; the child runs jobs 1 and 3.
+    monkeypatch.setattr(experiments, "SWEEP_FORK_MIN_JOB_STEPS", 0)
+    _failing_jobs(monkeypatch, failing)
+    for workers in (1, 2):
+        with pytest.raises(ValidationError, match=f"^job with seed {first} failed$"):
+            _sweep(tmp_path / "out", workers=workers, classes=["random+recycled"], seeds=range(4))
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_sweep_child_killed_by_a_signal_fails_the_run(tmp_path, monkeypatch, forks, two_cpus):
+    monkeypatch.setattr(experiments, "SWEEP_FORK_MIN_JOB_STEPS", 0)
+    parent = os.getpid()
+    real_sweep_one = experiments._sweep_one
+
+    def sweep_one(spec):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_sweep_one(spec)
+
+    monkeypatch.setattr(experiments, "_sweep_one", sweep_one)
+    with pytest.raises(RuntimeError, match="exit code -9"):
+        _sweep(tmp_path / "out")
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_failing_parent_slice_kills_the_sweep_child(tmp_path, monkeypatch, forks, two_cpus):
+    monkeypatch.setattr(experiments, "SWEEP_FORK_MIN_JOB_STEPS", 0)
+    parent = os.getpid()
+    real_sweep_one = experiments._sweep_one
+
+    def sweep_one(spec):
+        if os.getpid() != parent:
+            signal.pause()  # the child would never finish
+        if spec.partition_kind == "reflect_transmit":
+            raise KeyboardInterrupt
+        return real_sweep_one(spec)
+
+    monkeypatch.setattr(experiments, "_sweep_one", sweep_one)
+    with pytest.raises(KeyboardInterrupt):
+        _sweep(tmp_path / "out")
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_rejects_unknown_class(tmp_path):

@@ -403,17 +403,16 @@ def count_distinct_dicycle_carried_walks(
     signatures: dict[bytes, int] = {}
     class_of: dict[int, int] = {}
     key_of: dict[int, tuple] = {}
+    # Every seed's walks fill the same (probe, time, vertex, coin) buffer.
+    amps = np.empty((len(starts), t_max + 1, host.n_vertices, host.degree), np.complex128)
     for seed in seeds:
         p = random_dicycle_factorization(host, seed)
         op = build_shift_operator(p, carried_coin_shift(p))
         # Signature layout: (probe, time, position).  Every probe walks
         # through the seed's one checked shift, with the coin checked above.
-        amps = np.stack(
-            [
-                [s.amps for s in _steps(lambda t: op, coin, start, t_max)]
-                for start in starts
-            ]
-        )
+        for i, start in enumerate(starts):
+            for t, s in enumerate(_steps(lambda _: op, coin, start, t_max)):
+                amps[i, t] = s.amps
         signature = np.round(_position_probs(host, amps), 10).tobytes()
         if signature not in signatures:
             signatures[signature] = len(signatures)

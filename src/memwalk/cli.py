@@ -30,7 +30,10 @@ EXIT_CONSTRAINT = 3
 EXIT_NUMERICAL = 4
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str | None) -> dict:
+    """The JSON object in ``path``; an empty one when no config is given."""
+    if path is None:
+        return {}
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -51,13 +54,18 @@ def _parse_seeds(text: str) -> list[int]:
         raise ValidationError(f"bad seed list {text!r}: {exc}") from exc
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    doc = _load_config(args.config) if args.config else {}
+def _spec(doc: dict, t_max: int | None) -> ExperimentSpec:
+    """The spec ``doc`` states, with ``--t-max`` applied when given."""
     spec = ExperimentSpec.from_json_dict(doc)
-    if args.t_max is not None:
-        spec.t_max = args.t_max
+    if t_max is not None:
+        spec.t_max = t_max
         if spec.graph_family == "line":
             spec.window = None  # refit the line window to the new horizon
+    return spec
+
+
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    spec = _spec(_load_config(args.config), args.t_max)
     if args.seeds is not None:
         seeds = _parse_seeds(args.seeds)
         if len(seeds) != 1:
@@ -71,15 +79,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    doc = _load_config(args.config) if args.config else {}
-    template_doc = doc.get("template", {})
-    template = ExperimentSpec.from_json_dict(template_doc)
+    doc = _load_config(args.config)
+    unknown = set(doc) - {"template", "classes", "seeds"}
+    if unknown:
+        raise ValidationError(f"unknown sweep config fields: {sorted(unknown)}")
+    template = _spec(doc.get("template", {}), args.t_max)
     classes = doc.get("classes", list(WALK_CLASSES))
     seeds = doc.get("seeds", list(range(20)))
-    if args.t_max is not None:
-        template.t_max = args.t_max
-        if template.graph_family == "line":
-            template.window = None  # refit the line window to the new horizon
     if args.seeds is not None:
         seeds = _parse_seeds(args.seeds)
     report = run_sweep(template, classes, seeds, args.out, workers=args.workers)
@@ -126,42 +132,42 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand takes only the flags it reads: any other flag is a
+    usage error (exit 2), raised before anything is written."""
     parser = argparse.ArgumentParser(
         prog="memwalk",
         description="Coined quantum walks with memory on line graphs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="JSON config path")
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seeds", help="comma-separated seed list")
-        p.add_argument("--t-max", type=int, dest="t_max", help="number of steps")
-        p.add_argument(
-            "--workers",
-            type=int,
-            help="most processes a sweep runs in (default: the free CPUs)",
-        )
-
-    p = sub.add_parser("simulate", help="evolve one walk and write its statistics")
-    common(p)
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("sweep", help="compare walk classes across seeds")
-    common(p)
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("equivalence", help="run the oracle cross-check pipeline")
-    common(p)
-    p.set_defaults(func=_cmd_equivalence)
-
-    p = sub.add_parser("enumerate", help="count valid coin shifts and walk classes")
-    common(p)
-    p.add_argument(
-        "--cycle-size", type=int, default=3, dest="cycle_size",
-        help="base cycle size for the enumeration host",
-    )
-    p.set_defaults(func=_cmd_enumerate)
+    flags = {
+        "--config": {"help": "JSON config path"},
+        "--seeds": {"help": "comma-separated seed list"},
+        "--t-max": {"type": int, "help": "number of steps"},
+        "--workers": {
+            "type": int,
+            "help": "most processes a sweep runs in (default: the free CPUs)",
+        },
+        "--cycle-size": {
+            "type": int,
+            "default": 3,
+            "help": "base cycle size for the enumeration host",
+        },
+        "--out": {"default": "out", "help": "output directory"},
+    }
+    for name, func, help_text, names in (
+        ("simulate", _cmd_simulate, "evolve one walk and write its statistics",
+         "--config --seeds --t-max --out"),
+        ("sweep", _cmd_sweep, "compare walk classes across seeds",
+         "--config --seeds --t-max --workers --out"),
+        ("equivalence", _cmd_equivalence, "run the oracle cross-check pipeline",
+         "--t-max --out"),
+        ("enumerate", _cmd_enumerate, "count valid coin shifts and walk classes",
+         "--seeds --t-max --cycle-size --out"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        for flag in names.split():
+            p.add_argument(flag, **flags[flag])
+        p.set_defaults(func=func)
     return parser
 
 

@@ -53,7 +53,7 @@ import tempfile
 import threading
 from collections.abc import Callable, Iterator
 from contextlib import ExitStack, contextmanager, suppress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import IO, TypeVar
@@ -139,112 +139,78 @@ RANDOM_PARTITION_KINDS = ("random", "random_dicycle")
 ANNEALED_CLASSES = ("random+recycled", "random_dicycle+recycled")
 
 
+def _at(section: str | None, key: str, default=None, omit_none: bool = False):
+    """A spec field stored at doc[section][key], or at doc[key] when section
+    is None.  to_json_dict leaves an omit_none field out while it is None."""
+    return field(default=default, metadata={"json": (section, key), "omit_none": omit_none})
+
+
+def _reject_unknown(name: str, doc: dict, known) -> None:
+    unknown = set(doc) - set(known)
+    if unknown:
+        raise ValidationError(f"unknown {name} fields: {sorted(unknown)}")
+
+
 @dataclass
 class ExperimentSpec:
-    graph_family: str = "line"
-    window: int | None = None
-    memory_depth: int = 1
-    partition_kind: str = "reflect_transmit"
-    partition_seed: int | None = None
-    partition_resample: str = "never"
-    coin_shift_kind: str = "carried"
-    coin_shift_entries: list | None = None
-    coin_kind: str = "hadamard"
-    coin_rows: list | None = None
-    initial_preset: str | None = "origin-balanced"
-    initial_terms: list | None = None
-    t_max: int = 100
-    outputs: tuple[str, ...] = ALL_OUTPUTS
-    seed: int | None = None
+    """One run, as the config schema above states it; each field names its
+    JSON location and default once, and both JSON directions read them."""
+
+    graph_family: str = _at("graph", "family", "line")
+    window: int | None = _at("graph", "window")
+    memory_depth: int = _at(None, "memory_depth", 1)
+    partition_kind: str = _at("partition", "kind", "reflect_transmit")
+    partition_seed: int | None = _at("partition", "seed")
+    partition_resample: str = _at("partition", "resample", "never")
+    coin_shift_kind: str = _at("coin_shift", "kind", "carried")
+    coin_shift_entries: list | None = _at("coin_shift", "entries", omit_none=True)
+    coin_kind: str = _at("coin", "kind", "hadamard")
+    coin_rows: list | None = _at("coin", "rows", omit_none=True)
+    initial_preset: str | None = _at("initial_state", "preset", "origin-balanced", omit_none=True)
+    initial_terms: list | None = _at("initial_state", "terms", omit_none=True)
+    t_max: int = _at(None, "t_max", 100)
+    outputs: tuple[str, ...] = _at(None, "outputs", ALL_OUTPUTS)
+    seed: int | None = _at(None, "seed")
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExperimentSpec":
         if not isinstance(doc, dict):
             raise ValidationError("spec must be a JSON object")
-        known = {
-            "graph",
-            "memory_depth",
-            "partition",
-            "coin_shift",
-            "coin",
-            "initial_state",
-            "t_max",
-            "outputs",
-            "seed",
-        }
-        unknown = set(doc) - known
-        if unknown:
-            raise ValidationError(f"unknown spec fields: {sorted(unknown)}")
-
-        def section(name: str, allowed: set[str]) -> dict:
-            sub = doc.get(name, {})
+        layout: dict[str | None, dict[str, str]] = {}  # section -> key -> field
+        for f in fields(cls):
+            section, key = f.metadata["json"]
+            layout.setdefault(section, {})[key] = f.name
+        top = layout.pop(None)
+        _reject_unknown("spec", doc, [*top, *layout])
+        values = {top[key]: doc[key] for key in top if key in doc}
+        for section, keys in layout.items():
+            sub = doc.get(section, {})
             if not isinstance(sub, dict):
-                raise ValidationError(f"spec field {name!r} must be an object")
-            bad = set(sub) - allowed
-            if bad:
-                raise ValidationError(f"unknown {name} fields: {sorted(bad)}")
-            return sub
-
-        graph = section("graph", {"family", "window"})
-        partition = section("partition", {"kind", "seed", "resample"})
-        coin_shift = section("coin_shift", {"kind", "entries"})
-        coin = section("coin", {"kind", "rows"})
-        initial = section("initial_state", {"preset", "terms"})
-        outputs = doc.get("outputs", list(ALL_OUTPUTS))
-        if not isinstance(outputs, list) or not all(isinstance(o, str) for o in outputs):
-            raise ValidationError(f"outputs must be a list of strings, got {outputs!r}")
-        spec = cls(
-            graph_family=graph.get("family", "line"),
-            window=graph.get("window"),
-            memory_depth=doc.get("memory_depth", 1),
-            partition_kind=partition.get("kind", "reflect_transmit"),
-            partition_seed=partition.get("seed"),
-            partition_resample=partition.get("resample", "never"),
-            coin_shift_kind=coin_shift.get("kind", "carried"),
-            coin_shift_entries=coin_shift.get("entries"),
-            coin_kind=coin.get("kind", "hadamard"),
-            coin_rows=coin.get("rows"),
-            initial_preset=initial.get("preset") if "terms" not in initial else None,
-            initial_terms=initial.get("terms"),
-            t_max=doc.get("t_max", 100),
-            outputs=tuple(outputs),
-            seed=doc.get("seed"),
-        )
+                raise ValidationError(f"spec field {section!r} must be an object")
+            _reject_unknown(section, sub, keys)
+            values.update((keys[key], sub[key]) for key in sub)
+        if "outputs" in values:  # a JSON list, held as a tuple
+            outputs = values["outputs"]
+            if not isinstance(outputs, list) or not all(isinstance(o, str) for o in outputs):
+                raise ValidationError(f"outputs must be a list of strings, got {outputs!r}")
+            values["outputs"] = tuple(outputs)
+        if "initial_terms" in values:  # terms win over any preset
+            values["initial_preset"] = None
+        spec = cls(**values)
         if spec.initial_preset is None and spec.initial_terms is None:
-            spec.initial_preset = "origin-balanced"
+            spec.initial_preset = cls.initial_preset  # the field's default
         return spec
 
     def to_json_dict(self) -> dict:
-        initial: dict = (
-            {"preset": self.initial_preset}
-            if self.initial_terms is None
-            else {"terms": self.initial_terms}
-        )
-        return {
-            "graph": {"family": self.graph_family, "window": self.window},
-            "memory_depth": self.memory_depth,
-            "partition": {
-                "kind": self.partition_kind,
-                "seed": self.partition_seed,
-                "resample": self.partition_resample,
-            },
-            "coin_shift": {
-                "kind": self.coin_shift_kind,
-                **(
-                    {"entries": self.coin_shift_entries}
-                    if self.coin_shift_entries is not None
-                    else {}
-                ),
-            },
-            "coin": {
-                "kind": self.coin_kind,
-                **({"rows": self.coin_rows} if self.coin_rows is not None else {}),
-            },
-            "initial_state": initial,
-            "t_max": self.t_max,
-            "outputs": list(self.outputs),
-            "seed": self.seed,
-        }
+        doc: dict = {}
+        for f in fields(self):
+            section, key = f.metadata["json"]
+            where = doc if section is None else doc.setdefault(section, {})
+            value = getattr(self, f.name)
+            if value is None and f.metadata["omit_none"]:
+                continue
+            where[key] = list(value) if f.name == "outputs" else value
+        return doc
 
 
 @dataclass
@@ -335,9 +301,14 @@ def _resolve_initial(spec: ExperimentSpec, host: RegularDigraph) -> WalkState:
                     f"initial_state term needs exactly path, coin and amplitude, got {item!r}"
                 )
             path = item["path"]
+            if not isinstance(path, list):
+                raise ValidationError(f"initial_state path must be a list, got {path!r}")
+            for value in path:
+                _check_int("initial_state path entry", value)
+            _check_int("initial_state coin", item["coin"])
             try:
                 host.index_of(path)
-            except (KeyError, TypeError):  # TypeError: not a sequence of scalars
+            except KeyError:
                 raise ValidationError(
                     f"initial_state path {path!r} is not a vertex of the host"
                 ) from None
@@ -471,11 +442,15 @@ def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _distribution_csv_writer(fh) -> Callable[[analysis.PositionDistribution], None]:
+def _distribution_csv_writer(
+    fh, positions: np.ndarray
+) -> Callable[[analysis.PositionDistribution], None]:
     """Return a function that writes one step's rows to ``fh``, one row per
     position, "\\r\\n"-terminated, under the "t,x,p" header the caller
-    writes.  run_simulate formats the early steps' rows with one of these and
-    its forked writer process the later steps' rows with another.
+    writes.  Every step of a run shares the host's ``positions``, so the
+    row heads are built once.  run_simulate formats the early steps' rows
+    with one of these and its forked writer process the later steps' rows
+    with another.
 
     These are the bytes csv.writer produces for the same rows: no field
     (an int or a float repr) holds a delimiter, quote or line break, so
@@ -487,16 +462,10 @@ def _distribution_csv_writer(fh) -> Callable[[analysis.PositionDistribution], No
     equal reprs.  A step with any sign bit set reprs every cell: -0.0 == 0.0
     but its repr is "-0.0".
     """
-    positions = None
-    heads: list[str] = []
-    zero_tails: list[str] = []
+    heads = [f",{int(x)}," for x in positions.tolist()]
+    zero_tails = [h + "0.0\r\n" for h in heads]
 
     def write(d: analysis.PositionDistribution) -> None:
-        nonlocal positions, heads, zero_tails
-        if d.positions is not positions:
-            positions = d.positions
-            heads = [f",{int(x)}," for x in positions.tolist()]
-            zero_tails = [h + "0.0\r\n" for h in heads]
         p = d.probs
         if np.signbit(p).any():
             tails = [f"{h}{c!r}\r\n" for h, c in zip(heads, p.tolist())]
@@ -758,7 +727,7 @@ def _csv_split(t_max: int) -> int:
 def _write_later_rows(resolved: ResolvedExperiment, split: int, fd: int) -> None:
     """Walk ``resolved`` again and write the rows for t >= split to ``fd``."""
     with open(fd, "w", newline="", closefd=False) as fh:
-        write = _distribution_csv_writer(fh)
+        write = _distribution_csv_writer(fh, resolved.host.positions)
         for state in iter_history(resolved):
             if state.time >= split:
                 write(analysis.position_marginal(state))
@@ -824,7 +793,7 @@ def run_simulate(spec: ExperimentSpec, out_dir: str | Path) -> dict:
                 _later_rows(resolved, split, csv_tmp.parent) as append_later_rows,
             ):
                 fh.write("t,x,p\r\n")
-                write = _distribution_csv_writer(fh)
+                write = _distribution_csv_writer(fh, resolved.host.positions)
 
                 def write_early_rows(d: analysis.PositionDistribution) -> None:
                     if d.time < split:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 import memwalk
 from memwalk import engine, experiments
 from memwalk.constants import UNITARY_ATOL
-from memwalk.cli import main
+from memwalk.cli import build_parser, main
 from memwalk.engine import WalkState
 
 
@@ -75,6 +76,9 @@ def test_bad_json_is_validation_error(tmp_path, capsys):
 
 def test_missing_config_is_validation_error(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
+    # an empty path names no file either, rather than no config
+    assert main(["simulate", "--config", "", "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_negative_t_max_is_validation_error(tmp_path, config):
@@ -136,11 +140,17 @@ def _carried_table(vertices):
         {"coin": {"kind": "matrix", "rows": [[1, 0]]}},
         # a NaN residual would pass the unitarity check
         {"coin": {"kind": "matrix", "rows": [[[NAN, 0], [0, 0]], [[0, 0], [1, 0]]]}},
+        # coin labels and path entries are JSON integers: true == 1 == 1.0
+        # and -1.0 == -1 would otherwise pick the same register state
+        {"initial_state": {"terms": [{"path": [-1, 0], "coin": True, "amplitude": [1, 0]}]}},
+        {"initial_state": {"terms": [{"path": [-1, 0], "coin": 1.0, "amplitude": [1, 0]}]}},
+        {"initial_state": {"terms": [{"path": [-1.0, 0.0], "coin": 1, "amplitude": [1, 0]}]}},
     ],
     ids=[
         "outputs-not-a-list", "table-vertex-too-large", "table-vertex-negative",
         "term-path-not-a-vertex", "amplitude-not-a-pair", "amplitude-nan",
-        "coin-cell-not-a-pair", "coin-cell-nan",
+        "coin-cell-not-a-pair", "coin-cell-nan", "term-coin-bool", "term-coin-float",
+        "term-path-floats",
     ],
 )
 def test_malformed_payloads_are_validation_errors(tmp_path, config, capsys, overrides):
@@ -158,6 +168,15 @@ def test_sweep_lists_must_be_lists(tmp_path, config, field):
     doc = {"template": {"t_max": 20, "outputs": ["variance"]}, field: 5}
     out = tmp_path / "o"
     assert main(["sweep", "--config", config(doc), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_sweep_config_rejects_unknown_fields(tmp_path, config, capsys):
+    # A misspelt "classes" would otherwise run all six default classes.
+    doc = {"template": {"t_max": 20, "outputs": ["variance"]}, "clases": ["directional+recycled"]}
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", config(doc), "--seeds", "0", "--out", str(out)]) == 2
+    assert "error: unknown sweep config fields: ['clases']" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -394,8 +413,8 @@ from memwalk import cli, experiments
 
 real = experiments._distribution_csv_writer
 
-def failing(fh):
-    write = real(fh)
+def failing(fh, positions):
+    write = real(fh, positions)
 
     def rows(d):
         if d.time >= 20:
@@ -570,3 +589,42 @@ def test_cli_import_leaves_the_process_pool_unloaded():
         check=True,
     )
     assert result.stdout.strip() == "False"
+
+
+#: The flags each subcommand reads, each with a value it accepts.
+FLAG_VALUES = {
+    "--config": "x.json", "--seeds": "1", "--t-max": "5", "--workers": "2",
+    "--cycle-size": "3", "--out": "out",
+}
+READS = {
+    "simulate": ("--config", "--seeds", "--t-max", "--out"),
+    "sweep": ("--config", "--seeds", "--t-max", "--workers", "--out"),
+    "equivalence": ("--t-max", "--out"),
+    "enumerate": ("--seeds", "--t-max", "--cycle-size", "--out"),
+}
+UNREAD = [(cmd, flag) for cmd, flags in READS.items() for flag in FLAG_VALUES if flag not in flags]
+
+
+def _help_flags(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    return set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+
+
+@pytest.mark.parametrize("command, flag", UNREAD, ids=[f"{c}{f}" for c, f in UNREAD])
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(tmp_path, capsys, command, flag):
+    out = tmp_path / "D"
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, FLAG_VALUES[flag], "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not out.exists()
+    assert flag not in _help_flags(capsys, command)
+
+
+@pytest.mark.parametrize("command", READS)
+def test_each_subcommand_takes_the_flags_it_reads(capsys, command):
+    assert _help_flags(capsys, command) == {*READS[command], "--help"}
+    argv = [command] + [part for flag in READS[command] for part in (flag, FLAG_VALUES[flag])]
+    assert build_parser().parse_args(argv).command == command

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import math
 import os
 import signal
@@ -55,6 +56,25 @@ def spec_doc(**overrides):
 def test_spec_round_trip():
     spec = ExperimentSpec.from_json_dict(spec_doc())
     assert ExperimentSpec.from_json_dict(spec.to_json_dict()) == spec
+
+
+def test_spec_json_special_cases():
+    # outputs are held as a tuple, so a spec that states its defaults equals them
+    assert ExperimentSpec.from_json_dict({"outputs": list(ALL_OUTPUTS)}) == ExperimentSpec()
+    # terms win over a preset, and a spec with neither gets the default preset
+    terms = [{"path": [-1, 0], "coin": 1, "amplitude": [1, 0]}]
+    both = ExperimentSpec.from_json_dict({"initial_state": {"preset": "equivalence", "terms": terms}})
+    assert both.initial_preset is None
+    assert both.to_json_dict()["initial_state"] == {"terms": terms}
+    for initial in ({"preset": None}, {"terms": None}):
+        spec = ExperimentSpec.from_json_dict({"initial_state": initial})
+        assert spec.to_json_dict()["initial_state"] == {"preset": "origin-balanced"}
+    # entries and rows are left out while None; a None window or seed is written
+    doc = ExperimentSpec().to_json_dict()
+    assert doc["coin_shift"] == {"kind": "carried"}
+    assert doc["coin"] == {"kind": "hadamard"}
+    assert doc["graph"] == {"family": "line", "window": None}
+    assert doc["seed"] is None
 
 
 def test_spec_rejects_unknown_fields():
@@ -253,11 +273,14 @@ def _csv_writer_reference(path, dists):
 
 
 def _write_csv(path, dists):
+    """One writer per run of consecutive steps that share their positions."""
     with path.open("w", newline="") as fh:
         fh.write("t,x,p\r\n")
-        write = _distribution_csv_writer(fh)
-        for d in dists:
-            write(d)
+        for _, run in itertools.groupby(dists, key=lambda d: id(d.positions)):
+            run = list(run)
+            write = _distribution_csv_writer(fh, run[0].positions)
+            for d in run:
+                write(d)
 
 
 def test_distribution_csv_matches_csv_writer(tmp_path):
@@ -450,8 +473,8 @@ def test_writer_drift_fails_the_run(tmp_path, monkeypatch, forks):
 def test_writer_killed_by_a_signal_fails_the_run(tmp_path, monkeypatch, forks):
     real = experiments._distribution_csv_writer
 
-    def dying(fh):
-        write = real(fh)
+    def dying(fh, positions):
+        write = real(fh, positions)
 
         def rows(d):
             if d.time >= 10:

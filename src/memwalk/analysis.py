@@ -10,6 +10,7 @@ cross-check the engine.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -369,6 +370,10 @@ def partition_center_key(p: Partition) -> tuple[int, ...]:
     return tuple(bits)
 
 
+#: One seed's census result: its signature and its center routing bits.
+_Sighting = tuple[bytes, tuple[int, ...]]
+
+
 @dataclass(frozen=True)
 class DistinctWalkReport:
     n_classes: int
@@ -378,7 +383,10 @@ class DistinctWalkReport:
 
 
 def count_distinct_dicycle_carried_walks(
-    host: RegularDigraph, seeds: list[int], t_max: int
+    host: RegularDigraph,
+    seeds: list[int],
+    t_max: int,
+    spread: Callable[[Callable[[int], _Sighting], list[int]], list[_Sighting]] | None = None,
 ) -> DistinctWalkReport:
     """Group seeded dicycle factorizations by their carried-coin walk output.
 
@@ -389,6 +397,11 @@ def count_distinct_dicycle_carried_walks(
     bit at the origin itself (the first coin mix feeds both of its arcs
     equal-modulus amplitudes), so without the superposition the census
     merges classes pairwise.
+
+    ``spread(walk, seeds)`` returns ``[walk(s) for s in seeds]``, which is
+    what runs when it is None; enumerate_report passes one that shares the
+    seeds out over several processes.  Classes are numbered by first
+    sighting in seed order either way, so the report does not depend on it.
     """
     probes = list(origin_basis_terms(host))
     ((lo, _, _),), ((hi, _, _),) = probes[0], probes[2]
@@ -400,12 +413,11 @@ def count_distinct_dicycle_carried_walks(
         _start_check(host, start, t_max, True)
     coin = hadamard_coin()
     _coin_check(coin, host)
-    signatures: dict[bytes, int] = {}
-    class_of: dict[int, int] = {}
-    key_of: dict[int, tuple] = {}
     # Every seed's walks fill the same (probe, time, vertex, coin) buffer.
     amps = np.empty((len(starts), t_max + 1, host.n_vertices, host.degree), np.complex128)
-    for seed in seeds:
+    seen: dict[bytes, bytes] = {}
+
+    def walk(seed: int) -> _Sighting:
         p = random_dicycle_factorization(host, seed)
         op = build_shift_operator(p, carried_coin_shift(p))
         # Signature layout: (probe, time, position).  Every probe walks
@@ -414,10 +426,17 @@ def count_distinct_dicycle_carried_walks(
             for t, s in enumerate(_steps(lambda _: op, coin, start, t_max)):
                 amps[i, t] = s.amps
         signature = np.round(_position_probs(host, amps), 10).tobytes()
-        if signature not in signatures:
-            signatures[signature] = len(signatures)
-        class_of[seed] = signatures[signature]
-        key_of[seed] = partition_center_key(p)
+        # One object per distinct signature in each process: the pickle that
+        # brings a forked process's sightings back holds each one once.
+        return seen.setdefault(signature, signature), partition_center_key(p)
+
+    sightings = spread(walk, seeds) if spread is not None else [walk(s) for s in seeds]
+    signatures: dict[bytes, int] = {}
+    class_of: dict[int, int] = {}
+    key_of: dict[int, tuple] = {}
+    for seed, (signature, key) in zip(seeds, sightings):
+        class_of[seed] = signatures.setdefault(signature, len(signatures))
+        key_of[seed] = key
 
     by_key: dict[tuple, set[int]] = {}
     by_class: dict[int, set[tuple]] = {}

@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .errors import ConstraintViolationError, NumericalCheckError, ValidationError
 from .experiments import (
+    RANDOM_PARTITION_KINDS,
     WALK_CLASSES,
     ExperimentSpec,
     run_enumerate,
@@ -70,6 +71,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         seeds = _parse_seeds(args.seeds)
         if len(seeds) != 1:
             raise ValidationError("simulate takes exactly one seed")
+        # The seed reaches a walk only as a random partition's fallback seed.
+        if spec.partition_seed is not None:
+            raise ValidationError("--seeds has no effect: the config sets partition.seed")
+        if spec.partition_kind not in RANDOM_PARTITION_KINDS:
+            raise ValidationError(
+                f"--seeds has no effect: partition kind {spec.partition_kind!r} draws no seed"
+            )
         spec.seed = seeds[0]
     summary = run_simulate(spec, args.out)
     print(f"simulate: wrote {args.out}/summary.json (t_max={spec.t_max})")

@@ -120,6 +120,7 @@ __all__ = [
 ]
 
 _T = TypeVar("_T")
+_J = TypeVar("_J")
 
 ALL_OUTPUTS = ("distribution", "variance", "occrate", "origin-series", "scaling-fit")
 
@@ -711,6 +712,46 @@ def _forked(work: Callable[[], _T]) -> Iterator[Callable[[], _T]]:
                 os.waitpid(pid, 0)
 
 
+def _in_order(one: Callable[[_J], _T], jobs: list[_J]) -> tuple[list[_T], Exception | None]:
+    """Run ``one`` on the jobs in order up to the first that fails: the
+    results of the jobs before it, and its exception (None when every job
+    ran)."""
+    done = []
+    for job in jobs:
+        try:
+            done.append(one(job))
+        except Exception as exc:  # re-raised by _spread, in job order
+            return done, exc
+    return done, None
+
+
+def _spread(one: Callable[[_J], _T], jobs: list[_J], n: int) -> list[_T]:
+    """``one(job)`` for every job, in job order, computed by n processes.
+
+    Process k of n runs jobs k, k + n, k + 2n, ... in order; process 0 is
+    this one and processes 1..n-1 are forked (_forked), so the results never
+    depend on n.  When jobs fail, the first failing job in job order raises,
+    as in one process.  Every forked process is reaped before this returns
+    or raises.  Callers choose n from _free_cpus().
+    """
+    with ExitStack() as forks:
+        others = [
+            forks.enter_context(_forked(partial(_in_order, one, jobs[k::n])))
+            for k in range(1, n)
+        ]
+        slices = [_in_order(one, jobs[::n])] + [result() for result in others]
+    # Process k's failure at its j-th job is job k + n*j's.
+    failures = [
+        (k + n * len(done), exc) for k, (done, exc) in enumerate(slices) if exc is not None
+    ]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    results: list = [None] * len(jobs)
+    for k, (done, _) in enumerate(slices):
+        results[k::n] = done
+    return results
+
+
 def _csv_split(t_max: int) -> int:
     """The first step whose distribution rows a forked process writes.
 
@@ -836,18 +877,6 @@ def _sweep_one(spec: ExperimentSpec) -> dict:
     return _fold_series(iter_history(resolve_spec(spec)), ALL_OUTPUTS)
 
 
-def _sweep_jobs(specs: list[ExperimentSpec]) -> tuple[list[dict], Exception | None]:
-    """Run the jobs in order up to the first that fails: the series of the
-    jobs before it, and its exception (None when every job ran)."""
-    done = []
-    for spec in specs:
-        try:
-            done.append(_sweep_one(spec))
-        except Exception as exc:  # re-raised by run_sweep, in job order
-            return done, exc
-    return done, None
-
-
 #: The fewest job-steps (distinct jobs x t_max) that run_sweep spreads over
 #: several processes.  run_sweep alone, timed in fresh processes on a 2-core
 #: VM with one and two processes alternating (10 pairs each), ran two
@@ -881,11 +910,10 @@ def run_sweep(
     The distinct jobs are spread over up to ``workers`` processes, by
     default as many as _free_cpus() allows and never more than it allows or
     than there are jobs.  A sweep of fewer than SWEEP_FORK_MIN_JOB_STEPS
-    job-steps runs in this process alone.  Process k of n runs jobs
-    k, k + n, k + 2n, ... in order, processes 1..n-1 forked (_forked), so
-    the bytes written never depend on the process count.  When jobs fail,
-    the first failing job in job order raises, as in one process, and
-    nothing is written.
+    job-steps runs in this process alone.  The jobs run through _spread,
+    the fork helper the census also uses, so the bytes written never depend
+    on the process count.  When jobs fail, the first failing job in job
+    order raises, as in one process, and nothing is written.
     """
     for name, items in (("classes", classes), ("seeds", seeds)):
         if not isinstance(items, (list, tuple)):
@@ -920,22 +948,7 @@ def run_sweep(
     n = 1
     if len(specs) * template.t_max >= SWEEP_FORK_MIN_JOB_STEPS:
         n = min(_free_cpus(), workers or len(specs), len(specs))
-    with ExitStack() as forks:
-        others = [
-            forks.enter_context(_forked(partial(_sweep_jobs, specs[k::n])))
-            for k in range(1, n)
-        ]
-        slices = [_sweep_jobs(specs[::n])] + [result() for result in others]
-    # Process k's failure at its j-th job is job k + n*j's.
-    failures = [
-        (k + n * len(done), exc) for k, (done, exc) in enumerate(slices) if exc is not None
-    ]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    results: list[dict] = [{}] * len(specs)
-    for k, (done, _) in enumerate(slices):
-        results[k::n] = done
-    series_of = dict(zip(jobs, results))
+    series_of = dict(zip(jobs, _spread(_sweep_one, specs, n)))
 
     t_max = template.t_max
     checkpoints = [t for t in (50, 100, 200) if t <= t_max]
@@ -1164,10 +1177,26 @@ def run_equivalence(out_dir: str | Path, t_max: int = 100) -> dict:
 # -- enumeration pipeline --------------------------------------------------------------
 
 
+#: The fewest seed-steps (seeds x t_max) whose census enumerate_report
+#: spreads over several processes.  enumerate_report alone, timed in fresh
+#: processes on a 2-core VM with one and two processes alternating (20
+#: pairs each), ran two processes faster in 2 of 20 pairs at 180
+#: seed-steps (6 seeds, t_max 30), 8 at 240 and 15 at 300 (76.4 against
+#: 67.9 ms); at t_max 10, 5 at 240 and 12 at 300; at t_max 60, 7 at 240
+#: and 12 at 300.
+CENSUS_FORK_MIN_SEED_STEPS = 300
+
+
 def enumerate_report(
     cycle_size: int = 3, seeds: list[int] | None = None, t_max: int = 30
 ) -> dict:
-    """Valid coin-shift counting plus the distinct-dicycle-walk census."""
+    """Valid coin-shift counting plus the distinct-dicycle-walk census.
+
+    The census's seeds are spread, through _spread, over as many processes
+    as _free_cpus() allows and never more than there are seeds; a census of
+    fewer than CENSUS_FORK_MIN_SEED_STEPS seed-steps runs in this process
+    alone.  The report is the same for every process count.
+    """
     seeds = list(seeds) if seeds is not None else []
     _check_int("t_max", t_max, 0)
     for seed in seeds:
@@ -1187,7 +1216,12 @@ def enumerate_report(
         walk_host = iterate_line_digraph(
             make_bidirected_cycle(minimal_window(t_max, 1)), 1
         )
-        census = analysis.count_distinct_dicycle_carried_walks(walk_host, seeds, t_max)
+        n = 1
+        if len(seeds) * t_max >= CENSUS_FORK_MIN_SEED_STEPS:
+            n = min(_free_cpus(), len(seeds))
+        census = analysis.count_distinct_dicycle_carried_walks(
+            walk_host, seeds, t_max, partial(_spread, n=n)
+        )
         report["distinct_walks"] = {
             "seeds": seeds,
             "t_max": t_max,

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import os
+from functools import partial
+
 import numpy as np
 import pytest
 
 from memwalk import (
+    NumericalCheckError,
     ValidationError,
     carried_coin_shift,
     directional_partition,
@@ -19,7 +23,7 @@ from memwalk import (
     reflect_transmit_partition,
     state_from_terms,
 )
-from memwalk import analysis, engine
+from memwalk import analysis, engine, experiments
 from memwalk.analysis import (
     PositionDistribution,
     alpha_distribution,
@@ -42,6 +46,7 @@ from memwalk.analysis import (
     variance,
 )
 from memwalk.analysis import BetaField
+from memwalk.cli import main
 
 
 def dist(positions, probs, time=0):
@@ -266,9 +271,13 @@ def test_census_checks_its_coin_once_and_every_probe_start(host_d1, monkeypatch)
 
     monkeypatch.setattr(engine, "check_unitary", counting_check)
     monkeypatch.setattr(analysis, "_start_check", counting_start)
-    count_distinct_dicycle_carried_walks(host_d1, list(range(6)), 10)
-    assert checked == [(2, 2)]
-    assert started == [10] * 5
+    # With two processes, this one still checks each once.
+    for spread in (None, partial(experiments._spread, n=2)):
+        checked.clear()
+        started.clear()
+        count_distinct_dicycle_carried_walks(host_d1, list(range(6)), 10, spread)
+        assert checked == [(2, 2)]
+        assert started == [10] * 5
 
 
 def test_dicycle_census_small(host_d1):
@@ -277,6 +286,62 @@ def test_dicycle_census_small(host_d1):
     assert report.keys_consistent
     assert set(report.class_of) == set(range(12))
     assert all(len(k) == 3 for k in report.key_of.values())
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("seeds", [list(range(8)), [0, 1, 0]])
+def test_two_process_census_matches_one_process(tmp_path, monkeypatch, forks, two_cpus, seeds):
+    host = iterate_line_digraph(make_bidirected_cycle(minimal_window(20, 1)), 1)
+    one = count_distinct_dicycle_carried_walks(host, seeds, 20)
+    two = count_distinct_dicycle_carried_walks(host, seeds, 20, partial(experiments._spread, n=2))
+    assert len(forks) == 1
+    _no_child_left()
+    assert two == one
+
+    written = []
+    for gate in (float("inf"), 0):
+        monkeypatch.setattr(experiments, "CENSUS_FORK_MIN_SEED_STEPS", gate)
+        experiments.run_enumerate(tmp_path / str(gate), 3, seeds, 20)
+        written.append((tmp_path / str(gate) / "enumerate.json").read_bytes())
+    assert len(forks) == 2
+    _no_child_left()
+    assert written[1] == written[0]
+
+
+@pytest.mark.parametrize("n_seeds, t_max", [(3, 30), (6, 10)])
+def test_a_small_census_forks_nothing(tmp_path, forks, two_cpus, n_seeds, t_max):
+    assert n_seeds * t_max < experiments.CENSUS_FORK_MIN_SEED_STEPS
+    experiments.run_enumerate(tmp_path, 3, list(range(n_seeds)), t_max)
+    assert forks == []
+
+
+@pytest.mark.parametrize("failing, first", [({1}, 1), ({1, 2}, 1), ({2, 3}, 2)])
+def test_a_failing_census_seed_fails_as_in_one_process(
+    tmp_path, monkeypatch, capsys, forks, two_cpus, failing, first
+):
+    # Seeds 0..3 over two processes: the forked one walks seeds 1 and 3.
+    real_key = analysis.partition_center_key
+
+    def key(p):
+        if p.seed in failing:
+            raise NumericalCheckError(f"seed {p.seed} failed")
+        return real_key(p)
+
+    monkeypatch.setattr(analysis, "partition_center_key", key)
+    runs = []
+    for gate in (float("inf"), 0):
+        monkeypatch.setattr(experiments, "CENSUS_FORK_MIN_SEED_STEPS", gate)
+        out = tmp_path / "out"
+        code = main(["enumerate", "--seeds", "0,1,2,3", "--t-max", "10", "--out", str(out)])
+        runs.append((code, capsys.readouterr().err))
+        assert not out.exists()
+    assert runs[0] == runs[1] == (4, f"error: numerical check failed: seed {first} failed\n")
+    assert len(forks) == 1
+    _no_child_left()
 
 
 def _reference_position_probs(host, amps):

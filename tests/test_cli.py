@@ -212,6 +212,27 @@ def test_seeds_flag_requires_single_seed(tmp_path, config):
     assert main(["simulate", "--config", path, "--seeds", "x", "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize(
+    "partition",
+    [None, {"kind": "random_dicycle", "seed": 11}, {"kind": "directional"}],
+    ids=["default-reflect_transmit", "partition-seed-set", "directional"],
+)
+def test_a_seed_no_walk_reads_is_a_validation_error(tmp_path, config, capsys, partition):
+    out = tmp_path / "o"
+    given = [] if partition is None else ["--config", config(simulate_doc(partition=partition))]
+    assert main(["simulate", *given, "--t-max", "40", "--seeds", "5", "--out", str(out)]) == 2
+    assert "error: --seeds has no effect" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_seed_a_random_partition_draws_from_changes_the_walk(tmp_path, config):
+    path = config(simulate_doc(partition={"kind": "random_dicycle"}))
+    for seed in ("5", "6"):
+        assert main(["simulate", "--config", path, "--seeds", seed, "--out", str(tmp_path / seed)]) == 0
+    csv = [(tmp_path / seed / "distributions.csv").read_bytes() for seed in ("5", "6")]
+    assert csv[0] != csv[1]
+
+
 def test_constraint_violation_exit_code(tmp_path, config, capsys):
     doc = simulate_doc(
         partition={"kind": "directional"}, coin_shift={"kind": "carried"}

@@ -36,7 +36,7 @@ from .engine import (
     state_from_terms,
 )
 from .errors import ValidationError
-from .graphs import RegularDigraph, step_direction
+from .graphs import RegularDigraph
 from .partitions import Partition, random_dicycle_factorization
 
 __all__ = [
@@ -262,15 +262,21 @@ def check_beta_constraint(b: BetaField) -> float:
 
 
 def beta_from_walk_state(state: WalkState) -> BetaField:
-    """Repack engine amplitudes on a depth-1 host into the field layout."""
+    """Repack engine amplitudes on a depth-1 host into the field layout.
+
+    Vertex (prev, cur) lands in row cur mod n (the raw window index of its
+    current position), at r = 0 when it stepped up to cur and r = 1 when it
+    stepped down.  Distinct vertices fill distinct cells, so one scatter
+    copies every amplitude unchanged.
+    """
     host = state.host
     if host.depth != 1 or host.degree != 2:
         raise ValidationError("need a depth-1 host of a cycle")
     n = host.base_n
+    rows = host.positions[host.position_index] % n
+    r = (host.oldest_steps != 1).astype(np.intp)
     amps = np.zeros((n, 2, 2), dtype=np.complex128)
-    for v, (prev, cur) in enumerate(host.labels):
-        r = 0 if step_direction(prev, cur, n) == 1 else 1
-        amps[cur % n, r, :] = state.amps[v, :]
+    amps[rows, r] = state.amps
     return BetaField(amps, state.time)
 
 

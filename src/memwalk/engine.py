@@ -96,7 +96,9 @@ class WalkState:
     time: int = 0
 
     def __post_init__(self):
-        expected = (self.host.n_vertices, self.host.degree)
+        # out_neighbors has shape (n_vertices, degree); reading it directly
+        # skips two property calls on every step's two states.
+        expected = self.host.out_neighbors.shape
         if self.amps.shape != expected:
             raise ValidationError(
                 f"amplitude array shape {self.amps.shape}, expected {expected}"

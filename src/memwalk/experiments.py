@@ -346,7 +346,11 @@ def _check_pair(name: str, value) -> complex:
     return complex(value[0], value[1])
 
 
-def resolve_spec(spec: ExperimentSpec) -> ResolvedExperiment:
+def _check_spec(spec: ExperimentSpec) -> tuple[int, bool]:
+    """Every check resolve_spec makes before it builds the host.
+
+    Returns the spec's window and whether the walk enforces it.
+    """
     _check_int("t_max", spec.t_max, 0)
     _check_int("memory_depth", spec.memory_depth, 1)
     if spec.window is not None:
@@ -389,9 +393,27 @@ def resolve_spec(spec: ExperimentSpec) -> ResolvedExperiment:
         enforce = False
     else:
         raise ValidationError(f"unknown graph family {spec.graph_family!r}")
-    spec.window = window
+    return window, enforce
 
-    host = iterate_line_digraph(make_bidirected_cycle(window), spec.memory_depth)
+
+def resolve_spec(
+    spec: ExperimentSpec, host: RegularDigraph | None = None
+) -> ResolvedExperiment:
+    """Check a spec and build the objects its walk needs.
+
+    ``host``, when given, is used in place of building the spec's host
+    (run_sweep builds one for all of its jobs); it must have the spec's
+    window and memory depth.
+    """
+    window, enforce = _check_spec(spec)
+    spec.window = window
+    if host is None:
+        host = iterate_line_digraph(make_bidirected_cycle(window), spec.memory_depth)
+    elif (host.base_n, host.depth) != (window, spec.memory_depth):
+        raise ValidationError(
+            f"host has window {host.base_n} and depth {host.depth}, the spec"
+            f" needs {window} and {spec.memory_depth}"
+        )
     # A per-step spec resolves (and is validated against) its first step's sample.
     partition = named_partition(host, spec.partition_kind, _partition_seeds(spec)[0])
     gc = _resolve_coin_shift(spec, partition)
@@ -873,8 +895,8 @@ def _class_spec(template: ExperimentSpec, walk_class: str, seed: int) -> Experim
     )
 
 
-def _sweep_one(spec: ExperimentSpec) -> dict:
-    return _fold_series(iter_history(resolve_spec(spec)), ALL_OUTPUTS)
+def _sweep_one(spec: ExperimentSpec, host: RegularDigraph) -> dict:
+    return _fold_series(iter_history(resolve_spec(spec, host)), ALL_OUTPUTS)
 
 
 #: The fewest job-steps (distinct jobs x t_max) that run_sweep spreads over
@@ -938,9 +960,19 @@ def run_sweep(
             spec = _class_spec(template, c, s)
             key_of[c, s] = (c, spec.partition_seed)
             jobs.setdefault(key_of[c, s], spec)
+    # The summary keys its entries by class, so a repeated class would get
+    # one entry there and one comparison row per repeat.
+    repeated = sorted({c for c in classes if classes.count(c) > 1})
+    if repeated:
+        raise ValidationError(f"sweep classes repeat: {repeated}")
     specs = list(jobs.values())
-    # The split below needs an integer t_max; each job checks it first, too.
-    _check_int("t_max", template.t_max, 0)
+
+    # One host serves every job: a class spec differs from the template only
+    # in its partition, coin shift and outputs.  Job 0's checks come first,
+    # as in its own resolve_spec, so a spec the host cannot be built for
+    # fails as job 0 would.  Forked processes inherit the host.
+    window, _ = _check_spec(specs[0])
+    host = iterate_line_digraph(make_bidirected_cycle(window), template.memory_depth)
 
     # Processes, not threads: a job's steps are Python code and small numpy
     # calls that hold the GIL.  Interleaved slices share out the costlier
@@ -948,7 +980,7 @@ def run_sweep(
     n = 1
     if len(specs) * template.t_max >= SWEEP_FORK_MIN_JOB_STEPS:
         n = min(_free_cpus(), workers or len(specs), len(specs))
-    series_of = dict(zip(jobs, _spread(_sweep_one, specs, n)))
+    series_of = dict(zip(jobs, _spread(partial(_sweep_one, host=host), specs, n)))
 
     t_max = template.t_max
     checkpoints = [t for t in (50, 100, 200) if t <= t_max]
@@ -1022,7 +1054,9 @@ def equivalence_report(
     Field pipeline: evolve the reflect/transmit amplitude field, check its
     linear constraints, map it onto the memoryless walk and compare against
     a direct simulation, entrywise and in distribution.  The engine runs the
-    same walk; its amplitudes must match the field exactly.  Then the two
+    same walk; its amplitudes must match the field exactly.  The engine walk
+    is streamed beside the field recurrence, one state and one field at a
+    time, so memory grows linearly with t_max.  Then the two
     position-and-memory oracles are compared against engine marginals.
     """
     window = minimal_window(t_max, 1)
@@ -1037,33 +1071,25 @@ def equivalence_report(
     constraint_max = analysis.check_beta_constraint(beta)
     applicable = constraint_max <= UNITARY_ATOL
 
-    # Engine runs the same walk from the same four-amplitude start.
-    engine_states = evolve(
-        partition,
-        gc,
-        hadamard_coin(),
-        state_from_terms(host, equivalence_initial_terms(host)),
-        t_max,
-    )
+    # Engine runs the same walk from the same four-amplitude start, with
+    # evolve's checks, one state at a time.
+    start = state_from_terms(host, equivalence_initial_terms(host))
+    _start_check(host, start, t_max, True)
+    op = build_shift_operator(partition, gc)
+    engine_states = walk_states(lambda t: op, hadamard_coin(), start, t_max)
 
     alpha = analysis.qwom_initial_alpha(window)
     alpha_diff_max = 0.0
     tv_max = 0.0
     engine_field_diff_max = 0.0
-    fields = [beta]
-    for t in range(t_max + 1):
+    for t, state in enumerate(engine_states):
         if t > 0:
             beta = analysis.beta_recurrence_step(beta)
             alpha = analysis.qwom_step(alpha)
-            fields.append(beta)
         constraint_max = max(constraint_max, analysis.check_beta_constraint(beta))
         engine_field_diff_max = max(
             engine_field_diff_max,
-            float(
-                np.abs(
-                    analysis.beta_from_walk_state(engine_states[t]).amps - beta.amps
-                ).max()
-            ),
+            float(np.abs(analysis.beta_from_walk_state(state).amps - beta.amps).max()),
         )
         if applicable:
             rebuilt = analysis.alpha_from_beta(beta)

@@ -153,6 +153,35 @@ def test_beta_recurrence_matches_engine(host_d1):
         field = beta_recurrence_step(field)
 
 
+def _beta_by_vertex(state):
+    """The field layout, filled one vertex at a time: the reference."""
+    host = state.host
+    n = host.base_n
+    amps = np.zeros((n, 2, 2), dtype=np.complex128)
+    for v, (prev, cur) in enumerate(host.labels):
+        r = 0 if (cur - prev) % n == 1 else 1
+        amps[cur % n, r, :] = state.amps[v, :]
+    return amps
+
+
+@pytest.mark.parametrize("window", [3, 5, 9, 65])
+def test_beta_from_walk_state_matches_a_per_vertex_loop(rng, window):
+    host = iterate_line_digraph(make_bidirected_cycle(window), 1)
+    shape = (host.n_vertices, host.degree)
+    for time in (0, 7):
+        amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        state = engine.WalkState(host, amps, time)
+        packed = beta_from_walk_state(state)
+        assert packed.time == time
+        assert packed.amps.tobytes() == _beta_by_vertex(state).tobytes()
+
+
+def test_beta_from_walk_state_needs_a_depth_1_host(host_d2):
+    state = state_from_terms(host_d2, origin_basis_terms(host_d2)[0])
+    with pytest.raises(ValidationError, match="depth-1 host"):
+        beta_from_walk_state(state)
+
+
 def test_alpha_reconstruction_tracks_memoryless_walk():
     field = equivalence_initial_beta(65)
     alpha = qwom_initial_alpha(65)

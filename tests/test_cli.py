@@ -180,6 +180,18 @@ def test_sweep_config_rejects_unknown_fields(tmp_path, config, capsys):
     assert not out.exists()
 
 
+def test_sweep_rejects_a_repeated_class(tmp_path, config, capsys):
+    # The summary has one entry per class, the comparison one row per listing.
+    doc = {
+        "template": {"t_max": 10, "outputs": ["variance"]},
+        "classes": ["directional+recycled", "random+recycled", "directional+recycled"],
+    }
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", config(doc), "--seeds", "0", "--out", str(out)]) == 2
+    assert "error: sweep classes repeat: ['directional+recycled']" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_rejects_negative_seed(tmp_path, config):
     doc = {
         "template": {"t_max": 20, "outputs": ["variance"]},
@@ -356,6 +368,18 @@ def test_norm_drift_mid_run_writes_nothing(tmp_path, config, monkeypatch, capsys
     assert "norm drift" in capsys.readouterr().err
     assert tmp_seen == [True]  # the rows were being streamed when the run failed
     assert not (tmp_path / "new").exists()
+
+
+def test_norm_drift_in_the_streamed_equivalence_walk_writes_nothing(
+    tmp_path, monkeypatch, capsys
+):
+    steps = []
+    drift_from(monkeypatch, 5, lambda: steps.append(1))
+    out = tmp_path / "eq"
+    assert main(["equivalence", "--t-max", "20", "--out", str(out)]) == 4
+    assert "norm drift 2.000e-09 at t=5" in capsys.readouterr().err
+    assert steps == [1]  # the walk stopped at the first leaking step
+    assert not out.exists()
 
 
 def test_failed_rerun_keeps_the_earlier_outputs(tmp_path, config, monkeypatch):

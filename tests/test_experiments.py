@@ -99,6 +99,15 @@ def test_cycle_family_requires_window():
     assert resolved.host.base_n == 9
 
 
+def test_resolve_spec_uses_a_given_host_of_the_spec_shape():
+    host = resolve_spec(ExperimentSpec.from_json_dict(spec_doc())).host
+    assert resolve_spec(ExperimentSpec.from_json_dict(spec_doc()), host).host is host
+    with pytest.raises(ValidationError, match="host has window"):
+        resolve_spec(ExperimentSpec.from_json_dict(spec_doc(t_max=20)), host)
+    with pytest.raises(ValidationError, match="host has window"):
+        resolve_spec(ExperimentSpec.from_json_dict(spec_doc(memory_depth=2)), host)
+
+
 def test_scaling_fit_needs_room():
     doc = spec_doc(outputs=["scaling-fit"], t_max=30)
     with pytest.raises(ValidationError) as err:
@@ -601,17 +610,20 @@ def test_sweep_runs_a_class_without_random_partitions_once(tmp_path, monkeypatch
     )
     real_sweep_one = experiments._sweep_one
     ran = []
+    hosts = set()
 
-    def counting_sweep_one(spec):
+    def counting_sweep_one(spec, host):
         ran.append((spec.partition_kind, spec.partition_seed))
-        return real_sweep_one(spec)
+        hosts.add(host)
+        return real_sweep_one(spec, host)
 
     monkeypatch.setattr(experiments, "_sweep_one", counting_sweep_one)
     report = run_sweep(template, ["directional+recycled", "random+recycled"], [4, 5, 6], tmp_path)
     assert ran == [("directional", None)] + [("random", s) for s in (4, 5, 6)]
+    (host,) = hosts
     # The series stands for every seed: the means are those of a run per seed.
     per_seed = [
-        real_sweep_one(experiments._class_spec(template, "directional+recycled", s))
+        real_sweep_one(experiments._class_spec(template, "directional+recycled", s), host)
         for s in (4, 5, 6)
     ]
     got = report["classes"]["directional+recycled"]
@@ -685,9 +697,9 @@ def test_two_cpus_split_the_sweep_with_one_child(tmp_path, monkeypatch, forks, t
     ran = []
     real_sweep_one = experiments._sweep_one
 
-    def counting_sweep_one(spec):
+    def counting_sweep_one(spec, host):
         ran.append(spec.partition_kind)
-        return real_sweep_one(spec)
+        return real_sweep_one(spec, host)
 
     monkeypatch.setattr(experiments, "_sweep_one", counting_sweep_one)
     _sweep(tmp_path / "one", workers=1)
@@ -705,10 +717,10 @@ def _failing_jobs(monkeypatch, seeds):
     """Jobs whose partition seed is in ``seeds`` fail, each with its own message."""
     real_sweep_one = experiments._sweep_one
 
-    def sweep_one(spec):
+    def sweep_one(spec, host):
         if spec.partition_seed in seeds:
             raise ValidationError(f"job with seed {spec.partition_seed} failed")
-        return real_sweep_one(spec)
+        return real_sweep_one(spec, host)
 
     monkeypatch.setattr(experiments, "_sweep_one", sweep_one)
 
@@ -734,10 +746,10 @@ def test_a_sweep_child_killed_by_a_signal_fails_the_run(tmp_path, monkeypatch, f
     parent = os.getpid()
     real_sweep_one = experiments._sweep_one
 
-    def sweep_one(spec):
+    def sweep_one(spec, host):
         if os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
-        return real_sweep_one(spec)
+        return real_sweep_one(spec, host)
 
     monkeypatch.setattr(experiments, "_sweep_one", sweep_one)
     with pytest.raises(RuntimeError, match="exit code -9"):
@@ -753,12 +765,12 @@ def test_a_failing_parent_slice_kills_the_sweep_child(tmp_path, monkeypatch, for
     parent = os.getpid()
     real_sweep_one = experiments._sweep_one
 
-    def sweep_one(spec):
+    def sweep_one(spec, host):
         if os.getpid() != parent:
             signal.pause()  # the child would never finish
         if spec.partition_kind == "reflect_transmit":
             raise KeyboardInterrupt
-        return real_sweep_one(spec)
+        return real_sweep_one(spec, host)
 
     monkeypatch.setattr(experiments, "_sweep_one", sweep_one)
     with pytest.raises(KeyboardInterrupt):
@@ -767,6 +779,24 @@ def test_a_failing_parent_slice_kills_the_sweep_child(tmp_path, monkeypatch, for
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert not (tmp_path / "out").exists()
+
+
+def test_sweep_builds_one_host(tmp_path, monkeypatch, forks, two_cpus):
+    monkeypatch.setattr(experiments, "SWEEP_FORK_MIN_JOB_STEPS", 0)
+    real_build = experiments.iterate_line_digraph
+    builds = []
+
+    def counting_build(*args, **kwargs):
+        builds.append(args)
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "iterate_line_digraph", counting_build)
+    classes = ["directional+recycled", "random+recycled", "random_dicycle+carried"]
+    _sweep(tmp_path / "one", workers=1, classes=classes, seeds=(0, 1))
+    assert len(builds) == 1 and forks == []
+    _sweep(tmp_path / "two", workers=2, classes=classes, seeds=(0, 1))
+    assert len(builds) == 2 and len(forks) == 1
+    assert _sweep_bytes(tmp_path / "two") == _sweep_bytes(tmp_path / "one")
 
 
 def test_sweep_rejects_unknown_class(tmp_path):
@@ -786,6 +816,27 @@ def test_equivalence_report_passes_quickly():
     assert report["alpha_reconstruction_diff_max"] < 1e-10
     assert report["distribution_tv_max"] < 1e-10
     assert all(v < 1e-12 for v in report["oracle_distribution_diff_max"].values())
+
+
+def _equivalence_peak_bytes(t_max):
+    tracemalloc.start()
+    try:
+        equivalence_report(t_max=t_max)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_equivalence_report_memory_grows_linearly_with_t_max():
+    # Doubling t_max doubles the window.  Holding every engine state and
+    # field peaks about 2.2x higher at t_max 120 than at 60; streamed, the
+    # oracle walks' fixed 50 steps dominate and the peak rises about 5%.
+    # The warm-up call fills the first-call caches.
+    equivalence_report(t_max=10, oracle_t_max=10)
+    small = _equivalence_peak_bytes(60)
+    large = _equivalence_peak_bytes(120)
+    assert large < 1.5 * small
 
 
 def test_equivalence_report_flags_bad_start():

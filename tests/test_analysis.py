@@ -134,6 +134,13 @@ def test_equivalence_beta_start():
         equivalence_initial_beta(8)
 
 
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_field_roll_matches_np_roll(rng, shift):
+    for n in (3, 5, 203):
+        a = rng.normal(size=n) + 1j * rng.normal(size=n)
+        assert analysis._rolled(a, shift).tobytes() == np.roll(a, shift).tobytes()
+
+
 def test_beta_constraint_detects_perturbation():
     b = equivalence_initial_beta(9)
     amps = b.amps.copy()

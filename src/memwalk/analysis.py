@@ -423,7 +423,7 @@ def count_distinct_dicycle_carried_walks(
     )
     starts = [state_from_terms(host, terms) for terms in probes]
     for start in starts:
-        _start_check(host, start, t_max, True)
+        _start_check(start, t_max, True)
     coin = hadamard_coin()
     _coin_check(coin, host)
     # Every seed's walks fill the same (probe, time, vertex, coin) buffer.

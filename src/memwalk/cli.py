@@ -96,7 +96,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     seeds = doc.get("seeds", list(range(20)))
     if args.seeds is not None:
         seeds = _parse_seeds(args.seeds)
-    report = run_sweep(template, classes, seeds, args.out, workers=args.workers)
+    report = run_sweep(template, classes, seeds, args.out)
     for walk_class in classes:
         entry = report["classes"][walk_class]
         ratio = entry["variance_ratio"]
@@ -151,10 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--config": {"help": "JSON config path"},
         "--seeds": {"help": "comma-separated seed list"},
         "--t-max": {"type": int, "help": "number of steps"},
-        "--workers": {
-            "type": int,
-            "help": "most processes a sweep runs in (default: the free CPUs)",
-        },
         "--cycle-size": {
             "type": int,
             "default": 3,
@@ -166,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("simulate", _cmd_simulate, "evolve one walk and write its statistics",
          "--config --seeds --t-max --out"),
         ("sweep", _cmd_sweep, "compare walk classes across seeds",
-         "--config --seeds --t-max --workers --out"),
+         "--config --seeds --t-max --out"),
         ("equivalence", _cmd_equivalence, "run the oracle cross-check pipeline",
          "--t-max --out"),
         ("enumerate", _cmd_enumerate, "count valid coin shifts and walk classes",

@@ -210,7 +210,8 @@ def shift_step(state: WalkState, op: ShiftOp) -> WalkState:
     return WalkState(state.host, moved, state.time + 1)
 
 
-def _window_check(host: RegularDigraph, initial: WalkState, t_max: int) -> None:
+def _window_check(initial: WalkState, t_max: int) -> None:
+    host = initial.host
     if not host.centered:
         raise ValidationError("window enforcement needs a centered host")
     half = (host.base_n - 1) // 2
@@ -227,18 +228,14 @@ def _window_check(host: RegularDigraph, initial: WalkState, t_max: int) -> None:
         )
 
 
-def _start_check(
-    host: RegularDigraph, initial: WalkState, t_max: int, enforce_window: bool
-) -> None:
-    """Checks made before a run's shift is built: t_max, host, the start
-    state's normalization and the window."""
+def _start_check(initial: WalkState, t_max: int, enforce_window: bool) -> None:
+    """The checks of a run's start: t_max, the start state's normalization
+    and, when ``enforce_window``, the no-wrap window."""
     if t_max < 0:
         raise ValidationError(f"t_max must be >= 0, got {t_max}")
-    if initial.host is not host:
-        raise ValidationError("initial state lives on a different host")
     _check_normalized(initial)
     if enforce_window:
-        _window_check(host, initial, t_max)
+        _window_check(initial, t_max)
 
 
 def walk_states(
@@ -246,16 +243,18 @@ def walk_states(
     coin: np.ndarray,
     initial: WalkState,
     t_max: int,
+    enforce_window: bool = True,
 ) -> Iterator[WalkState]:
     """Yield the states for t = 0..t_max of coin-then-shift evolution.
 
     ``shift(t)`` is the ShiftOp moving the walk from t-1 to t (t = 1..t_max).
-    The coin is checked once, when this is called, so a bad coin fails
-    before the caller writes anything; the norm drift is checked after
-    every step.  Callers check t_max, the host, normalization and the window
-    first (``evolve`` and ``experiments.iter_history`` do).  Only the current
-    state is held, so memory does not grow with t_max.
+    t_max, the start state's normalization, the no-wrap window (line-surrogate
+    semantics; pass ``enforce_window=False`` on a cycle) and the coin are
+    checked once, when this is called, so a bad start fails before the
+    caller writes anything; the norm drift is checked after every step.
+    Only the current state is held, so memory does not grow with t_max.
     """
+    _start_check(initial, t_max, enforce_window)
     _coin_check(coin, initial.host)
     return _steps(shift, coin, initial, t_max)
 
@@ -297,14 +296,16 @@ def evolve(
 ) -> list[WalkState]:
     """Run t_max steps of coin-then-shift; returns states for t = 0..t_max.
 
-    Checks the start state's normalization and the no-wrap window up front
-    (line-surrogate semantics) and norm preservation after every step.  The
-    whole history is kept; stream ``walk_states`` instead when only a
-    per-step summary is needed.
+    Checks that the start state lives on the partition's host and makes
+    ``walk_states``'s checks before it builds the shift.  The whole history
+    is kept; stream ``walk_states`` instead when only a per-step summary is
+    needed.
     """
-    _start_check(partition.host, initial, t_max, enforce_window)
+    if initial.host is not partition.host:
+        raise ValidationError("initial state lives on a different host")
+    states = walk_states(lambda t: op, coin, initial, t_max, enforce_window)
     op = build_shift_operator(partition, gc)
-    return list(walk_states(lambda t: op, coin, initial, t_max))
+    return list(states)
 
 
 # -- independent oracle walkers ------------------------------------------------

@@ -55,6 +55,7 @@ from collections.abc import Callable, Iterator
 from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
+from itertools import islice
 from pathlib import Path
 from typing import IO, TypeVar
 
@@ -79,7 +80,6 @@ from .constants import (
 from .engine import (
     ShiftOp,
     WalkState,
-    _start_check,
     balanced_origin_terms,
     build_shift_operator,
     equivalence_initial_terms,
@@ -431,9 +431,10 @@ def iter_history(resolved: ResolvedExperiment) -> Iterator[WalkState]:
     partition.  Step 1 takes the resolved partition, which resolve_spec
     drew from step 1's seed.  build_shift_operator checks each step's shift
     for bijectivity, which is also the carried kind's dicycle requirement.
+    walk_states checks the start state, the window and the coin first, so a
+    window too short for t_max is reported before a bad coin-shift table.
     """
     spec = resolved.spec
-    _start_check(resolved.host, resolved.initial, spec.t_max, resolved.enforce_window)
     if spec.partition_resample == "per_step":
         seeds = _partition_seeds(spec)
 
@@ -445,12 +446,15 @@ def iter_history(resolved: ResolvedExperiment) -> Iterator[WalkState]:
             return build_shift_operator(p, resolved.gc)
 
     else:
-        op = build_shift_operator(resolved.partition, resolved.gc)
-
         def shift(t: int) -> ShiftOp:
-            return op
+            return op  # built once, below
 
-    return walk_states(shift, resolved.coin, resolved.initial, spec.t_max)
+    states = walk_states(
+        shift, resolved.coin, resolved.initial, spec.t_max, resolved.enforce_window
+    )
+    if spec.partition_resample != "per_step":
+        op = build_shift_operator(resolved.partition, resolved.gc)
+    return states
 
 
 def run_history(resolved: ResolvedExperiment) -> list[WalkState]:
@@ -471,9 +475,8 @@ def _distribution_csv_writer(
     """Return a function that writes one step's rows to ``fh``, one row per
     position, "\\r\\n"-terminated, under the "t,x,p" header the caller
     writes.  Every step of a run shares the host's ``positions``, so the
-    row heads are built once.  run_simulate formats the early steps' rows
-    with one of these and its forked writer process the later steps' rows
-    with another.
+    row heads are built once.  Each of run_simulate's blocks formats its
+    own steps' rows with one of these.
 
     These are the bytes csv.writer produces for the same rows: no field
     (an int or a float repr) holds a delimiter, quote or line break, so
@@ -630,16 +633,6 @@ def _staged(out_dir: str | Path) -> Iterator[Callable[[str], Path]]:
         raise
 
 
-#: The shortest walk whose CSV rows run_simulate splits between two
-#: processes.  Forking and walking twice cost a few ms, which the shared
-#: formatting repays from about t_max 200 on: run_simulate of the default
-#: walk, timed in fresh processes on a 2-core VM with one and two processes
-#: alternating, took 21.5 against 23.6 ms at t_max 100 (two faster in 4 of
-#: 16 pairs), 33.8 against 35.7 ms at 150 (8 of 16) and 51.6 against
-#: 45.0 ms at 200 (15 of 20).
-TWO_PROCESS_MIN_T_MAX = 200
-
-
 def _cgroup_cpu_quota(root: Path = Path("/sys/fs/cgroup")) -> float:
     """The CPU quota, in CPUs, of the cgroup mounted at ``root``, or inf when
     none is set or none can be read.
@@ -676,6 +669,28 @@ def _free_cpus() -> int:
     return max(1, math.floor(min(len(os.sched_getaffinity(0)), _cgroup_cpu_quota())))
 
 
+#: The fewest job-steps (jobs x t_max) that run_simulate and run_sweep
+#: spread over several processes (_processes).  Forking costs a few ms,
+#: which the shared work repays from about 400 job-steps on.  Timed in fresh
+#: processes on a 2-core VM with one and two processes alternating:
+#: run_sweep of two frozen classes ran two processes faster in 4 of 10
+#: pairs at 200 job-steps, 5 at 300 and 9 at 400 (49.5 against 40.2 ms), and
+#: of six classes at one seed in 4 of 10 at 120 job-steps, 6 at 240 and 8 at
+#: 360; run_simulate of the default walk, whose two CSV blocks are two jobs
+#: of t_max steps, in 1 of 20 pairs at t_max 100, 6 of 20 at 150 and 13 of
+#: 20 at 200 (60.9 against 59.1 ms).
+FORK_MIN_JOB_STEPS = 400
+
+
+def _processes(n_jobs: int, t_max: int, min_job_steps: int) -> int:
+    """How many processes to spread ``n_jobs`` jobs of ``t_max`` steps over:
+    1 below ``min_job_steps`` job-steps, else as many as _free_cpus() allows
+    and never more than there are jobs."""
+    if n_jobs * t_max < min_job_steps:
+        return 1
+    return min(_free_cpus(), n_jobs)
+
+
 @contextmanager
 def _forked(work: Callable[[], _T]) -> Iterator[Callable[[], _T]]:
     """Fork a process that runs ``work()``, and yield ``result()``, which
@@ -688,8 +703,7 @@ def _forked(work: Callable[[], _T]) -> Iterator[Callable[[], _T]]:
     exception; if the child died without reporting one (killed, or its
     exception did not pickle), a RuntimeError naming its exit code.  If the
     block raises before ``result`` has returned, the child is killed.
-    Either way it is reaped before this returns.  Callers fork only when
-    _free_cpus() allows it.
+    Either way it is reaped before this returns.  Only _spread forks.
     """
     with tempfile.TemporaryFile() as channel:
         pid = os.fork()
@@ -754,7 +768,7 @@ def _spread(one: Callable[[_J], _T], jobs: list[_J], n: int) -> list[_T]:
     this one and processes 1..n-1 are forked (_forked), so the results never
     depend on n.  When jobs fail, the first failing job in job order raises,
     as in one process.  Every forked process is reaped before this returns
-    or raises.  Callers choose n from _free_cpus().
+    or raises.  Callers choose n with _processes().
     """
     with ExitStack() as forks:
         others = [
@@ -775,56 +789,17 @@ def _spread(one: Callable[[_J], _T], jobs: list[_J], n: int) -> list[_T]:
 
 
 def _csv_split(t_max: int) -> int:
-    """The first step whose distribution rows a forked process writes.
+    """The first step of run_simulate's second block, or t_max + 1 when the
+    walk runs as one block.
 
     Formatting a step's rows costs about as much as its light cone is wide,
     so about t_max / sqrt(2) splits the formatting of t = 0..t_max in equal
-    halves.  Every row is written in the calling process (t_max + 1) when
-    the walk is shorter than TWO_PROCESS_MIN_T_MAX or _free_cpus() is 1.
+    halves.  The two blocks count as two jobs of t_max steps, so they pass
+    the gate from t_max FORK_MIN_JOB_STEPS / 2 = 200 on.
     """
-    if t_max < TWO_PROCESS_MIN_T_MAX or _free_cpus() < 2:
+    if _processes(2, t_max, FORK_MIN_JOB_STEPS) < 2:
         return t_max + 1
     return round(t_max / math.sqrt(2))
-
-
-def _write_later_rows(resolved: ResolvedExperiment, split: int, fd: int) -> None:
-    """Walk ``resolved`` again and write the rows for t >= split to ``fd``."""
-    with open(fd, "w", newline="", closefd=False) as fh:
-        write = _distribution_csv_writer(fh, resolved.host.positions)
-        for state in iter_history(resolved):
-            if state.time >= split:
-                write(analysis.position_marginal(state))
-
-
-@contextmanager
-def _later_rows(
-    resolved: ResolvedExperiment, split: int, out: Path
-) -> Iterator[Callable[[IO[str]], None]]:
-    """Fork a process (_forked) that writes the distribution rows for
-    t >= split, and yield ``append(fh)``, which waits for it and appends its
-    rows to ``fh``.
-
-    The child re-runs the same deterministic walk from ``resolved`` into an
-    unnamed temp file in ``out``.  A failed child makes ``append`` raise, and
-    a block that raises first kills the child.  A split past t_max forks
-    nothing and ``append`` does nothing.
-    """
-    if split > resolved.spec.t_max:
-        yield lambda fh: None
-        return
-    with (
-        tempfile.TemporaryFile(dir=out) as rows,
-        _forked(lambda: _write_later_rows(resolved, split, rows.fileno())) as written,
-    ):
-
-        def append(fh: IO[str]) -> None:
-            written()
-            fh.flush()
-            size, offset = os.fstat(rows.fileno()).st_size, 0
-            while offset < size:
-                offset += os.sendfile(fh.fileno(), rows.fileno(), offset, size - offset)
-
-        yield append
 
 
 def run_simulate(spec: ExperimentSpec, out_dir: str | Path) -> dict:
@@ -834,17 +809,17 @@ def run_simulate(spec: ExperimentSpec, out_dir: str | Path) -> dict:
     _staged), so a run that fails mid-walk writes nothing.  Without the
     "distribution" output no CSV is written and an earlier run's is removed.
 
-    When t_max >= TWO_PROCESS_MIN_T_MAX and _free_cpus() (the one CPU gate
-    run_sweep also asks) allows two processes, the rows are formatted in
-    two (_later_rows, through the fork helper _forked that run_sweep also
-    uses): this one walks every step, folds the statistics and writes the
-    rows for t < _csv_split(t_max); a forked child walks again and writes
-    the rest, which are appended before the outputs are committed.  The
-    bytes are those of one process writing every row, and a failure in
-    either process fails the run with nothing written.
+    With the CSV, t = 0..t_max is cut at _csv_split(t_max) into at most two
+    contiguous blocks, run as the jobs of _spread.  Each block walks from
+    t = 0 to its own last step, then folds the series and formats the rows
+    of its own steps only.  The first block writes into the CSV; the second,
+    in a forked process, into an unnamed temp file that is then appended.
+    The series parts are joined in block order, so the bytes are those of a
+    one-block run, and a failure in either block fails the run with nothing
+    written.
     """
     resolved = resolve_spec(spec)
-    states = iter_history(resolved)  # checks the start state and the coin
+    states = iter_history(resolved)  # checks the start, the coin and the shift
 
     with _staged(out_dir) as stage:
         csv_tmp = stage("distributions.csv")
@@ -853,19 +828,28 @@ def run_simulate(spec: ExperimentSpec, out_dir: str | Path) -> dict:
             split = _csv_split(spec.t_max)
             with (
                 csv_tmp.open("w", newline="") as fh,
-                _later_rows(resolved, split, csv_tmp.parent) as append_later_rows,
+                tempfile.TemporaryFile("w+", newline="", dir=csv_tmp.parent) as later,
             ):
                 fh.write("t,x,p\r\n")
-                write = _distribution_csv_writer(fh, resolved.host.positions)
 
-                def write_early_rows(d: analysis.PositionDistribution) -> None:
-                    if d.time < split:
-                        write(d)
+                # Both blocks read the one stream, unstarted at the fork.
+                def block(job: tuple[int, int, IO[str]]) -> dict:
+                    start, stop, sink = job
+                    write = _distribution_csv_writer(sink, resolved.host.positions)
+                    series = _fold_series(islice(states, start, stop), spec.outputs, write)
+                    sink.flush()  # a forked process ends without flushing
+                    return series
 
-                series = _fold_series(states, spec.outputs, write_early_rows)
-                append_later_rows(fh)
+                blocks = [(0, split, fh), (split, spec.t_max + 1, later)]
+                n = 1 if split > spec.t_max else 2
+                parts = _spread(block, blocks[:n], n)
+                fh.flush()
+                size, offset = os.fstat(later.fileno()).st_size, 0
+                while offset < size:
+                    offset += os.sendfile(fh.fileno(), later.fileno(), offset, size - offset)
         else:
-            series = _fold_series(states, spec.outputs)
+            parts = [_fold_series(states, spec.outputs)]
+        series = {key: [v for part in parts for v in part[key]] for key in parts[0]}
         summary = {"spec": spec.to_json_dict(), "series": series}
         if "scaling-fit" in spec.outputs:
             summary["scaling_fit"] = _fit_summary(series["variance"], spec.t_max)
@@ -899,15 +883,6 @@ def _sweep_one(spec: ExperimentSpec, host: RegularDigraph) -> dict:
     return _fold_series(iter_history(resolve_spec(spec, host)), ALL_OUTPUTS)
 
 
-#: The fewest job-steps (distinct jobs x t_max) that run_sweep spreads over
-#: several processes.  run_sweep alone, timed in fresh processes on a 2-core
-#: VM with one and two processes alternating (10 pairs each), ran two
-#: processes faster in 4 of 10 pairs at 120 job-steps (six classes, one
-#: seed, t_max 20), 6 at 240 and 8 at 360; of two frozen classes, 4 at 200,
-#: 5 at 300 and 9 at 400 (49.5 against 40.2 ms).
-SWEEP_FORK_MIN_JOB_STEPS = 400
-
-
 def _ratio_verdict(ratio: float | None) -> str:
     if ratio is None:
         return "indeterminate"
@@ -925,17 +900,14 @@ def run_sweep(
     classes: list[str],
     seeds: list[int],
     out_dir: str | Path,
-    workers: int | None = None,
 ) -> dict:
     """Run each walk class across seeds; write per-class and comparison tables.
 
-    The distinct jobs are spread over up to ``workers`` processes, by
-    default as many as _free_cpus() allows and never more than it allows or
-    than there are jobs.  A sweep of fewer than SWEEP_FORK_MIN_JOB_STEPS
-    job-steps runs in this process alone.  The jobs run through _spread,
-    the fork helper the census also uses, so the bytes written never depend
-    on the process count.  When jobs fail, the first failing job in job
-    order raises, as in one process, and nothing is written.
+    The distinct jobs run through _spread, on as many processes as
+    _processes allows (one below FORK_MIN_JOB_STEPS job-steps), so the bytes
+    written never depend on the process count.  When jobs fail, the first
+    failing job in job order raises, as in one process, and nothing is
+    written.
     """
     for name, items in (("classes", classes), ("seeds", seeds)):
         if not isinstance(items, (list, tuple)):
@@ -946,8 +918,6 @@ def run_sweep(
         raise ValidationError("sweep needs at least one seed")
     for seed in seeds:
         _check_int("sweep seed", seed, 0)
-    if workers is not None:
-        _check_int("workers", workers, 1)
 
     # Each distinct spec runs once.  A class whose partition kind is not
     # random gets the same spec at every seed (_class_spec drops the seed),
@@ -961,10 +931,12 @@ def run_sweep(
             key_of[c, s] = (c, spec.partition_seed)
             jobs.setdefault(key_of[c, s], spec)
     # The summary keys its entries by class, so a repeated class would get
-    # one entry there and one comparison row per repeat.
-    repeated = sorted({c for c in classes if classes.count(c) > 1})
-    if repeated:
-        raise ValidationError(f"sweep classes repeat: {repeated}")
+    # one entry there and one comparison row per repeat; a repeated seed
+    # would average one walk with itself.
+    for name, items in (("classes", classes), ("seeds", seeds)):
+        repeated = sorted({x for x in items if items.count(x) > 1})
+        if repeated:
+            raise ValidationError(f"sweep {name} repeat: {repeated}")
     specs = list(jobs.values())
 
     # One host serves every job: a class spec differs from the template only
@@ -977,9 +949,7 @@ def run_sweep(
     # Processes, not threads: a job's steps are Python code and small numpy
     # calls that hold the GIL.  Interleaved slices share out the costlier
     # annealed classes, which sit next to each other in job order.
-    n = 1
-    if len(specs) * template.t_max >= SWEEP_FORK_MIN_JOB_STEPS:
-        n = min(_free_cpus(), workers or len(specs), len(specs))
+    n = _processes(len(specs), template.t_max, FORK_MIN_JOB_STEPS)
     series_of = dict(zip(jobs, _spread(partial(_sweep_one, host=host), specs, n)))
 
     t_max = template.t_max
@@ -1074,7 +1044,6 @@ def equivalence_report(
     # Engine runs the same walk from the same four-amplitude start, with
     # evolve's checks, one state at a time.
     start = state_from_terms(host, equivalence_initial_terms(host))
-    _start_check(host, start, t_max, True)
     op = build_shift_operator(partition, gc)
     engine_states = walk_states(lambda t: op, hadamard_coin(), start, t_max)
 
@@ -1218,10 +1187,9 @@ def enumerate_report(
 ) -> dict:
     """Valid coin-shift counting plus the distinct-dicycle-walk census.
 
-    The census's seeds are spread, through _spread, over as many processes
-    as _free_cpus() allows and never more than there are seeds; a census of
-    fewer than CENSUS_FORK_MIN_SEED_STEPS seed-steps runs in this process
-    alone.  The report is the same for every process count.
+    The census's seeds are spread through _spread, over as many processes
+    as _processes allows (one below CENSUS_FORK_MIN_SEED_STEPS seed-steps).
+    The report is the same for every process count.
     """
     seeds = list(seeds) if seeds is not None else []
     _check_int("t_max", t_max, 0)
@@ -1242,9 +1210,7 @@ def enumerate_report(
         walk_host = iterate_line_digraph(
             make_bidirected_cycle(minimal_window(t_max, 1)), 1
         )
-        n = 1
-        if len(seeds) * t_max >= CENSUS_FORK_MIN_SEED_STEPS:
-            n = min(_free_cpus(), len(seeds))
+        n = _processes(len(seeds), t_max, CENSUS_FORK_MIN_SEED_STEPS)
         census = analysis.count_distinct_dicycle_carried_walks(
             walk_host, seeds, t_max, partial(_spread, n=n)
         )

@@ -116,7 +116,7 @@ def class_sweep(tmp_path_factory):
     )
     out = tmp_path_factory.mktemp("sweep")
     start = time.monotonic()
-    report = run_sweep(template, list(WALK_CLASSES), list(range(20)), out, workers=2)
+    report = run_sweep(template, list(WALK_CLASSES), list(range(20)), out)
     elapsed = time.monotonic() - start
     return report, elapsed, out
 

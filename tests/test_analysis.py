@@ -301,9 +301,9 @@ def test_census_checks_its_coin_once_and_every_probe_start(host_d1, monkeypatch)
         checked.append(a.shape)
         return real_check(a, *args)
 
-    def counting_start(host, initial, t_max, enforce_window):
+    def counting_start(initial, t_max, enforce_window):
         started.append(t_max)
-        return real_start(host, initial, t_max, enforce_window)
+        return real_start(initial, t_max, enforce_window)
 
     monkeypatch.setattr(engine, "check_unitary", counting_check)
     monkeypatch.setattr(analysis, "_start_check", counting_start)
@@ -346,13 +346,6 @@ def test_two_process_census_matches_one_process(tmp_path, monkeypatch, forks, tw
     assert len(forks) == 2
     _no_child_left()
     assert written[1] == written[0]
-
-
-@pytest.mark.parametrize("n_seeds, t_max", [(3, 30), (6, 10)])
-def test_a_small_census_forks_nothing(tmp_path, forks, two_cpus, n_seeds, t_max):
-    assert n_seeds * t_max < experiments.CENSUS_FORK_MIN_SEED_STEPS
-    experiments.run_enumerate(tmp_path, 3, list(range(n_seeds)), t_max)
-    assert forks == []
 
 
 @pytest.mark.parametrize("failing, first", [({1}, 1), ({1, 2}, 1), ({2, 3}, 2)])

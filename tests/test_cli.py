@@ -192,6 +192,20 @@ def test_sweep_rejects_a_repeated_class(tmp_path, config, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_sweep_rejects_a_repeated_seed(tmp_path, config, capsys, where):
+    # Jobs are keyed by (class, seed): a repeated seed would run one walk and
+    # average it with itself.
+    doc = {"template": {"t_max": 10, "outputs": ["variance"]}, "classes": ["random+recycled"]}
+    args = ["--seeds", "3,1,3"] if where == "flag" else []
+    if where == "config":
+        doc["seeds"] = [3, 1, 3]
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", config(doc), "--out", str(out)] + args) == 2
+    assert "error: sweep seeds repeat: [3]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_rejects_negative_seed(tmp_path, config):
     doc = {
         "template": {"t_max": 20, "outputs": ["variance"]},
@@ -281,23 +295,13 @@ def test_short_sweep_needs_no_config(tmp_path):
     assert {entry["fit_verdict"] for entry in report["classes"].values()} == {None}
 
 
-def test_sweep_seed_flag_and_workers(tmp_path, config):
+def test_sweep_seed_flag_and_workers(tmp_path, config, two_cpus):
     doc = {"template": {"t_max": 20, "outputs": ["variance"]}, "classes": ["directional+recycled"]}
     out = tmp_path / "sweep"
-    code = main(
-        ["sweep", "--config", config(doc), "--out", str(out), "--seeds", "0,1,2", "--workers", "2"]
-    )
+    code = main(["sweep", "--config", config(doc), "--out", str(out), "--seeds", "0,1,2"])
     assert code == 0
     report = json.loads((out / "sweep_summary.json").read_text())
     assert report["classes"]["directional+recycled"]["seeds"] == [0, 1, 2]
-
-
-@pytest.mark.parametrize("workers", ["0", "-1"])
-def test_sweep_rejects_workers_below_one(tmp_path, workers):
-    out = tmp_path / "o"
-    args = ["sweep", "--t-max", "4", "--seeds", "0", "--workers", workers, "--out", str(out)]
-    assert main(args) == 2
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("t_max", ["0", "1"])
@@ -451,7 +455,8 @@ def test_an_admitted_coin_can_fail_the_cumulative_drift_check(
 
 
 # Runs the CLI with the row formatter failing from step 20 on, and the rows
-# from step 20 on written by the forked writer process: only the writer fails.
+# from step 20 on written by the second block, in a forked process: only
+# that process fails.
 WRITER_FAILS = """
 import sys
 from memwalk import cli, experiments
@@ -549,16 +554,16 @@ def test_output_name_taken_by_a_directory_is_validation_error(tmp_path, capsys):
     assert [p.name for p in out.iterdir()] == ["summary.json"]
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_sweep_on_a_depth_2_template_writes_nothing(tmp_path, config, capsys, workers):
+@pytest.mark.parametrize("cpus", ["1", "2"])
+def test_sweep_on_a_depth_2_template_writes_nothing(
+    tmp_path, config, capsys, monkeypatch, two_cpus, cpus
+):
     # Each job resolves its own spec; the reflect/transmit classes reject the
     # depth-2 host before any output is staged.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(int(cpus))))
     doc = {"template": {"memory_depth": 2, "t_max": 10, "outputs": ["variance"]}}
     out = tmp_path / "sweep"
-    code = main(
-        ["sweep", "--config", config(doc), "--seeds", "0,1", "--workers", workers,
-         "--out", str(out)]
-    )
+    code = main(["sweep", "--config", config(doc), "--seeds", "0,1", "--out", str(out)])
     assert code == 2
     assert "depth-1 host" in capsys.readouterr().err
     assert not out.exists()
@@ -569,15 +574,16 @@ def test_sweep_job_failing_in_the_child_fails_as_in_one_process(
 ):
     # On a depth-2 host job 0 (directional) runs and job 1 (reflect/transmit)
     # fails; split over two processes, job 1 is the forked child's.
-    monkeypatch.setattr(experiments, "SWEEP_FORK_MIN_JOB_STEPS", 0)
+    monkeypatch.setattr(experiments, "FORK_MIN_JOB_STEPS", 0)
     doc = {
         "template": {"memory_depth": 2, "t_max": 10, "outputs": ["variance"]},
         "classes": ["directional+recycled", "reflect_transmit+recycled"],
     }
     outcomes = []
-    for workers in (["--workers", "1"], []):
-        out = tmp_path / f"sweep{len(workers)}"
-        code = main(["sweep", "--config", config(doc), "--seeds", "0", "--out", str(out)] + workers)
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        out = tmp_path / f"sweep{len(cpus)}"
+        code = main(["sweep", "--config", config(doc), "--seeds", "0", "--out", str(out)])
         outcomes.append((code, capsys.readouterr().err))
         assert not out.exists()
     assert len(forks) == 1
@@ -588,7 +594,7 @@ def test_sweep_job_failing_in_the_child_fails_as_in_one_process(
 
 
 def test_default_sweep_leaves_the_process_pool_modules_unloaded(tmp_path):
-    # Six distinct jobs of t_max 70 pass SWEEP_FORK_MIN_JOB_STEPS, so with
+    # Six distinct jobs of t_max 70 pass FORK_MIN_JOB_STEPS, so with
     # two free CPUs this sweep forks; with one it runs in this process.
     src = Path(memwalk.__file__).resolve().parents[1]
     code = (
@@ -636,14 +642,15 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     assert result.stdout.strip() == "False"
 
 
-#: The flags each subcommand reads, each with a value it accepts.
+#: Each flag with a value it accepts.  No subcommand reads "--workers": the
+#: process count follows the CPUs this process may run on.
 FLAG_VALUES = {
     "--config": "x.json", "--seeds": "1", "--t-max": "5", "--workers": "2",
     "--cycle-size": "3", "--out": "out",
 }
 READS = {
     "simulate": ("--config", "--seeds", "--t-max", "--out"),
-    "sweep": ("--config", "--seeds", "--t-max", "--workers", "--out"),
+    "sweep": ("--config", "--seeds", "--t-max", "--out"),
     "equivalence": ("--t-max", "--out"),
     "enumerate": ("--seeds", "--t-max", "--cycle-size", "--out"),
 }

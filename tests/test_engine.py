@@ -196,6 +196,28 @@ def test_evolve_rejects_foreign_state(host_d1, host_d2):
         evolve(p, recycled_coin_shift(p), hadamard_coin(), s, 1)
 
 
+def test_walk_states_checks_the_start_and_the_window():
+    # From the origin a window-9 host holds 2 steps: 40 would wrap around.
+    host = iterate_line_digraph(make_bidirected_cycle(9), 1)
+    p = reflect_transmit_partition(host)
+    gc = carried_coin_shift(p)
+    op = build_shift_operator(p, gc)
+    s = state_from_terms(host, balanced_origin_terms(host))
+    for run in (
+        lambda: walk_states(lambda t: op, hadamard_coin(), s, 40),
+        lambda: evolve(p, gc, hadamard_coin(), s, 40),
+    ):
+        with pytest.raises(ValidationError, match="window 9 too small"):
+            run()
+    unchecked = walk_states(lambda t: op, hadamard_coin(), s, 40, enforce_window=False)
+    assert len(list(unchecked)) == 41
+    assert len(list(walk_states(lambda t: op, hadamard_coin(), s, 2))) == 3
+    with pytest.raises(ValidationError, match="state norm"):
+        walk_states(lambda t: op, hadamard_coin(), WalkState(host, 2 * s.amps, 0), 2)
+    with pytest.raises(ValidationError, match="t_max must be >= 0"):
+        walk_states(lambda t: op, hadamard_coin(), s, -1)
+
+
 def test_walk_states_is_lazy(host_d1, monkeypatch):
     p = directional_partition(host_d1)
     op = build_shift_operator(p, recycled_coin_shift(p))

@@ -376,7 +376,37 @@ def test_two_process_csv_matches_one_process(tmp_path, monkeypatch, forks, walk,
     ]
 
 
-def _run_forks_no_writer(tmp_path, forks, t_max=experiments.TWO_PROCESS_MIN_T_MAX):
+def test_the_blocks_share_one_shift_and_the_first_stops_at_the_cut(
+    tmp_path, monkeypatch, forks
+):
+    parent = os.getpid()
+    built, stepped = [], []
+    real_build, real_coin_step = experiments.build_shift_operator, engine.coin_step
+
+    def build(*args):
+        # The forked block reads the stream whose shift was built before the fork.
+        assert os.getpid() == parent
+        built.append(args)
+        return real_build(*args)
+
+    def coin_step(state, coin):
+        if os.getpid() == parent:
+            stepped.append(state.time)
+        return real_coin_step(state, coin)
+
+    monkeypatch.setattr(experiments, "build_shift_operator", build)
+    monkeypatch.setattr(engine, "coin_step", coin_step)
+    _split_at(monkeypatch, 25)
+    run_simulate(ExperimentSpec.from_json_dict(spec_doc(t_max=40)), tmp_path)
+    assert len(forks) == 1 and len(built) == 1
+    assert stepped == list(range(24))  # this process walks t = 0..24 only
+
+
+#: The shortest walk whose two blocks pass the gate: two jobs of t_max steps.
+TWO_BLOCK_MIN_T_MAX = experiments.FORK_MIN_JOB_STEPS // 2
+
+
+def _run_forks_no_writer(tmp_path, forks, t_max=TWO_BLOCK_MIN_T_MAX):
     spec = ExperimentSpec.from_json_dict(spec_doc(t_max=t_max))
     assert experiments._csv_split(t_max) == t_max + 1
     run_simulate(spec, tmp_path)
@@ -388,7 +418,7 @@ def _run_forks_no_writer(tmp_path, forks, t_max=experiments.TWO_PROCESS_MIN_T_MA
 
 def test_two_cpus_split_the_rows_near_t_max_over_root_two(two_cpus):
     assert experiments._csv_split(1500) == 1061
-    assert experiments._csv_split(experiments.TWO_PROCESS_MIN_T_MAX) == 141
+    assert experiments._csv_split(TWO_BLOCK_MIN_T_MAX) == 141
 
 
 def test_one_cpu_forks_no_writer(tmp_path, monkeypatch, forks, two_cpus):
@@ -401,12 +431,6 @@ def test_a_one_cpu_cgroup_quota_forks_no_writer(tmp_path, monkeypatch, forks, tw
     monkeypatch.setattr(experiments, "_cgroup_cpu_quota", lambda: 1.5)
     assert experiments._csv_split(1500) == 1501
     _run_forks_no_writer(tmp_path, forks)
-
-
-def test_a_short_walk_forks_no_writer(tmp_path, forks, two_cpus):
-    t_max = experiments.TWO_PROCESS_MIN_T_MAX - 1
-    assert experiments._csv_split(0) == 1
-    _run_forks_no_writer(tmp_path, forks, t_max)
 
 
 def test_a_process_with_other_threads_forks_no_writer(tmp_path, forks, two_cpus):
@@ -589,19 +613,20 @@ def test_sweep_matches_single_run(tmp_path):
 
 
 def test_sweep_outputs_do_not_depend_on_workers(tmp_path, monkeypatch, forks, two_cpus):
-    monkeypatch.setattr(experiments, "SWEEP_FORK_MIN_JOB_STEPS", 0)
+    monkeypatch.setattr(experiments, "FORK_MIN_JOB_STEPS", 0)
     template = ExperimentSpec.from_json_dict(
         spec_doc(t_max=20, outputs=["variance", "occrate", "origin-series"])
     )
     classes = list(ANNEALED_CLASSES) + ["random_dicycle+carried"]
-    for workers in (1, 2, 3, None):
-        run_sweep(template, classes, [0, 1, 2], tmp_path / str(workers), workers=workers)
-    # Two CPUs: workers 2, 3 and the default each fork one process.
+    for cpus in (1, 2, 3):
+        _cpus(monkeypatch, cpus)
+        run_sweep(template, classes, [0, 1, 2], tmp_path / str(cpus))
+    # Nine jobs: two CPUs fork one process, three fork two.
     assert len(forks) == 3
     for name in ("sweep_summary.json", "comparison.csv"):
         want = (tmp_path / "1" / name).read_bytes()
-        for workers in (2, 3, None):
-            assert (tmp_path / str(workers) / name).read_bytes() == want
+        for cpus in (2, 3):
+            assert (tmp_path / str(cpus) / name).read_bytes() == want
 
 
 def test_sweep_runs_a_class_without_random_partitions_once(tmp_path, monkeypatch):
@@ -635,11 +660,16 @@ def test_sweep_runs_a_class_without_random_partitions_once(tmp_path, monkeypatch
 SWEEP_CLASSES = ["directional+recycled", "reflect_transmit+recycled", "reflect_transmit+carried"]
 
 
-def _sweep(out, t_max=10, workers=None, classes=SWEEP_CLASSES, seeds=(0,)):
+def _sweep(out, t_max=10, classes=SWEEP_CLASSES, seeds=(0,)):
     template = ExperimentSpec.from_json_dict(
         spec_doc(t_max=t_max, outputs=["variance", "occrate", "origin-series"])
     )
-    return run_sweep(template, classes, list(seeds), out, workers=workers)
+    return run_sweep(template, classes, list(seeds), out)
+
+
+def _cpus(monkeypatch, n):
+    """n CPUs in the affinity mask (with the two_cpus fixture's quota)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
 def _sweep_bytes(out):
@@ -649,7 +679,7 @@ def _sweep_bytes(out):
 @pytest.fixture
 def no_fork(monkeypatch, two_cpus):
     """Two CPUs, a sweep of any size forks, and os.fork fails the test."""
-    monkeypatch.setattr(experiments, "SWEEP_FORK_MIN_JOB_STEPS", 0)
+    monkeypatch.setattr(experiments, "FORK_MIN_JOB_STEPS", 0)
 
     def fork():
         raise AssertionError("os.fork called")
@@ -660,7 +690,6 @@ def no_fork(monkeypatch, two_cpus):
 def test_one_cpu_runs_the_sweep_in_one_process(tmp_path, monkeypatch, no_fork):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     _sweep(tmp_path)
-    _sweep(tmp_path, workers=2)
 
 
 def test_a_one_cpu_cgroup_quota_runs_the_sweep_in_one_process(tmp_path, monkeypatch, no_fork):
@@ -673,27 +702,14 @@ def test_a_process_with_other_threads_runs_the_sweep_in_one_process(tmp_path, no
     other = threading.Thread(target=done.wait)
     other.start()
     try:
-        _sweep(tmp_path, workers=2)
+        _sweep(tmp_path)
     finally:
         done.set()
         other.join()
 
 
-def test_a_sweep_below_the_job_step_threshold_runs_in_one_process(
-    tmp_path, monkeypatch, forks, two_cpus
-):
-    # Three distinct jobs of t_max 10: 30 job-steps.
-    monkeypatch.setattr(experiments, "SWEEP_FORK_MIN_JOB_STEPS", 31)
-    _sweep(tmp_path / "below")
-    assert forks == []
-    monkeypatch.setattr(experiments, "SWEEP_FORK_MIN_JOB_STEPS", 30)
-    _sweep(tmp_path / "at")
-    assert len(forks) == 1
-    assert _sweep_bytes(tmp_path / "at") == _sweep_bytes(tmp_path / "below")
-
-
 def test_two_cpus_split_the_sweep_with_one_child(tmp_path, monkeypatch, forks, two_cpus):
-    monkeypatch.setattr(experiments, "SWEEP_FORK_MIN_JOB_STEPS", 0)
+    monkeypatch.setattr(experiments, "FORK_MIN_JOB_STEPS", 0)
     ran = []
     real_sweep_one = experiments._sweep_one
 
@@ -702,9 +718,11 @@ def test_two_cpus_split_the_sweep_with_one_child(tmp_path, monkeypatch, forks, t
         return real_sweep_one(spec, host)
 
     monkeypatch.setattr(experiments, "_sweep_one", counting_sweep_one)
-    _sweep(tmp_path / "one", workers=1)
+    _cpus(monkeypatch, 1)
+    _sweep(tmp_path / "one")
     assert forks == [] and len(ran) == 3
     ran.clear()
+    _cpus(monkeypatch, 2)
     _sweep(tmp_path / "two")
     assert len(forks) == 1
     assert ran == ["directional", "reflect_transmit"]  # jobs 0 and 2; the child ran job 1
@@ -730,11 +748,12 @@ def test_split_sweep_raises_the_first_failing_job_in_job_order(
     tmp_path, monkeypatch, forks, two_cpus, failing, first
 ):
     # Jobs 0..3 are seeds 0..3; the child runs jobs 1 and 3.
-    monkeypatch.setattr(experiments, "SWEEP_FORK_MIN_JOB_STEPS", 0)
+    monkeypatch.setattr(experiments, "FORK_MIN_JOB_STEPS", 0)
     _failing_jobs(monkeypatch, failing)
-    for workers in (1, 2):
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
         with pytest.raises(ValidationError, match=f"^job with seed {first} failed$"):
-            _sweep(tmp_path / "out", workers=workers, classes=["random+recycled"], seeds=range(4))
+            _sweep(tmp_path / "out", classes=["random+recycled"], seeds=range(4))
     assert len(forks) == 1
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -742,7 +761,7 @@ def test_split_sweep_raises_the_first_failing_job_in_job_order(
 
 
 def test_a_sweep_child_killed_by_a_signal_fails_the_run(tmp_path, monkeypatch, forks, two_cpus):
-    monkeypatch.setattr(experiments, "SWEEP_FORK_MIN_JOB_STEPS", 0)
+    monkeypatch.setattr(experiments, "FORK_MIN_JOB_STEPS", 0)
     parent = os.getpid()
     real_sweep_one = experiments._sweep_one
 
@@ -761,7 +780,7 @@ def test_a_sweep_child_killed_by_a_signal_fails_the_run(tmp_path, monkeypatch, f
 
 
 def test_a_failing_parent_slice_kills_the_sweep_child(tmp_path, monkeypatch, forks, two_cpus):
-    monkeypatch.setattr(experiments, "SWEEP_FORK_MIN_JOB_STEPS", 0)
+    monkeypatch.setattr(experiments, "FORK_MIN_JOB_STEPS", 0)
     parent = os.getpid()
     real_sweep_one = experiments._sweep_one
 
@@ -782,7 +801,7 @@ def test_a_failing_parent_slice_kills_the_sweep_child(tmp_path, monkeypatch, for
 
 
 def test_sweep_builds_one_host(tmp_path, monkeypatch, forks, two_cpus):
-    monkeypatch.setattr(experiments, "SWEEP_FORK_MIN_JOB_STEPS", 0)
+    monkeypatch.setattr(experiments, "FORK_MIN_JOB_STEPS", 0)
     real_build = experiments.iterate_line_digraph
     builds = []
 
@@ -792,11 +811,56 @@ def test_sweep_builds_one_host(tmp_path, monkeypatch, forks, two_cpus):
 
     monkeypatch.setattr(experiments, "iterate_line_digraph", counting_build)
     classes = ["directional+recycled", "random+recycled", "random_dicycle+carried"]
-    _sweep(tmp_path / "one", workers=1, classes=classes, seeds=(0, 1))
+    _cpus(monkeypatch, 1)
+    _sweep(tmp_path / "one", classes=classes, seeds=(0, 1))
     assert len(builds) == 1 and forks == []
-    _sweep(tmp_path / "two", workers=2, classes=classes, seeds=(0, 1))
+    _cpus(monkeypatch, 2)
+    _sweep(tmp_path / "two", classes=classes, seeds=(0, 1))
     assert len(builds) == 2 and len(forks) == 1
     assert _sweep_bytes(tmp_path / "two") == _sweep_bytes(tmp_path / "one")
+
+
+def _simulate_gated(out, t_max):
+    run_simulate(ExperimentSpec.from_json_dict(spec_doc(t_max=t_max)), out)
+
+
+def _sweep_gated(out, t_max):  # two distinct jobs
+    _sweep(out, t_max, classes=["directional+recycled", "reflect_transmit+carried"])
+
+
+def _census_gated(out, t_max):  # ten seeds
+    experiments.run_enumerate(out, 3, list(range(10)), t_max)
+
+
+#: Each caller of the one gate, _processes: a run at a given t_max, its job
+#: count and its minimum job-steps.
+GATE_CALLERS = {
+    "simulate": (_simulate_gated, 2, experiments.FORK_MIN_JOB_STEPS),
+    "sweep": (_sweep_gated, 2, experiments.FORK_MIN_JOB_STEPS),
+    "census": (_census_gated, 10, experiments.CENSUS_FORK_MIN_SEED_STEPS),
+}
+
+
+@pytest.mark.parametrize("at", ["below", "at"])
+@pytest.mark.parametrize("caller", GATE_CALLERS)
+def test_processes_gate_of_each_caller(tmp_path, monkeypatch, forks, two_cpus, caller, at):
+    # One step below the minimum every job runs in this process; at it, two
+    # CPUs split the jobs over two processes.
+    run, jobs, minimum = GATE_CALLERS[caller]
+    t_max = minimum // jobs - (at == "below")
+    asked = []
+    real_processes = experiments._processes
+
+    def processes(*args):
+        asked.append(args)
+        return real_processes(*args)
+
+    monkeypatch.setattr(experiments, "_processes", processes)
+    run(tmp_path, t_max)
+    assert asked == [(jobs, t_max, minimum)]
+    assert len(forks) == (at == "at")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_sweep_rejects_unknown_class(tmp_path):

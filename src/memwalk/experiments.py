@@ -767,15 +767,20 @@ def _spread(one: Callable[[_J], _T], jobs: list[_J], n: int) -> list[_T]:
     Process k of n runs jobs k, k + n, k + 2n, ... in order; process 0 is
     this one and processes 1..n-1 are forked (_forked), so the results never
     depend on n.  When jobs fail, the first failing job in job order raises,
-    as in one process.  Every forked process is reaped before this returns
-    or raises.  Callers choose n with _processes().
+    as in one process; when that is job 0, this process's first, it raises
+    at once and the forked processes are killed.  Every forked process is
+    reaped before this returns or raises.  Callers choose n with
+    _processes().
     """
     with ExitStack() as forks:
         others = [
             forks.enter_context(_forked(partial(_in_order, one, jobs[k::n])))
             for k in range(1, n)
         ]
-        slices = [_in_order(one, jobs[::n])] + [result() for result in others]
+        done, exc = _in_order(one, jobs[::n])
+        if exc is not None and not done:  # no job fails before job 0
+            raise exc
+        slices = [(done, exc)] + [result() for result in others]
     # Process k's failure at its j-th job is job k + n*j's.
     failures = [
         (k + n * len(done), exc) for k, (done, exc) in enumerate(slices) if exc is not None

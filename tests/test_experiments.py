@@ -419,6 +419,9 @@ def _run_forks_no_writer(tmp_path, forks, t_max=TWO_BLOCK_MIN_T_MAX):
 def test_two_cpus_split_the_rows_near_t_max_over_root_two(two_cpus):
     assert experiments._csv_split(1500) == 1061
     assert experiments._csv_split(TWO_BLOCK_MIN_T_MAX) == 141
+    # Below the gate one block holds every step.
+    assert experiments._csv_split(TWO_BLOCK_MIN_T_MAX - 1) == TWO_BLOCK_MIN_T_MAX
+    assert experiments._csv_split(0) == 1
 
 
 def test_one_cpu_forks_no_writer(tmp_path, monkeypatch, forks, two_cpus):
@@ -478,6 +481,15 @@ def _drift_in(monkeypatch, in_parent, t_bad=5):
 
 def test_parent_drift_kills_and_reaps_the_writer(tmp_path, monkeypatch, forks):
     _drift_in(monkeypatch, in_parent=True)
+    parent = os.getpid()
+    real_writer = experiments._distribution_csv_writer
+
+    def writer(fh, positions):
+        if os.getpid() != parent:
+            signal.pause()  # the forked block would never finish
+        return real_writer(fh, positions)
+
+    monkeypatch.setattr(experiments, "_distribution_csv_writer", writer)
     _split_at(monkeypatch, 20)
     out = tmp_path / "new" / "run"
     with pytest.raises(NumericalCheckError, match="norm drift"):

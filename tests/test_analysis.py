@@ -348,6 +348,14 @@ def test_two_process_census_matches_one_process(tmp_path, monkeypatch, forks, tw
     assert written[1] == written[0]
 
 
+@pytest.mark.parametrize("n_seeds, t_max", [(3, 30), (6, 10)])
+def test_a_small_census_forks_nothing(tmp_path, forks, two_cpus, n_seeds, t_max):
+    assert n_seeds * t_max < experiments.CENSUS_FORK_MIN_SEED_STEPS
+    experiments.run_enumerate(tmp_path, 3, list(range(n_seeds)), t_max)
+    assert forks == []
+    _no_child_left()
+
+
 @pytest.mark.parametrize("failing, first", [({1}, 1), ({1, 2}, 1), ({2, 3}, 2)])
 def test_a_failing_census_seed_fails_as_in_one_process(
     tmp_path, monkeypatch, capsys, forks, two_cpus, failing, first

@@ -11,7 +11,7 @@ cross-check the engine.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .engine import (
     state_from_terms,
 )
 from .errors import ValidationError
-from .graphs import RegularDigraph
+from .graphs import PositionWindow, RegularDigraph
 from .partitions import Partition, random_dicycle_factorization
 
 __all__ = [
@@ -70,11 +70,17 @@ SQRT2 = np.sqrt(2.0)
 
 @dataclass(frozen=True, eq=False)
 class PositionDistribution:
-    """Probability over positions at one time step (dense, sorted positions)."""
+    """Probability over positions at one time step (dense, sorted positions).
+
+    ``window``, when given, marks ``positions`` as a host's sorted window
+    and holds the constants the statistics would otherwise recompute at
+    every step; position_marginal passes its host's.
+    """
 
     positions: np.ndarray
     probs: np.ndarray
     time: int
+    window: PositionWindow | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.positions.shape != self.probs.shape:
@@ -83,6 +89,12 @@ class PositionDistribution:
         self.probs.flags.writeable = False
 
     def prob(self, x: int) -> float:
+        if self.window is not None:
+            # In sorted distinct positions the first entry not below x is
+            # the only one that can equal it.
+            i = self.positions.searchsorted(x)
+            hit = i < self.positions.size and self.positions[i] == x
+            return float(self.probs[i]) if hit else 0.0
         hits = np.flatnonzero(self.positions == x)
         return float(self.probs[hits[0]]) if hits.size else 0.0
 
@@ -92,7 +104,8 @@ def _position_probs(host: RegularDigraph, amps: np.ndarray) -> np.ndarray:
 
     ``amps`` holds one state per row of its leading axes, shape (..., V, m);
     the result has shape (..., n).  One bincount covers every row: row r
-    counts into bins r*n .. r*n + n - 1, and bincount adds the weights in
+    counts into bins r*n .. r*n + n - 1 (a single row needs no offsets, so
+    it counts by ``position_index`` itself), and bincount adds the weights in
     vertex order, like a plain loop would, so each row's probabilities are
     bitwise those of that state alone.  The coin columns are added one at a
     time: on the length-m axis that is much cheaper than ``.sum(axis=-1)``,
@@ -103,7 +116,9 @@ def _position_probs(host: RegularDigraph, amps: np.ndarray) -> np.ndarray:
     for c in range(1, w.shape[-1]):
         weights = weights + w[..., c]
     rows = weights.reshape(-1, host.n_vertices)
-    index = host.position_index + host.base_n * np.arange(len(rows))[:, None]
+    index = host.position_index
+    if len(rows) > 1:
+        index = index + host.base_n * np.arange(len(rows))[:, None]
     n_bins = len(rows) * host.base_n
     probs = np.bincount(index.ravel(), weights=rows.ravel(), minlength=n_bins)
     return probs.reshape(weights.shape[:-1] + (host.base_n,))
@@ -111,8 +126,9 @@ def _position_probs(host: RegularDigraph, amps: np.ndarray) -> np.ndarray:
 
 def position_marginal(state: WalkState) -> PositionDistribution:
     """Sum |amplitude|^2 over everything sharing a current position."""
-    probs = _position_probs(state.host, state.amps)
-    return PositionDistribution(state.host.positions, probs, state.time)
+    host = state.host
+    probs = _position_probs(host, state.amps)
+    return PositionDistribution(host.positions, probs, state.time, host.position_window)
 
 
 def marginal_history(states: list[WalkState]) -> list[PositionDistribution]:
@@ -120,8 +136,10 @@ def marginal_history(states: list[WalkState]) -> list[PositionDistribution]:
 
 
 def variance(dist: PositionDistribution) -> float:
-    mean = float(np.dot(dist.probs, dist.positions))
-    return float(np.dot(dist.probs, dist.positions.astype(float) ** 2)) - mean**2
+    window = dist.window if dist.window is not None else PositionWindow.of(dist.positions)
+    # np.dot turns integer positions into these same floats first.
+    mean = float(np.dot(dist.probs, window.floats))
+    return float(np.dot(dist.probs, window.squares)) - mean**2
 
 
 def occupancy_rate(dist: PositionDistribution, n_range: int) -> float:

@@ -66,19 +66,30 @@ class CoinShiftReport(NamedTuple):
     violations: list[int]
 
 
-def validate_coin_shift(p: Partition, gc: CoinShift) -> CoinShiftReport:
+def validate_coin_shift(
+    p: Partition, gc: CoinShift, inverse: np.ndarray | None = None
+) -> CoinShiftReport:
     """Check the per-target permutation constraint.
 
-    Counts, for each (target vertex, emitted coin), how many (vertex, coin)
-    pairs land there, as one bincount over the flat targets succ * m + table
-    (exact because CoinShift keeps every table entry in 0..m-1); the shift is
-    a bijection iff every count is exactly 1.  Returns the violating target
+    Cell (v, c) lands on the flat (target vertex, emitted coin) index
+    succ * m + table (exact because CoinShift keeps every table entry in
+    0..m-1).  With every target in range, one scatter of the cell indices
+    into ``inverse``, filled with -1 first, leaves no -1 iff the shift is a
+    bijection; ``inverse`` then holds the cell landing on each target, the
+    shift's gather index.  Pass a length V*m intp array as ``inverse`` to
+    keep it.  Otherwise a bincount of the targets finds the violating target
     vertices (deterministic ascending order).
     """
     v, m = p.host.n_vertices, p.degree
-    counts = np.bincount((p.succ * m + gc.table).ravel(), minlength=v * m)
-    if (counts == 1).all():
-        return CoinShiftReport(True, [])
+    targets = (p.succ * m + gc.table).ravel()
+    if 0 <= targets.min() and targets.max() < v * m:
+        if inverse is None:
+            inverse = np.empty(v * m, dtype=np.intp)
+        inverse.fill(-1)
+        inverse[targets] = np.arange(v * m)
+        if inverse.min() >= 0:
+            return CoinShiftReport(True, [])
+    counts = np.bincount(targets, minlength=v * m)
     bad = np.flatnonzero((counts.reshape(v, m) != 1).any(axis=1))
     return CoinShiftReport(False, [int(b) for b in bad])
 
@@ -108,9 +119,7 @@ def carried_coin_shift(p: Partition) -> CoinShift:
     Only dicycle factorizations route each target's in-arcs via distinct
     classes, so anything else is rejected with the violating targets.
     """
-    host = p.host
-    table = np.tile(np.arange(host.degree, dtype=np.int64), (host.n_vertices, 1))
-    gc = CoinShift(host, table)
+    gc = CoinShift(p.host, p.host.columns)
     if not p.is_dicycle:
         report = validate_coin_shift(p, gc)
         raise ConstraintViolationError(

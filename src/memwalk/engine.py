@@ -65,20 +65,24 @@ def check_unitary(a: np.ndarray, atol: float = UNITARY_ATOL) -> None:
 
 @dataclass(frozen=True, eq=False)
 class ShiftOp:
-    """A basis permutation over (vertex, coin) pairs, flat-indexed v*m + c."""
+    """A basis permutation over (vertex, coin) pairs, flat-indexed v*m + c.
+
+    It is held as the gather index shift_step uses: inverse_perm[j] is the
+    pair whose amplitude moves to j, and perm its inverse.
+    """
 
     host: RegularDigraph
-    perm: np.ndarray
+    inverse_perm: np.ndarray
 
     def __post_init__(self):
-        self.perm.flags.writeable = False
+        self.inverse_perm.flags.writeable = False
 
     @cached_property
-    def inverse_perm(self) -> np.ndarray:
-        inv = np.empty_like(self.perm)
-        inv[self.perm] = np.arange(self.perm.size)
-        inv.flags.writeable = False
-        return inv
+    def perm(self) -> np.ndarray:
+        perm = np.empty_like(self.inverse_perm)
+        perm[self.inverse_perm] = np.arange(self.inverse_perm.size)
+        perm.flags.writeable = False
+        return perm
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,17 +189,21 @@ def balanced_origin_terms(host: RegularDigraph) -> list[tuple]:
 
 
 def build_shift_operator(p: Partition, gc: CoinShift) -> ShiftOp:
-    """Assemble the conditional move into a checked basis permutation."""
+    """Assemble the conditional move into a checked basis permutation.
+
+    validate_coin_shift's check fills in the permutation's gather index.
+    """
     if gc.table.shape != p.succ.shape:
         raise ValidationError("partition and coin shift live on different hosts")
-    report = validate_coin_shift(p, gc)
+    inverse = np.empty(p.succ.size, dtype=np.intp)
+    report = validate_coin_shift(p, gc, inverse)
     if not report.ok:
         raise ConstraintViolationError(
             f"coin shift violates the permutation constraint at "
             f"{len(report.violations)} target(s)",
             report.violations,
         )
-    return ShiftOp(p.host, (p.succ * p.degree + gc.table).ravel())
+    return ShiftOp(p.host, inverse)
 
 
 def coin_step(state: WalkState, coin: np.ndarray) -> WalkState:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +37,19 @@ __all__ = [
 #: A vertex of an iterated line digraph: the walk it abbreviates, oldest
 #: base-graph position first.  Depth-0 vertices are 1-tuples.
 PathTuple = tuple[int, ...]
+
+
+class PositionWindow(NamedTuple):
+    """What per-step position statistics read of a position window besides
+    the positions themselves: the positions as floats and their squares."""
+
+    floats: np.ndarray
+    squares: np.ndarray
+
+    @classmethod
+    def of(cls, positions: np.ndarray) -> "PositionWindow":
+        floats = positions.astype(float)
+        return cls(floats, floats**2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,6 +134,20 @@ class RegularDigraph:
         )
         positions.flags.writeable = False
         return positions
+
+    @cached_property
+    def position_window(self) -> PositionWindow:
+        """The constants of ``positions`` that every marginal on this host
+        shares."""
+        return PositionWindow.of(self.positions)
+
+    @cached_property
+    def columns(self) -> np.ndarray:
+        """columns[v, k] = k: the column index of each cell of a (V, m) table
+        laid out like ``out_neighbors``."""
+        cols = np.tile(np.arange(self.degree, dtype=np.int64), (self.n_vertices, 1))
+        cols.flags.writeable = False
+        return cols
 
     @cached_property
     def twins(self) -> np.ndarray | None:
@@ -295,8 +323,9 @@ def _twin_factorization(
         adj = rng.permuted(adj, axis=1)
         rank = np.empty(n, dtype=np.int64)
         rank[rng.permutation(n)] = np.arange(n)
-    rowsum = adj[:, 0] + adj[:, 1]  # twins exist only at m = 2
-    first = np.where(rank > rank[twins], adj[:, 0], rowsum - adj[twins, 0])
+    head = adj[:, 0]
+    rowsum = head + adj[:, 1]  # twins exist only at m = 2
+    first = np.where(rank > rank[twins], head, rowsum - head[twins])
     return [first, rowsum - first]
 
 

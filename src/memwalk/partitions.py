@@ -71,17 +71,18 @@ class Partition:
     def is_dicycle(self) -> bool:
         """True when every class is a spanning permutation of the host.
 
-        A class is one iff each vertex 0..V-1 is hit exactly once; the range
-        guard keeps bincount from failing on a negative entry and from
-        counting an out-of-range one.
+        A class is one iff each vertex 0..V-1 is hit exactly once.  One
+        bincount covers every class: cell (v, k) counts into bin
+        succ[v, k] * m + k.  The range guard keeps bincount from failing on a
+        negative entry and from counting an out-of-range one; with every
+        entry in range the V * m cells fill the V * m bins, so each bin holds
+        exactly one iff none is empty.
         """
-        v, succ = self.host.n_vertices, self.succ
-        if succ.min() < 0 or succ.max() >= v:
+        host, succ = self.host, self.succ
+        if succ.min() < 0 or succ.max() >= host.n_vertices:
             return False
-        return all(
-            (np.bincount(succ[:, k], minlength=v) == 1).all()
-            for k in range(self.degree)
-        )
+        bins = (succ * host.degree + host.columns).ravel()
+        return bool(np.bincount(bins, minlength=succ.size).all())
 
 
 def _require_cycle_host(host: RegularDigraph, min_depth: int = 1) -> None:
@@ -159,10 +160,17 @@ def random_partition(host: RegularDigraph, seed: int) -> Partition:
     """Uniform independent per-vertex coin->arc bijections."""
     rng = np.random.default_rng(seed)
     v, m = host.n_vertices, host.degree
-    # A stable sort orders each row's distinct draws as any sort does (a tie
-    # keeps coin order); one flat gather then picks row v's arcs.
-    perms = np.argsort(rng.random((v, m)), axis=1, kind="stable")
-    succ = host.out_neighbors.ravel()[perms + m * np.arange(v)[:, None]]
+    draws = rng.random((v, m))
+    out = host.out_neighbors
+    if m == 2:
+        # Row v's coins take its arcs in the order of a stable sort of its
+        # two draws, which swaps them exactly where the second is smaller.
+        succ = np.where((draws[:, 1] < draws[:, 0])[:, None], out[:, ::-1], out)
+    else:
+        # A stable sort orders each row's distinct draws as any sort does (a
+        # tie keeps coin order); one flat gather then picks row v's arcs.
+        perms = np.argsort(draws, axis=1, kind="stable")
+        succ = out.ravel()[perms + m * np.arange(v)[:, None]]
     return Partition(host, succ, kind="random", seed=seed)
 
 
@@ -176,7 +184,7 @@ def random_dicycle_factorization(host: RegularDigraph, seed: int) -> Partition:
     matching order biases it.  Either way it is deterministic per seed.
     """
     classes = _graphs.dicycle_factorize_base(host, seed=seed)
-    succ = np.stack(classes, axis=1).astype(np.int64)
+    succ = np.column_stack(classes)
     p = Partition(host, succ, kind="random_dicycle", seed=seed)
     if not p.is_dicycle:
         raise ValidationError("matching produced a non-dicycle result (bug)")

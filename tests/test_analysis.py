@@ -9,6 +9,7 @@ import pytest
 from memwalk import (
     NumericalCheckError,
     ValidationError,
+    balanced_origin_terms,
     carried_coin_shift,
     directional_partition,
     equivalence_initial_terms,
@@ -395,3 +396,57 @@ def test_position_probs_match_a_coin_axis_sum_bitwise(host_d1, rng, lead):
     amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     got = analysis._position_probs(host_d1, amps)
     assert np.array_equal(got, _reference_position_probs(host_d1, amps))
+
+
+# The fold's statistics as they were written before each took its window's
+# constants from the host; the fold must keep returning their exact bits.
+
+
+def _written_out_marginal(host, amps):
+    w = np.abs(amps) ** 2
+    weights = w[..., 0]
+    for c in range(1, w.shape[-1]):
+        weights = weights + w[..., c]
+    rows = weights.reshape(-1, host.n_vertices)
+    index = host.position_index + host.base_n * np.arange(len(rows))[:, None]
+    n_bins = len(rows) * host.base_n
+    probs = np.bincount(index.ravel(), weights=rows.ravel(), minlength=n_bins)
+    return probs.reshape(weights.shape[:-1] + (host.base_n,))
+
+
+def _written_out_variance(positions, probs):
+    mean = float(np.dot(probs, positions))
+    return float(np.dot(probs, positions.astype(float) ** 2)) - mean**2
+
+
+def _written_out_prob(positions, probs, x):
+    hits = np.flatnonzero(positions == x)
+    return float(probs[hits[0]]) if hits.size else 0.0
+
+
+@pytest.mark.parametrize("host_name", ["host_d1", "host_d2", "even_window"])
+def test_fold_statistics_equal_their_written_out_expressions(request, host_name):
+    if host_name == "even_window":
+        # Not centered: positions 0..39, so the origin is the first entry.
+        host = iterate_line_digraph(make_bidirected_cycle(40), 1)
+        assert not host.centered
+    else:
+        host = request.getfixturevalue(host_name)
+    p = random_dicycle_factorization(host, 3)
+    start = state_from_terms(host, balanced_origin_terms(host))
+    outside = (int(host.positions[0]) - 1, int(host.positions[-1]) + 1, 10**6)
+    for state in evolve(p, carried_coin_shift(p), hadamard_coin(), start, 30, False):
+        d = position_marginal(state)
+        probs = _written_out_marginal(host, state.amps)
+        assert d.probs.tobytes() == probs.tobytes()
+        assert d.positions is host.positions
+        # The same distribution without the host's window takes the other path.
+        plain = PositionDistribution(host.positions.copy(), probs, state.time)
+        for got in (d, plain):
+            assert variance(got) == _written_out_variance(host.positions, probs)
+            for n_range in (1, 2 * state.time + 1, host.base_n):
+                want = float(np.count_nonzero(probs >= 1.0 / n_range)) / n_range
+                assert occupancy_rate(got, n_range) == want
+            for x in (0, 1, -1, int(host.positions[-1])) + outside:
+                assert got.prob(x) == _written_out_prob(host.positions, probs, x)
+            assert all(got.prob(x) == 0.0 for x in outside)

@@ -556,10 +556,14 @@ def test_output_name_taken_by_a_directory_is_validation_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("cpus", ["1", "2"])
 def test_sweep_on_a_depth_2_template_writes_nothing(
-    tmp_path, config, capsys, monkeypatch, two_cpus, cpus
+    tmp_path, config, capsys, monkeypatch, forks, two_cpus, cpus
 ):
     # Each job resolves its own spec; the reflect/transmit classes reject the
-    # depth-2 host before any output is staged.
+    # depth-2 host before any output is staged.  The 9 jobs of t_max 10 are
+    # 90 job-steps, below FORK_MIN_JOB_STEPS, so the gate is lowered to 0:
+    # with two CPUs the jobs are split over two processes, with one they
+    # all run in this one.
+    monkeypatch.setattr(experiments, "FORK_MIN_JOB_STEPS", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(int(cpus))))
     doc = {"template": {"memory_depth": 2, "t_max": 10, "outputs": ["variance"]}}
     out = tmp_path / "sweep"
@@ -567,6 +571,9 @@ def test_sweep_on_a_depth_2_template_writes_nothing(
     assert code == 2
     assert "depth-1 host" in capsys.readouterr().err
     assert not out.exists()
+    assert len(forks) == int(cpus) - 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_sweep_job_failing_in_the_child_fails_as_in_one_process(

@@ -227,6 +227,31 @@ def test_per_step_run_samples_each_step_partition_once(monkeypatch):
     assert seeds == experiments._partition_seeds(spec)
 
 
+@pytest.mark.parametrize("kind", ["random", "random_dicycle"])
+def test_per_step_run_checks_each_step_shift_once(monkeypatch, kind):
+    # build_shift_operator checks every step's shift through the engine's
+    # binding of validate_coin_shift, whose check also hands the shift its
+    # gather index: one check per step, in step order.
+    doc = spec_doc(
+        partition={"kind": kind, "seed": 5, "resample": "per_step"},
+        coin_shift={"kind": "recycled"},
+        t_max=20,
+    )
+    resolved = resolve_spec(ExperimentSpec.from_json_dict(doc))
+    real = engine.validate_coin_shift
+    checked = []
+
+    def counting(p, gc, *args):
+        checked.append(p.seed)
+        return real(p, gc, *args)
+
+    monkeypatch.setattr(engine, "validate_coin_shift", counting)
+    states = list(iter_history(resolved))
+    assert len(states) == 21
+    assert len(checked) == resolved.spec.t_max
+    assert checked == experiments._partition_seeds(resolved.spec)
+
+
 def test_per_step_carried_run_rejects_a_later_non_dicycle_sample(tmp_path):
     # Seed 30's first sample on this 10-vertex host is a dicycle
     # factorization, so the spec resolves; its second is not, and the

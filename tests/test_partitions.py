@@ -15,6 +15,8 @@ from memwalk import (
     random_partition,
     reflect_transmit_partition,
 )
+from memwalk import graphs
+from memwalk.graphs import RegularDigraph
 from memwalk.partitions import PARTITION_KINDS, Partition, coin_index
 
 
@@ -151,15 +153,20 @@ def test_partition_rejects_wrong_shape(host_d1):
 
 
 def test_random_partition_matches_default_argsort_gather(host_d1):
-    # The stable sort and the flat gather reproduce the default-kind argsort
-    # and take_along_axis, seed for seed.
-    for seed in range(100):
-        draws = np.random.default_rng(seed).random((host_d1.n_vertices, 2))
-        perms = np.argsort(draws, axis=1)
-        want = np.take_along_axis(host_d1.out_neighbors, perms, axis=1).astype(np.int64)
-        got = random_partition(host_d1, seed).succ
-        assert got.dtype == np.int64
-        assert np.array_equal(got, want)
+    # The two-arc swap (m = 2) and the stable sort with its flat gather
+    # (m = 3 here) reproduce the default-kind argsort and take_along_axis,
+    # seed for seed.
+    n = 7
+    out = np.stack([(np.arange(n) + k) % n for k in (1, 2, 3)], axis=1)
+    circulant = RegularDigraph(out, tuple((i,) for i in range(n)), base_n=n)
+    for host in (host_d1, circulant):
+        for seed in range(100):
+            draws = np.random.default_rng(seed).random((host.n_vertices, host.degree))
+            perms = np.argsort(draws, axis=1)
+            want = np.take_along_axis(host.out_neighbors, perms, axis=1).astype(np.int64)
+            got = random_partition(host, seed).succ
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
 
 
 def test_is_dicycle_rejects_out_of_range_entries(host_d1):
@@ -167,3 +174,21 @@ def test_is_dicycle_rejects_out_of_range_entries(host_d1):
         succ = reflect_transmit_partition(host_d1).succ.copy()
         succ[0, 0] = bad
         assert not Partition(host_d1, succ, kind="custom").is_dicycle
+
+
+@pytest.mark.parametrize("bad", ["shared head", "out of range"])
+def test_random_dicycle_rejects_a_matching_that_is_not_a_dicycle(monkeypatch, host_d1, bad):
+    # The dicycle guard runs on every sample, range guard included: a broken
+    # matching fails as a ValidationError, not inside the check's bincount.
+    out = host_d1.out_neighbors
+    if bad == "shared head":
+        # Twins share out-neighbor rows, so each column hits its heads twice.
+        classes = [out[:, 0].copy(), out[:, 1].copy()]
+    else:
+        first = reflect_transmit_partition(host_d1).succ[:, 0].copy()
+        second = reflect_transmit_partition(host_d1).succ[:, 1].copy()
+        first[0] = -1
+        classes = [first, second]
+    monkeypatch.setattr(graphs, "dicycle_factorize_base", lambda g, seed=None: classes)
+    with pytest.raises(ValidationError, match="non-dicycle"):
+        random_dicycle_factorization(host_d1, 0)

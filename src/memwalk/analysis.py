@@ -72,9 +72,9 @@ SQRT2 = np.sqrt(2.0)
 class PositionDistribution:
     """Probability over positions at one time step (dense, sorted positions).
 
-    ``window``, when given, marks ``positions`` as a host's sorted window
-    and holds the constants the statistics would otherwise recompute at
-    every step; position_marginal passes its host's.
+    ``window``, when given, must be built from this very ``positions``
+    array; it holds the constants variance would otherwise recompute at
+    every step.  position_marginal passes its host's.
     """
 
     positions: np.ndarray
@@ -85,18 +85,17 @@ class PositionDistribution:
     def __post_init__(self):
         if self.positions.shape != self.probs.shape:
             raise ValidationError("positions and probabilities differ in length")
+        if self.window is not None and self.window.positions is not self.positions:
+            raise ValidationError("position window was built from other positions")
         self.positions.flags.writeable = False
         self.probs.flags.writeable = False
 
     def prob(self, x: int) -> float:
-        if self.window is not None:
-            # In sorted distinct positions the first entry not below x is
-            # the only one that can equal it.
-            i = self.positions.searchsorted(x)
-            hit = i < self.positions.size and self.positions[i] == x
-            return float(self.probs[i]) if hit else 0.0
-        hits = np.flatnonzero(self.positions == x)
-        return float(self.probs[hits[0]]) if hits.size else 0.0
+        # In sorted positions the first entry not below x is the first that
+        # can equal it.
+        i = self.positions.searchsorted(x)
+        hit = i < self.positions.size and self.positions[i] == x
+        return float(self.probs[i]) if hit else 0.0
 
 
 def _position_probs(host: RegularDigraph, amps: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ code with the engine on purpose: they exist to cross-check it.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -68,11 +68,12 @@ class ShiftOp:
     """A basis permutation over (vertex, coin) pairs, flat-indexed v*m + c.
 
     It is held as the gather index shift_step uses: inverse_perm[j] is the
-    pair whose amplitude moves to j, and perm its inverse.
+    pair whose amplitude moves to j, and perm its inverse.  inverse_perm is
+    keyword-only, so a positional forward permutation is a TypeError.
     """
 
     host: RegularDigraph
-    inverse_perm: np.ndarray
+    inverse_perm: np.ndarray = field(kw_only=True)
 
     def __post_init__(self):
         self.inverse_perm.flags.writeable = False
@@ -203,7 +204,7 @@ def build_shift_operator(p: Partition, gc: CoinShift) -> ShiftOp:
             f"{len(report.violations)} target(s)",
             report.violations,
         )
-    return ShiftOp(p.host, inverse)
+    return ShiftOp(p.host, inverse_perm=inverse)
 
 
 def coin_step(state: WalkState, coin: np.ndarray) -> WalkState:

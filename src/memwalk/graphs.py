@@ -40,16 +40,17 @@ PathTuple = tuple[int, ...]
 
 
 class PositionWindow(NamedTuple):
-    """What per-step position statistics read of a position window besides
-    the positions themselves: the positions as floats and their squares."""
+    """The positions of a window with what per-step position statistics read
+    of them: the positions as floats and their squares."""
 
+    positions: np.ndarray
     floats: np.ndarray
     squares: np.ndarray
 
     @classmethod
     def of(cls, positions: np.ndarray) -> "PositionWindow":
         floats = positions.astype(float)
-        return cls(floats, floats**2)
+        return cls(positions, floats, floats**2)
 
 
 @dataclass(frozen=True, eq=False)

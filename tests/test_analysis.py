@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import os
 from functools import partial
 
@@ -440,13 +441,23 @@ def test_fold_statistics_equal_their_written_out_expressions(request, host_name)
         probs = _written_out_marginal(host, state.amps)
         assert d.probs.tobytes() == probs.tobytes()
         assert d.positions is host.positions
-        # The same distribution without the host's window takes the other path.
+        for x in (0, 1, -1, int(host.positions[-1])) + outside:
+            assert d.prob(x) == _written_out_prob(host.positions, probs, x)
+        assert all(d.prob(x) == 0.0 for x in outside)
+        # Without the host's window, variance computes the window's constants.
         plain = PositionDistribution(host.positions.copy(), probs, state.time)
         for got in (d, plain):
             assert variance(got) == _written_out_variance(host.positions, probs)
             for n_range in (1, 2 * state.time + 1, host.base_n):
                 want = float(np.count_nonzero(probs >= 1.0 / n_range)) / n_range
                 assert occupancy_rate(got, n_range) == want
-            for x in (0, 1, -1, int(host.positions[-1])) + outside:
-                assert got.prob(x) == _written_out_prob(host.positions, probs, x)
-            assert all(got.prob(x) == 0.0 for x in outside)
+
+
+def test_a_position_window_must_come_from_the_positions(host_d1, host_d2):
+    d = position_marginal(state_from_terms(host_d1, balanced_origin_terms(host_d1)))
+    with pytest.raises(ValidationError, match="other positions"):
+        dataclasses.replace(d, positions=host_d1.positions.copy())
+    probs = np.zeros(host_d2.positions.shape)
+    with pytest.raises(ValidationError, match="other positions"):
+        PositionDistribution(host_d2.positions, probs, 0, host_d1.position_window)
+    assert variance(dataclasses.replace(d, probs=d.probs.copy())) == variance(d)

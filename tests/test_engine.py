@@ -123,12 +123,26 @@ def test_equivalence_initial_terms(host_d1):
 
 def test_shift_operator_is_permutation(host_d1):
     p = directional_partition(host_d1)
-    op = build_shift_operator(p, recycled_coin_shift(p))
+    gc = recycled_coin_shift(p)
+    op = build_shift_operator(p, gc)
     counts = np.bincount(op.perm, minlength=op.perm.size)
     assert (counts == 1).all()
+    # perm sends cell (v, c) to (succ[v, c], table[v, c]).
+    assert np.array_equal(op.perm, (p.succ * p.degree + gc.table).ravel())
     assert np.array_equal(op.perm[op.inverse_perm], np.arange(op.perm.size))
     assert np.array_equal(op.inverse_perm, np.argsort(op.perm))
     assert not op.inverse_perm.flags.writeable
+
+
+def test_shift_operator_takes_its_gather_index_by_keyword(host_d1):
+    p = directional_partition(host_d1)
+    op = build_shift_operator(p, recycled_coin_shift(p))
+    # A forward permutation passed the old positional way must not be taken
+    # for the gather index.
+    with pytest.raises(TypeError):
+        engine.ShiftOp(host_d1, op.perm)
+    again = engine.ShiftOp(host_d1, inverse_perm=op.inverse_perm.copy())
+    assert np.array_equal(again.perm, op.perm)
 
 
 def test_shift_operator_rejects_invalid_pair(host_d1):

@@ -468,12 +468,8 @@ def count_distinct_dicycle_carried_walks(
         class_of[seed] = signatures.setdefault(signature, len(signatures))
         key_of[seed] = key
 
-    by_key: dict[tuple, set[int]] = {}
-    by_class: dict[int, set[tuple]] = {}
-    for seed in seeds:
-        by_key.setdefault(key_of[seed], set()).add(class_of[seed])
-        by_class.setdefault(class_of[seed], set()).add(key_of[seed])
-    consistent = all(len(v) == 1 for v in by_key.values()) and all(
-        len(v) == 1 for v in by_class.values()
-    )
+    # Keys and classes correspond one to one iff there are as many distinct
+    # (class, key) pairs as classes and as keys.
+    pairs = {(class_of[seed], key_of[seed]) for seed in seeds}
+    consistent = len(pairs) == len(signatures) == len(set(key_of.values()))
     return DistinctWalkReport(len(signatures), class_of, key_of, consistent)

@@ -34,6 +34,7 @@ __all__ = [
     "recycled_coin_shift",
     "carried_coin_shift",
     "validate_coin_shift",
+    "check_enumeration_size",
     "enumerate_coin_shifts",
     "random_coin_shift",
 ]
@@ -55,6 +56,10 @@ class CoinShift:
             raise ValidationError(
                 f"coin-shift table shape {self.table.shape} does not match host"
             )
+        if not np.issubdtype(self.table.dtype, np.signedinteger):
+            raise ValidationError(
+                f"coin-shift table must hold signed integers, got {self.table.dtype}"
+            )
         m = self.host.degree
         if not (0 <= self.table.min() and self.table.max() < m):
             raise ValidationError(f"coin-shift table entries must lie in 0..{m - 1}")
@@ -72,23 +77,25 @@ def validate_coin_shift(
     """Check the per-target permutation constraint.
 
     Cell (v, c) lands on the flat (target vertex, emitted coin) index
-    succ * m + table (exact because CoinShift keeps every table entry in
-    0..m-1).  With every target in range, one scatter of the cell indices
-    into ``inverse``, filled with -1 first, leaves no -1 iff the shift is a
-    bijection; ``inverse`` then holds the cell landing on each target, the
-    shift's gather index.  Pass a length V*m intp array as ``inverse`` to
-    keep it.  Otherwise a bincount of the targets finds the violating target
-    vertices (deterministic ascending order).
+    succ * m + table, which lies in 0..V*m-1 because Partition keeps every
+    successor in 0..V-1 and CoinShift every table entry in 0..m-1.  One
+    scatter of the cell indices into ``inverse``, filled with -1 first,
+    leaves no -1 iff the shift is a bijection; ``inverse`` then holds the
+    cell landing on each target, the shift's gather index.  Pass a length
+    V*m intp array as ``inverse`` to keep it.  Otherwise a bincount of the
+    targets finds the violating target vertices (deterministic ascending
+    order).
     """
+    if gc.table.shape != p.succ.shape:
+        raise ValidationError("partition and coin shift live on different hosts")
     v, m = p.host.n_vertices, p.degree
     targets = (p.succ * m + gc.table).ravel()
-    if 0 <= targets.min() and targets.max() < v * m:
-        if inverse is None:
-            inverse = np.empty(v * m, dtype=np.intp)
-        inverse.fill(-1)
-        inverse[targets] = np.arange(v * m)
-        if inverse.min() >= 0:
-            return CoinShiftReport(True, [])
+    if inverse is None:
+        inverse = np.empty(v * m, dtype=np.intp)
+    inverse.fill(-1)
+    inverse[targets] = np.arange(v * m)
+    if inverse.min() >= 0:
+        return CoinShiftReport(True, [])
     counts = np.bincount(targets, minlength=v * m)
     bad = np.flatnonzero((counts.reshape(v, m) != 1).any(axis=1))
     return CoinShiftReport(False, [int(b) for b in bad])
@@ -140,6 +147,15 @@ def _target_groups(p: Partition) -> list[list[tuple[int, int]]]:
     return groups
 
 
+def check_enumeration_size(cells: int) -> None:
+    """Refuse to enumerate a gc table of more than ENUMERATION_CELL_LIMIT cells."""
+    if cells > ENUMERATION_CELL_LIMIT:
+        raise ValidationError(
+            f"host has {cells} gc cells; enumeration is limited to "
+            f"{ENUMERATION_CELL_LIMIT}"
+        )
+
+
 def enumerate_coin_shifts(p: Partition) -> list[CoinShift]:
     """All valid coin-shift tables for a partition, in deterministic order.
 
@@ -150,11 +166,7 @@ def enumerate_coin_shifts(p: Partition) -> list[CoinShift]:
     """
     host = p.host
     v, m = host.n_vertices, host.degree
-    if v * m > ENUMERATION_CELL_LIMIT:
-        raise ValidationError(
-            f"host has {v * m} gc cells; enumeration is limited to "
-            f"{ENUMERATION_CELL_LIMIT}"
-        )
+    check_enumeration_size(v * m)
     groups = _target_groups(p)
     perms = list(permutations(range(m)))
     shifts = []

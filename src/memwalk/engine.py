@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -53,13 +52,13 @@ def hadamard_coin() -> np.ndarray:
     return np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
 
 
-def check_unitary(a: np.ndarray, atol: float = UNITARY_ATOL) -> None:
+def check_unitary(a: np.ndarray) -> None:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"coin matrix must be square, got shape {a.shape}")
     with np.errstate(invalid="ignore", over="ignore"):  # NaN and inf entries
         residual = np.abs(a.conj().T @ a - np.eye(a.shape[0])).max()
     # Written so that a NaN residual fails too.
-    if not residual <= atol:
+    if not residual <= UNITARY_ATOL:
         raise ValidationError(f"coin matrix is not unitary (residual {residual:.3e})")
 
 
@@ -68,8 +67,8 @@ class ShiftOp:
     """A basis permutation over (vertex, coin) pairs, flat-indexed v*m + c.
 
     It is held as the gather index shift_step uses: inverse_perm[j] is the
-    pair whose amplitude moves to j, and perm its inverse.  inverse_perm is
-    keyword-only, so a positional forward permutation is a TypeError.
+    pair whose amplitude moves to j.  inverse_perm is keyword-only, so a
+    positional forward permutation is a TypeError.
     """
 
     host: RegularDigraph
@@ -77,13 +76,6 @@ class ShiftOp:
 
     def __post_init__(self):
         self.inverse_perm.flags.writeable = False
-
-    @cached_property
-    def perm(self) -> np.ndarray:
-        perm = np.empty_like(self.inverse_perm)
-        perm[self.inverse_perm] = np.arange(self.inverse_perm.size)
-        perm.flags.writeable = False
-        return perm
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,7 +120,6 @@ def _check_normalized(state: WalkState) -> None:
 def state_from_terms(
     host: RegularDigraph,
     terms: list[tuple[tuple[int, ...], int, complex]],
-    time: int = 0,
 ) -> WalkState:
     """Build a state from (path tuple, coin label, amplitude) terms.
 
@@ -138,7 +129,7 @@ def state_from_terms(
     amps = np.zeros((host.n_vertices, host.degree), dtype=np.complex128)
     for path, label, amplitude in terms:
         amps[host.index_of(tuple(path)), coin_index(label, host.degree)] += amplitude
-    state = WalkState(host, amps, time)
+    state = WalkState(host, amps)
     _check_normalized(state)
     return state
 
@@ -194,8 +185,6 @@ def build_shift_operator(p: Partition, gc: CoinShift) -> ShiftOp:
 
     validate_coin_shift's check fills in the permutation's gather index.
     """
-    if gc.table.shape != p.succ.shape:
-        raise ValidationError("partition and coin shift live on different hosts")
     inverse = np.empty(p.succ.size, dtype=np.intp)
     report = validate_coin_shift(p, gc, inverse)
     if not report.ok:

@@ -65,6 +65,7 @@ from . import analysis
 from .coin_shift import (
     CoinShift,
     carried_coin_shift,
+    check_enumeration_size,
     enumerate_coin_shifts,
     recycled_coin_shift,
 )
@@ -222,7 +223,6 @@ class ResolvedExperiment:
     gc: CoinShift
     coin: np.ndarray
     initial: WalkState
-    enforce_window: bool
 
 
 def _partition_seeds(spec: ExperimentSpec) -> list[int | None]:
@@ -346,10 +346,10 @@ def _check_pair(name: str, value) -> complex:
     return complex(value[0], value[1])
 
 
-def _check_spec(spec: ExperimentSpec) -> tuple[int, bool]:
+def _check_spec(spec: ExperimentSpec) -> int:
     """Every check resolve_spec makes before it builds the host.
 
-    Returns the spec's window and whether the walk enforces it.
+    Returns the spec's window; a line walk enforces it, a cycle walk wraps.
     """
     _check_int("t_max", spec.t_max, 0)
     _check_int("memory_depth", spec.memory_depth, 1)
@@ -385,15 +385,13 @@ def _check_spec(spec: ExperimentSpec) -> tuple[int, bool]:
         )
         if window % 2 == 0:
             raise ValidationError(f"line windows must be odd, got {window}")
-        enforce = True
     elif spec.graph_family == "cycle":
         if spec.window is None:
             raise ValidationError("cycle graphs need an explicit window")
         window = spec.window
-        enforce = False
     else:
         raise ValidationError(f"unknown graph family {spec.graph_family!r}")
-    return window, enforce
+    return window
 
 
 def resolve_spec(
@@ -405,7 +403,7 @@ def resolve_spec(
     (run_sweep builds one for all of its jobs); it must have the spec's
     window and memory depth.
     """
-    window, enforce = _check_spec(spec)
+    window = _check_spec(spec)
     spec.window = window
     if host is None:
         host = iterate_line_digraph(make_bidirected_cycle(window), spec.memory_depth)
@@ -419,7 +417,7 @@ def resolve_spec(
     gc = _resolve_coin_shift(spec, partition)
     coin = _resolve_coin(spec)
     initial = _resolve_initial(spec, host)
-    return ResolvedExperiment(spec, host, partition, gc, coin, initial, enforce)
+    return ResolvedExperiment(spec, host, partition, gc, coin, initial)
 
 
 def iter_history(resolved: ResolvedExperiment) -> Iterator[WalkState]:
@@ -450,7 +448,7 @@ def iter_history(resolved: ResolvedExperiment) -> Iterator[WalkState]:
             return op  # built once, below
 
     states = walk_states(
-        shift, resolved.coin, resolved.initial, spec.t_max, resolved.enforce_window
+        shift, resolved.coin, resolved.initial, spec.t_max, spec.graph_family == "line"
     )
     if spec.partition_resample != "per_step":
         op = build_shift_operator(resolved.partition, resolved.gc)
@@ -948,7 +946,7 @@ def run_sweep(
     # in its partition, coin shift and outputs.  Job 0's checks come first,
     # as in its own resolve_spec, so a spec the host cannot be built for
     # fails as job 0 would.  Forked processes inherit the host.
-    window, _ = _check_spec(specs[0])
+    window = _check_spec(specs[0])
     host = iterate_line_digraph(make_bidirected_cycle(window), template.memory_depth)
 
     # Processes, not threads: a job's steps are Python code and small numpy
@@ -986,20 +984,12 @@ def run_sweep(
             ),
         }
         class_reports[walk_class] = report
+        # csv.writer writes None as an empty cell and a float by its repr.
         rows.append(
-            [
-                walk_class,
-                len(seeds),
-                repr(ratio) if ratio is not None else "",
-                report["ratio_verdict"],
-                report["fit_verdict"] or "",
-            ]
-            + [repr(float(occ[t])) for t in checkpoints]
-            + [
-                repr(report["origin_late_average"])
-                if report["origin_late_average"] is not None
-                else ""
-            ]
+            [walk_class, len(seeds)]
+            + [report[k] for k in ("variance_ratio", "ratio_verdict", "fit_verdict")]
+            + list(report["occupancy_at"].values())
+            + [report["origin_late_average"]]
         )
 
     summary = {"template": template.to_json_dict(), "classes": class_reports}
@@ -1019,11 +1009,11 @@ def run_sweep(
 # -- equivalence pipeline ------------------------------------------------------------
 
 
-def equivalence_report(
-    t_max: int = 100,
-    oracle_t_max: int = 50,
-    initial_beta: analysis.BetaField | None = None,
-) -> dict:
+#: Horizon of the position-and-memory oracle comparisons in equivalence_report.
+ORACLE_T_MAX = 50
+
+
+def equivalence_report(t_max: int = 100) -> dict:
     """Cross-check the engine against every independent oracle.
 
     Field pipeline: evolve the reflect/transmit amplitude field, check its
@@ -1035,9 +1025,7 @@ def equivalence_report(
     position-and-memory oracles are compared against engine marginals.
     """
     window = minimal_window(t_max, 1)
-    beta = initial_beta if initial_beta is not None else analysis.equivalence_initial_beta(window)
-    if beta.window != window:
-        raise ValidationError(f"initial field window {beta.window} != {window}")
+    beta = analysis.equivalence_initial_beta(window)
 
     host = iterate_line_digraph(make_bidirected_cycle(window), 1)
     partition = reflect_transmit_partition(host)
@@ -1065,21 +1053,18 @@ def equivalence_report(
             engine_field_diff_max,
             float(np.abs(analysis.beta_from_walk_state(state).amps - beta.amps).max()),
         )
-        if applicable:
-            rebuilt = analysis.alpha_from_beta(beta)
-            alpha_diff_max = max(
-                alpha_diff_max, float(np.abs(rebuilt.amps - alpha.amps).max())
-            )
-            tv_max = max(
-                tv_max,
-                analysis.total_variation(
-                    analysis.beta_distribution(beta), analysis.alpha_distribution(alpha)
-                ),
-            )
+        rebuilt = analysis.alpha_from_beta(beta)
+        alpha_diff_max = max(alpha_diff_max, float(np.abs(rebuilt.amps - alpha.amps).max()))
+        tv_max = max(
+            tv_max,
+            analysis.total_variation(
+                analysis.beta_distribution(beta), analysis.alpha_distribution(alpha)
+            ),
+        )
 
     # Position-and-memory oracles against engine marginals: the recycled-coin
     # walk at depths 1 and 2, then the reflect/transmit walk at depth 1.
-    oracle_window = minimal_window(oracle_t_max, 2)
+    oracle_window = minimal_window(ORACLE_T_MAX, 2)
     oracle_report = {}
     for name, depth, kind in (
         ("recycled_d1", 1, "directional"),
@@ -1092,16 +1077,16 @@ def equivalence_report(
             o_gc = recycled_coin_shift(o_partition)
             terms, oracle_terms = _paired_origin_state(depth, seed=20260819 + depth)
             oracle = recycled_coin_walk(
-                depth, hadamard_coin(), oracle_terms, oracle_t_max, oracle_window
+                depth, hadamard_coin(), oracle_terms, ORACLE_T_MAX, oracle_window
             )
         else:
             o_gc = carried_coin_shift(o_partition)
             terms, oracle_terms = _paired_reflect_transmit_state(seed=20260819)
             oracle = reflect_transmit_walk(
-                hadamard_coin(), oracle_terms, oracle_t_max, oracle_window
+                hadamard_coin(), oracle_terms, ORACLE_T_MAX, oracle_window
             )
         states = evolve(
-            o_partition, o_gc, hadamard_coin(), state_from_terms(o_host, terms), oracle_t_max
+            o_partition, o_gc, hadamard_coin(), state_from_terms(o_host, terms), ORACLE_T_MAX
         )
         oracle_report[name] = max(
             analysis.max_distribution_difference(
@@ -1116,12 +1101,11 @@ def equivalence_report(
         "applicable": bool(applicable),
         "constraint_residual_max": constraint_max,
         "engine_field_diff_max": engine_field_diff_max,
-        "alpha_reconstruction_diff_max": alpha_diff_max if applicable else None,
-        "distribution_tv_max": tv_max if applicable else None,
+        "alpha_reconstruction_diff_max": alpha_diff_max,
+        "distribution_tv_max": tv_max,
         "oracle_distribution_diff_max": oracle_report,
         "passed": bool(
-            applicable
-            and constraint_max < UNITARY_ATOL
+            constraint_max < UNITARY_ATOL
             and engine_field_diff_max < UNITARY_ATOL
             and alpha_diff_max < AMPLITUDE_ATOL
             and tv_max < ORACLE_DISTRIBUTION_ATOL
@@ -1200,6 +1184,9 @@ def enumerate_report(
     _check_int("t_max", t_max, 0)
     for seed in seeds:
         _check_int("enumerate seed", seed, 0)
+    # The depth-1 host has 2 * cycle_size vertices with 2 coins each; a host
+    # too large to enumerate is refused before it is built.
+    check_enumeration_size(4 * cycle_size)
     host = iterate_line_digraph(make_bidirected_cycle(cycle_size), 1)
     partition = reflect_transmit_partition(host)
     shifts = enumerate_coin_shifts(partition)

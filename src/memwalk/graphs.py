@@ -381,18 +381,15 @@ def _check_factorization(g: RegularDigraph, classes: list[np.ndarray]) -> None:
 # -- line digraphs -----------------------------------------------------------------
 
 
-def line_digraph(
-    g: RegularDigraph, factorization: list[np.ndarray] | None = None
-) -> RegularDigraph:
+def line_digraph(g: RegularDigraph, factorization: list[np.ndarray]) -> RegularDigraph:
     """The line digraph of g under the block labeling.
 
     Vertex k*V + u of the result is the arc of class D_k ending at u, i.e.
     the walk label(D_k^{-1}(u)) extended by u's last position.  Out-neighbor
     column l points at class D_l's continuation, so all vertices sharing a
-    head have identical ordered out-neighbor rows.
+    head have identical ordered out-neighbor rows.  ``factorization`` is a
+    dicycle factorization of g, such as dicycle_factorize_base returns.
     """
-    if factorization is None:
-        factorization = dicycle_factorize_base(g)
     _check_factorization(g, factorization)
 
     n, m = g.n_vertices, g.degree

@@ -57,11 +57,19 @@ class Partition:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.succ.shape != (self.host.n_vertices, self.host.degree):
+        succ, v = self.succ, self.host.n_vertices
+        if succ.shape != (v, self.host.degree):
             raise ValidationError(
-                f"successor table shape {self.succ.shape} does not match host"
+                f"successor table shape {succ.shape} does not match host"
             )
-        self.succ.flags.writeable = False
+        # Signed only: a uint64 table times m plus an int64 coin is float64.
+        if not np.issubdtype(succ.dtype, np.signedinteger):
+            raise ValidationError(
+                f"successor table must hold signed integers, got {succ.dtype}"
+            )
+        if succ.min() < 0 or succ.max() >= v:
+            raise ValidationError(f"successor table entries must lie in 0..{v - 1}")
+        succ.flags.writeable = False
 
     @property
     def degree(self) -> int:
@@ -73,14 +81,11 @@ class Partition:
 
         A class is one iff each vertex 0..V-1 is hit exactly once.  One
         bincount covers every class: cell (v, k) counts into bin
-        succ[v, k] * m + k.  The range guard keeps bincount from failing on a
-        negative entry and from counting an out-of-range one; with every
-        entry in range the V * m cells fill the V * m bins, so each bin holds
-        exactly one iff none is empty.
+        succ[v, k] * m + k.  Construction keeps every entry in 0..V-1, so the
+        V * m cells fill the V * m bins and each bin holds exactly one iff
+        none is empty.
         """
         host, succ = self.host, self.succ
-        if succ.min() < 0 or succ.max() >= host.n_vertices:
-            return False
         bins = (succ * host.degree + host.columns).ravel()
         return bool(np.bincount(bins, minlength=succ.size).all())
 

@@ -184,7 +184,7 @@ def test_criterion_04_unitarity(acceptance_log):
 
         def assert_permutation(p, gc):
             op = build_shift_operator(p, gc)
-            counts = np.bincount(op.perm, minlength=op.perm.size)
+            counts = np.bincount(op.inverse_perm, minlength=op.inverse_perm.size)
             assert (counts == 1).all()
 
         for walk_class in WALK_CLASSES:

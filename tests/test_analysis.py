@@ -281,6 +281,18 @@ def test_census_matches_per_probe_census():
     )
 
 
+@pytest.mark.parametrize("key", ["constant", "seed"])
+def test_census_keys_are_consistent_only_one_to_one_with_classes(host_d1, monkeypatch, key):
+    # One key for every class, or one class spread over several keys, is
+    # not a one-to-one correspondence.
+    keys = iter(range(10**6))
+    fake = (lambda p: ()) if key == "constant" else (lambda p: (next(keys),))
+    monkeypatch.setattr(analysis, "partition_center_key", fake)
+    report = count_distinct_dicycle_carried_walks(host_d1, list(range(12)), 10)
+    assert 1 < report.n_classes < 12
+    assert not report.keys_consistent
+
+
 def test_census_builds_each_seed_shift_once(host_d1, monkeypatch):
     built = []
     real = analysis.build_shift_operator

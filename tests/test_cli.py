@@ -349,6 +349,39 @@ def test_enumerate_subcommand(tmp_path, capsys):
     assert "distinct walks" in captured
 
 
+@pytest.mark.parametrize("cycle_size", [7, 200_000])
+def test_enumerate_refuses_a_large_host_before_building_it(
+    tmp_path, monkeypatch, capsys, cycle_size
+):
+    def build(n):
+        raise AssertionError(f"built the {n}-cycle")
+
+    monkeypatch.setattr(experiments, "make_bidirected_cycle", build)
+    out = tmp_path / "enum"
+    assert main(["enumerate", "--cycle-size", str(cycle_size), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"host has {4 * cycle_size} gc cells; enumeration is limited to 24" in err
+    assert not out.exists()
+
+
+def test_an_out_of_range_partition_table_exits_2(tmp_path, monkeypatch, config, capsys):
+    # A sampled successor outside the host fails where its Partition is
+    # built; the host's own unseeded factorization is left alone.
+    real = memwalk.graphs.dicycle_factorize_base
+
+    def broken(g, seed=None):
+        classes = real(g, seed)
+        if seed is not None:
+            classes[0][0] = g.n_vertices
+        return classes
+
+    monkeypatch.setattr(memwalk.graphs, "dicycle_factorize_base", broken)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", config(simulate_doc()), "--out", str(out)]) == 2
+    assert "successor table entries must lie in" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def drift_from(monkeypatch, t_bad, seen=None):
     """Make every step from t_bad on leak norm, as a numerical fault would."""
     real_shift_step = engine.shift_step
@@ -625,7 +658,7 @@ def test_failed_equivalence_still_writes_its_report(tmp_path, monkeypatch, capsy
     monkeypatch.setattr(
         experiments,
         "equivalence_report",
-        lambda t_max: {**real_report(t_max=t_max, oracle_t_max=10), "passed": False},
+        lambda t_max: {**real_report(t_max=t_max), "passed": False},
     )
     out = tmp_path / "eq"
     assert main(["equivalence", "--out", str(out), "--t-max", "40"]) == 4

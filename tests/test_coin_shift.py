@@ -53,6 +53,14 @@ def test_table_entries_outside_the_coin_range_are_rejected(host_d1, entry):
         CoinShift(host_d1, table)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.uint64])
+def test_table_entries_must_be_signed_integers(host_d1, dtype):
+    # An unsigned table would turn the shift's flat targets into floats.
+    table = np.zeros((host_d1.n_vertices, 2), dtype=dtype)
+    with pytest.raises(ValidationError, match="signed integers"):
+        CoinShift(host_d1, table)
+
+
 def test_carried_is_identity_table(host_d1):
     p = reflect_transmit_partition(host_d1)
     gc = carried_coin_shift(p)

@@ -31,6 +31,7 @@ from memwalk import (
     walk_states,
 )
 from memwalk.coin_shift import CoinShift
+from memwalk.partitions import Partition
 from memwalk.engine import WalkState, check_unitary
 from memwalk import NumericalCheckError, analysis, engine
 
@@ -125,24 +126,27 @@ def test_shift_operator_is_permutation(host_d1):
     p = directional_partition(host_d1)
     gc = recycled_coin_shift(p)
     op = build_shift_operator(p, gc)
-    counts = np.bincount(op.perm, minlength=op.perm.size)
+    counts = np.bincount(op.inverse_perm, minlength=op.inverse_perm.size)
     assert (counts == 1).all()
-    # perm sends cell (v, c) to (succ[v, c], table[v, c]).
-    assert np.array_equal(op.perm, (p.succ * p.degree + gc.table).ravel())
-    assert np.array_equal(op.perm[op.inverse_perm], np.arange(op.perm.size))
-    assert np.array_equal(op.inverse_perm, np.argsort(op.perm))
+    # The forward map sends cell (v, c) to (succ[v, c], table[v, c]); the
+    # gather index is its inverse.
+    forward = (p.succ * p.degree + gc.table).ravel()
+    assert np.array_equal(forward[op.inverse_perm], np.arange(forward.size))
+    assert np.array_equal(op.inverse_perm, np.argsort(forward))
     assert not op.inverse_perm.flags.writeable
 
 
 def test_shift_operator_takes_its_gather_index_by_keyword(host_d1):
     p = directional_partition(host_d1)
-    op = build_shift_operator(p, recycled_coin_shift(p))
+    gc = recycled_coin_shift(p)
+    op = build_shift_operator(p, gc)
     # A forward permutation passed the old positional way must not be taken
     # for the gather index.
+    forward = (p.succ * p.degree + gc.table).ravel()
     with pytest.raises(TypeError):
-        engine.ShiftOp(host_d1, op.perm)
+        engine.ShiftOp(host_d1, forward)
     again = engine.ShiftOp(host_d1, inverse_perm=op.inverse_perm.copy())
-    assert np.array_equal(again.perm, op.perm)
+    assert np.array_equal(again.inverse_perm, op.inverse_perm)
 
 
 def test_shift_operator_rejects_invalid_pair(host_d1):
@@ -152,6 +156,31 @@ def test_shift_operator_rejects_invalid_pair(host_d1):
         build_shift_operator(p, gc)
     assert err.value.violations
     assert err.value.violations == validate_coin_shift(p, gc).violations
+
+
+@given(data=st.data())
+def test_shift_build_on_an_in_range_table_is_a_permutation_or_a_violation(small_host, data):
+    # Any in-range successor table with the recycled shift or any coin table
+    # builds a bijection or reports the violating targets; no bare numpy
+    # error escapes from the check.
+    v, m = small_host.n_vertices, small_host.degree
+    if data.draw(st.booleans()):
+        succ = random_partition(small_host, data.draw(st.integers(0, 2**31 - 1))).succ
+    else:
+        cells = data.draw(st.lists(st.integers(0, v - 1), min_size=v * m, max_size=v * m))
+        succ = np.array(cells, dtype=np.int64).reshape(v, m)
+    p = Partition(small_host, succ)
+    if data.draw(st.booleans()):
+        gc = recycled_coin_shift(p)
+    else:
+        coins = data.draw(st.lists(st.integers(0, m - 1), min_size=v * m, max_size=v * m))
+        gc = CoinShift(small_host, np.array(coins, dtype=np.int64).reshape(v, m))
+    try:
+        op = build_shift_operator(p, gc)
+    except ConstraintViolationError as err:
+        assert err.violations == validate_coin_shift(p, gc).violations != []
+    else:
+        assert np.array_equal(np.sort(op.inverse_perm), np.arange(v * m))
 
 
 def test_coin_step_mixes_in_place(host_d1):

@@ -18,7 +18,6 @@ from memwalk import (
     ValidationError,
     minimal_window,
 )
-from memwalk.analysis import BetaField, equivalence_initial_beta
 from memwalk.experiments import (
     ALL_OUTPUTS,
     ANNEALED_CLASSES,
@@ -909,7 +908,7 @@ def test_sweep_rejects_unknown_class(tmp_path):
 
 
 def test_equivalence_report_passes_quickly():
-    report = equivalence_report(t_max=40, oracle_t_max=20)
+    report = equivalence_report(t_max=40)
     assert report["passed"]
     assert report["applicable"]
     assert report["constraint_residual_max"] < 1e-12
@@ -934,22 +933,10 @@ def test_equivalence_report_memory_grows_linearly_with_t_max():
     # field peaks about 2.2x higher at t_max 120 than at 60; streamed, the
     # oracle walks' fixed 50 steps dominate and the peak rises about 5%.
     # The warm-up call fills the first-call caches.
-    equivalence_report(t_max=10, oracle_t_max=10)
+    equivalence_report(t_max=10)
     small = _equivalence_peak_bytes(60)
     large = _equivalence_peak_bytes(120)
     assert large < 1.5 * small
-
-
-def test_equivalence_report_flags_bad_start():
-    window = minimal_window(40, 1)
-    amps = equivalence_initial_beta(window).amps.copy()
-    amps[3, 0, 0] = 0.3
-    report = equivalence_report(
-        t_max=40, oracle_t_max=20, initial_beta=BetaField(amps, 0)
-    )
-    assert not report["applicable"]
-    assert not report["passed"]
-    assert report["alpha_reconstruction_diff_max"] is None
 
 
 def test_matrix_coin_literal():

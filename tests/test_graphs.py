@@ -82,7 +82,7 @@ def test_minimal_window_is_odd_and_sufficient():
 
 
 def test_line_digraph_vertex_count_and_labels(cycle5):
-    lg = line_digraph(cycle5)
+    lg = line_digraph(cycle5, dicycle_factorize_base(cycle5))
     assert lg.n_vertices == 10  # one vertex per arc of C5
     assert lg.degree == 2
     assert lg.depth == 1
@@ -94,7 +94,7 @@ def test_line_digraph_vertex_count_and_labels(cycle5):
 
 def test_line_digraph_arcs_match_direct_construction(cycle5):
     # independent definition: vertices are arcs (a, b); (a, b) -> (b, c)
-    lg = line_digraph(cycle5)
+    lg = line_digraph(cycle5, dicycle_factorize_base(cycle5))
     expected = set()
     for a, b in lg.labels:
         for k in range(2):
@@ -109,7 +109,7 @@ def test_line_digraph_arcs_match_direct_construction(cycle5):
 
 def test_line_digraph_block_rows_identical(cycle5):
     # vertices u and u + N share out-neighborhoods by construction
-    lg = line_digraph(cycle5)
+    lg = line_digraph(cycle5, dicycle_factorize_base(cycle5))
     rows = lg.out_neighbors
     n = cycle5.n_vertices
     for k in range(1, lg.degree):

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from memwalk import (
     ValidationError,
@@ -170,16 +171,36 @@ def test_random_partition_matches_default_argsort_gather(host_d1):
 
 
 def test_is_dicycle_rejects_out_of_range_entries(host_d1):
+    # An out-of-range or non-integer table never becomes a Partition, so
+    # is_dicycle only ever sees successors in 0..V-1.
+    good = reflect_transmit_partition(host_d1).succ
     for bad in (-1, host_d1.n_vertices):
-        succ = reflect_transmit_partition(host_d1).succ.copy()
+        succ = good.copy()
         succ[0, 0] = bad
-        assert not Partition(host_d1, succ, kind="custom").is_dicycle
+        with pytest.raises(ValidationError, match="must lie in"):
+            Partition(host_d1, succ, kind="custom")
+    for dtype in (np.float64, np.uint64):
+        with pytest.raises(ValidationError, match="signed integers"):
+            Partition(host_d1, good.astype(dtype), kind="custom")
+
+
+@given(data=st.data())
+def test_partition_accepts_exactly_the_signed_tables_in_range(small_host, data):
+    v, m = small_host.n_vertices, small_host.degree
+    cells = data.draw(st.lists(st.integers(-2, v + 1), min_size=v * m, max_size=v * m))
+    dtype = data.draw(st.sampled_from([np.int64, np.int32, np.int8, np.uint64, np.float64]))
+    succ = np.array(cells).reshape(v, m).astype(dtype)
+    if np.issubdtype(dtype, np.signedinteger) and all(0 <= c < v for c in cells):
+        assert np.array_equal(Partition(small_host, succ).succ, succ)
+    else:
+        with pytest.raises(ValidationError):
+            Partition(small_host, succ)
 
 
 @pytest.mark.parametrize("bad", ["shared head", "out of range"])
 def test_random_dicycle_rejects_a_matching_that_is_not_a_dicycle(monkeypatch, host_d1, bad):
-    # The dicycle guard runs on every sample, range guard included: a broken
-    # matching fails as a ValidationError, not inside the check's bincount.
+    # A broken matching fails as a ValidationError: a shared head at the
+    # dicycle check, an out-of-range successor when its Partition is built.
     out = host_d1.out_neighbors
     if bad == "shared head":
         # Twins share out-neighbor rows, so each column hits its heads twice.
@@ -190,5 +211,6 @@ def test_random_dicycle_rejects_a_matching_that_is_not_a_dicycle(monkeypatch, ho
         first[0] = -1
         classes = [first, second]
     monkeypatch.setattr(graphs, "dicycle_factorize_base", lambda g, seed=None: classes)
-    with pytest.raises(ValidationError, match="non-dicycle"):
+    message = "non-dicycle" if bad == "shared head" else "must lie in"
+    with pytest.raises(ValidationError, match=message):
         random_dicycle_factorization(host_d1, 0)

@@ -5,172 +5,26 @@ with an arc partition and a coin-shift rule, and evolves coined walks whose
 memory registers are encoded in the line-graph vertices.  Independent
 low-level simulators and an amplitude-field pipeline serve as oracles for
 cross-checking the engine.
+
+Each public name is declared once, in its module's ``__all__``; the package
+exports the union of those lists.
 """
 
 from __future__ import annotations
 
-from .analysis import (
-    AlphaField,
-    BetaField,
-    PositionDistribution,
-    alpha_distribution,
-    alpha_from_beta,
-    beta_distribution,
-    beta_from_walk_state,
-    beta_recurrence_step,
-    check_beta_constraint,
-    classify_scaling,
-    count_distinct_dicycle_carried_walks,
-    equivalence_initial_beta,
-    marginal_history,
-    max_distribution_difference,
-    occupancy_rate,
-    partition_center_key,
-    position_marginal,
-    qwom_initial_alpha,
-    qwom_step,
-    total_variation,
-    variance,
-)
-from .coin_shift import (
-    CoinShift,
-    carried_coin_shift,
-    enumerate_coin_shifts,
-    random_coin_shift,
-    recycled_coin_shift,
-    validate_coin_shift,
-)
-from .engine import (
-    ShiftOp,
-    WalkState,
-    balanced_origin_terms,
-    build_shift_operator,
-    coin_step,
-    equivalence_initial_terms,
-    evolve,
-    hadamard_coin,
-    origin_basis_terms,
-    recycled_coin_walk,
-    reflect_transmit_walk,
-    shift_step,
-    state_from_terms,
-    walk_states,
-)
-from .errors import (
-    ConstraintViolationError,
-    FactorizationError,
-    InvalidGraphError,
-    MemwalkError,
-    NumericalCheckError,
-    ValidationError,
-)
-from .experiments import (
-    ANNEALED_CLASSES,
-    WALK_CLASSES,
-    ExperimentSpec,
-    enumerate_report,
-    equivalence_report,
-    iter_history,
-    resolve_spec,
-    run_enumerate,
-    run_equivalence,
-    run_history,
-    run_simulate,
-    run_sweep,
-)
-from .graphs import (
-    RegularDigraph,
-    centered_positions,
-    current_position,
-    dicycle_factorize_base,
-    iterate_line_digraph,
-    line_digraph,
-    make_bidirected_cycle,
-    minimal_window,
-)
-from .partitions import (
-    Partition,
-    directional_partition,
-    named_partition,
-    random_dicycle_factorization,
-    random_partition,
-    reflect_transmit_partition,
-)
+from . import analysis, coin_shift, engine, errors, experiments, graphs, partitions
+from .analysis import *
+from .coin_shift import *
+from .engine import *
+from .errors import *
+from .experiments import *
+from .graphs import *
+from .partitions import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ANNEALED_CLASSES",
-    "AlphaField",
-    "BetaField",
-    "CoinShift",
-    "ConstraintViolationError",
-    "ExperimentSpec",
-    "FactorizationError",
-    "InvalidGraphError",
-    "MemwalkError",
-    "NumericalCheckError",
-    "Partition",
-    "PositionDistribution",
-    "RegularDigraph",
-    "ShiftOp",
-    "ValidationError",
-    "WALK_CLASSES",
-    "WalkState",
-    "alpha_distribution",
-    "alpha_from_beta",
-    "balanced_origin_terms",
-    "beta_distribution",
-    "beta_from_walk_state",
-    "beta_recurrence_step",
-    "build_shift_operator",
-    "carried_coin_shift",
-    "centered_positions",
-    "check_beta_constraint",
-    "classify_scaling",
-    "coin_step",
-    "count_distinct_dicycle_carried_walks",
-    "current_position",
-    "dicycle_factorize_base",
-    "directional_partition",
-    "enumerate_coin_shifts",
-    "enumerate_report",
-    "equivalence_initial_beta",
-    "equivalence_initial_terms",
-    "equivalence_report",
-    "evolve",
-    "hadamard_coin",
-    "iter_history",
-    "iterate_line_digraph",
-    "line_digraph",
-    "make_bidirected_cycle",
-    "marginal_history",
-    "max_distribution_difference",
-    "minimal_window",
-    "named_partition",
-    "occupancy_rate",
-    "origin_basis_terms",
-    "partition_center_key",
-    "position_marginal",
-    "qwom_initial_alpha",
-    "qwom_step",
-    "random_coin_shift",
-    "random_dicycle_factorization",
-    "random_partition",
-    "recycled_coin_shift",
-    "recycled_coin_walk",
-    "reflect_transmit_partition",
-    "reflect_transmit_walk",
-    "resolve_spec",
-    "run_enumerate",
-    "run_equivalence",
-    "run_history",
-    "run_simulate",
-    "run_sweep",
-    "shift_step",
-    "state_from_terms",
-    "total_variation",
-    "validate_coin_shift",
-    "variance",
-    "walk_states",
+    name
+    for module in (analysis, coin_shift, engine, errors, experiments, graphs, partitions)
+    for name in module.__all__
 ]

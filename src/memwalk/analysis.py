@@ -47,7 +47,6 @@ __all__ = [
     "occupancy_rate",
     "max_distribution_difference",
     "total_variation",
-    "ScalingFit",
     "classify_scaling",
     "BetaField",
     "equivalence_initial_beta",
@@ -61,7 +60,6 @@ __all__ = [
     "alpha_from_beta",
     "alpha_distribution",
     "partition_center_key",
-    "DistinctWalkReport",
     "count_distinct_dicycle_carried_walks",
 ]
 
@@ -416,7 +414,7 @@ def count_distinct_dicycle_carried_walks(
     host: RegularDigraph,
     seeds: list[int],
     t_max: int,
-    spread: Callable[[Callable[[int], _Sighting], list[int]], list[_Sighting]] | None = None,
+    spread: Callable[[Callable[[int], _Sighting], list[int]], list[_Sighting]],
 ) -> DistinctWalkReport:
     """Group seeded dicycle factorizations by their carried-coin walk output.
 
@@ -428,10 +426,10 @@ def count_distinct_dicycle_carried_walks(
     equal-modulus amplitudes), so without the superposition the census
     merges classes pairwise.
 
-    ``spread(walk, seeds)`` returns ``[walk(s) for s in seeds]``, which is
-    what runs when it is None; enumerate_report passes one that shares the
-    seeds out over several processes.  Classes are numbered by first
-    sighting in seed order either way, so the report does not depend on it.
+    ``spread(walk, seeds)`` returns ``[walk(s) for s in seeds]``;
+    enumerate_report passes one that shares the seeds out over several
+    processes.  Classes are numbered by first sighting in seed order, so the
+    report does not depend on how the seeds were shared out.
     """
     probes = list(origin_basis_terms(host))
     ((lo, _, _),), ((hi, _, _),) = probes[0], probes[2]
@@ -460,7 +458,7 @@ def count_distinct_dicycle_carried_walks(
         # brings a forked process's sightings back holds each one once.
         return seen.setdefault(signature, signature), partition_center_key(p)
 
-    sightings = spread(walk, seeds) if spread is not None else [walk(s) for s in seeds]
+    sightings = spread(walk, seeds)
     signatures: dict[bytes, int] = {}
     class_of: dict[int, int] = {}
     key_of: dict[int, tuple] = {}

@@ -109,8 +109,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_equivalence(args: argparse.Namespace) -> int:
-    t_max = args.t_max if args.t_max is not None else 100
-    report = run_equivalence(args.out, t_max=t_max)
+    report = run_equivalence(args.out, t_max=args.t_max)
     print(
         "equivalence: constraint residual"
         f" {report['constraint_residual_max']:.3e},"
@@ -120,10 +119,8 @@ def _cmd_equivalence(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    seeds = _parse_seeds(args.seeds) if args.seeds is not None else []
-    t_max = args.t_max if args.t_max is not None else 30
     report = run_enumerate(
-        args.out, cycle_size=args.cycle_size, seeds=seeds, t_max=t_max
+        args.out, cycle_size=args.cycle_size, seeds=_parse_seeds(args.seeds), t_max=args.t_max
     )
     counts = report["gc_enumeration"]
     print(
@@ -141,7 +138,13 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """Each subcommand takes only the flags it reads: any other flag is a
-    usage error (exit 2), raised before anything is written."""
+    usage error (exit 2), raised before anything is written.
+
+    Every subcommand default is declared here and nowhere else.  A
+    subparser's set_defaults overrides a shared flag's default; without
+    one, ``--t-max`` reads None, which simulate and sweep take as "keep the
+    config's t_max".
+    """
     parser = argparse.ArgumentParser(
         prog="memwalk",
         description="Coined quantum walks with memory on line graphs",
@@ -151,27 +154,24 @@ def build_parser() -> argparse.ArgumentParser:
         "--config": {"help": "JSON config path"},
         "--seeds": {"help": "comma-separated seed list"},
         "--t-max": {"type": int, "help": "number of steps"},
-        "--cycle-size": {
-            "type": int,
-            "default": 3,
-            "help": "base cycle size for the enumeration host",
-        },
+        "--cycle-size": {"type": int, "help": "base cycle size for the enumeration host"},
         "--out": {"default": "out", "help": "output directory"},
     }
-    for name, func, help_text, names in (
+    for name, func, help_text, names, defaults in (
         ("simulate", _cmd_simulate, "evolve one walk and write its statistics",
-         "--config --seeds --t-max --out"),
+         "--config --seeds --t-max --out", {}),
         ("sweep", _cmd_sweep, "compare walk classes across seeds",
-         "--config --seeds --t-max --out"),
+         "--config --seeds --t-max --out", {}),
         ("equivalence", _cmd_equivalence, "run the oracle cross-check pipeline",
-         "--t-max --out"),
+         "--t-max --out", {"t_max": 100}),
+        # No census seeds by default: "" parses to an empty seed list.
         ("enumerate", _cmd_enumerate, "count valid coin shifts and walk classes",
-         "--seeds --t-max --cycle-size --out"),
+         "--seeds --t-max --cycle-size --out", {"seeds": "", "t_max": 30, "cycle_size": 3}),
     ):
         p = sub.add_parser(name, help=help_text)
         for flag in names.split():
             p.add_argument(flag, **flags[flag])
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, **defaults)
     return parser
 
 

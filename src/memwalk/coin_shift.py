@@ -30,11 +30,9 @@ from .partitions import Partition
 
 __all__ = [
     "CoinShift",
-    "CoinShiftReport",
     "recycled_coin_shift",
     "carried_coin_shift",
     "validate_coin_shift",
-    "check_enumeration_size",
     "enumerate_coin_shifts",
     "random_coin_shift",
 ]
@@ -138,12 +136,23 @@ def carried_coin_shift(p: Partition) -> CoinShift:
 
 
 def _target_groups(p: Partition) -> list[list[tuple[int, int]]]:
-    """Cells (v, c_in) grouped by target vertex, deterministically ordered."""
+    """Cells (v, c_in) grouped by target vertex, deterministically ordered.
+
+    Partition checks only that each successor is a vertex of the host.  The
+    callers fill their tables one group at a time, so every target must
+    receive exactly m cells for every cell to be filled.
+    """
     host = p.host
     groups: list[list[tuple[int, int]]] = [[] for _ in range(host.n_vertices)]
     for v in range(host.n_vertices):
         for c in range(host.degree):
             groups[int(p.succ[v, c])].append((v, c))
+    for target, group in enumerate(groups):
+        if len(group) != host.degree:
+            raise ValidationError(
+                f"partition sends {len(group)} cells to vertex {target};"
+                f" every vertex must receive exactly {host.degree}"
+            )
     return groups
 
 

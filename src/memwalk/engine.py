@@ -31,7 +31,6 @@ from .partitions import Partition, coin_index
 
 __all__ = [
     "hadamard_coin",
-    "check_unitary",
     "ShiftOp",
     "WalkState",
     "state_from_terms",
@@ -290,7 +289,6 @@ def evolve(
     coin: np.ndarray,
     initial: WalkState,
     t_max: int,
-    enforce_window: bool = True,
 ) -> list[WalkState]:
     """Run t_max steps of coin-then-shift; returns states for t = 0..t_max.
 
@@ -301,7 +299,7 @@ def evolve(
     """
     if initial.host is not partition.host:
         raise ValidationError("initial state lives on a different host")
-    states = walk_states(lambda t: op, coin, initial, t_max, enforce_window)
+    states = walk_states(lambda t: op, coin, initial, t_max)
     op = build_shift_operator(partition, gc)
     return list(states)
 

@@ -8,6 +8,15 @@ NumericalCheckError for runtime numerical checks that fail.
 
 from __future__ import annotations
 
+__all__ = [
+    "MemwalkError",
+    "ValidationError",
+    "InvalidGraphError",
+    "FactorizationError",
+    "ConstraintViolationError",
+    "NumericalCheckError",
+]
+
 
 class MemwalkError(Exception):
     """Base class for all package-specific errors."""

@@ -480,32 +480,29 @@ def _distribution_csv_writer(
     (an int or a float repr) holds a delimiter, quote or line break, so
     nothing is quoted.  A row is the step's time followed by a tail
     ",x,p\\r\\n".  Exact zeros, about three quarters of the cells, keep a
-    prebuilt ",x,0.0\\r\\n" tail.  A mirror-symmetric step (every step of
-    the default reflect_transmit+carried walk is one) reprs its left half
-    and copies each cell to its mirror position, since equal floats have
-    equal reprs.  A step with any sign bit set reprs every cell: -0.0 == 0.0
-    but its repr is "-0.0".
+    prebuilt ",x,0.0\\r\\n" tail: position_marginal's probabilities are
+    sums of |a|^2, so none is -0.0, whose repr differs.  A mirror-symmetric
+    step (every step of the default reflect_transmit+carried walk is one)
+    reprs its left half and copies each cell to its mirror position, since
+    equal floats have equal reprs.
     """
     heads = [f",{int(x)}," for x in positions.tolist()]
     zero_tails = [h + "0.0\r\n" for h in heads]
 
     def write(d: analysis.PositionDistribution) -> None:
         p = d.probs
-        if np.signbit(p).any():
-            tails = [f"{h}{c!r}\r\n" for h, c in zip(heads, p.tolist())]
+        tails = zero_tails.copy()
+        if np.array_equal(p, p[::-1]):
+            last = p.size - 1
+            nz = np.flatnonzero(p[: last // 2 + 1])
+            for i, c in zip(nz.tolist(), p[nz].tolist()):
+                cell = f"{c!r}\r\n"
+                tails[i] = heads[i] + cell
+                tails[last - i] = heads[last - i] + cell
         else:
-            tails = zero_tails.copy()
-            if np.array_equal(p, p[::-1]):
-                last = p.size - 1
-                nz = np.flatnonzero(p[: last // 2 + 1])
-                for i, c in zip(nz.tolist(), p[nz].tolist()):
-                    cell = f"{c!r}\r\n"
-                    tails[i] = heads[i] + cell
-                    tails[last - i] = heads[last - i] + cell
-            else:
-                nz = np.flatnonzero(p)
-                for i, c in zip(nz.tolist(), p[nz].tolist()):
-                    tails[i] = f"{heads[i]}{c!r}\r\n"
+            nz = np.flatnonzero(p)
+            for i, c in zip(nz.tolist(), p[nz].tolist()):
+                tails[i] = f"{heads[i]}{c!r}\r\n"
         t = str(d.time)
         fh.write(t + t.join(tails))
 
@@ -1013,7 +1010,7 @@ def run_sweep(
 ORACLE_T_MAX = 50
 
 
-def equivalence_report(t_max: int = 100) -> dict:
+def equivalence_report(t_max: int) -> dict:
     """Cross-check the engine against every independent oracle.
 
     Field pipeline: evolve the reflect/transmit amplitude field, check its
@@ -1024,6 +1021,7 @@ def equivalence_report(t_max: int = 100) -> dict:
     time, so memory grows linearly with t_max.  Then the two
     position-and-memory oracles are compared against engine marginals.
     """
+    _check_int("t_max", t_max, 0)
     window = minimal_window(t_max, 1)
     beta = analysis.equivalence_initial_beta(window)
 
@@ -1149,7 +1147,7 @@ def _paired_reflect_transmit_state(seed: int):
     return terms, oracle_terms
 
 
-def run_equivalence(out_dir: str | Path, t_max: int = 100) -> dict:
+def run_equivalence(out_dir: str | Path, t_max: int) -> dict:
     report = equivalence_report(t_max=t_max)
     with _staged(out_dir) as stage:
         _write_json(stage("equivalence.json"), report)
@@ -1171,19 +1169,21 @@ def run_equivalence(out_dir: str | Path, t_max: int = 100) -> dict:
 CENSUS_FORK_MIN_SEED_STEPS = 300
 
 
-def enumerate_report(
-    cycle_size: int = 3, seeds: list[int] | None = None, t_max: int = 30
-) -> dict:
+def enumerate_report(cycle_size: int, seeds: list[int], t_max: int) -> dict:
     """Valid coin-shift counting plus the distinct-dicycle-walk census.
 
     The census's seeds are spread through _spread, over as many processes
     as _processes allows (one below CENSUS_FORK_MIN_SEED_STEPS seed-steps).
     The report is the same for every process count.
     """
-    seeds = list(seeds) if seeds is not None else []
     _check_int("t_max", t_max, 0)
     for seed in seeds:
         _check_int("enumerate seed", seed, 0)
+    # The report keys its census by seed, so a repeated seed would be walked
+    # twice and listed once.
+    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+    if repeated:
+        raise ValidationError(f"enumerate seeds repeat: {repeated}")
     # The depth-1 host has 2 * cycle_size vertices with 2 coins each; a host
     # too large to enumerate is refused before it is built.
     check_enumeration_size(4 * cycle_size)
@@ -1220,10 +1220,7 @@ def enumerate_report(
 
 
 def run_enumerate(
-    out_dir: str | Path,
-    cycle_size: int = 3,
-    seeds: list[int] | None = None,
-    t_max: int = 30,
+    out_dir: str | Path, cycle_size: int, seeds: list[int], t_max: int
 ) -> dict:
     report = enumerate_report(cycle_size=cycle_size, seeds=seeds, t_max=t_max)
     with _staged(out_dir) as stage:

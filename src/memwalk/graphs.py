@@ -20,16 +20,12 @@ import numpy as np
 from .errors import FactorizationError, InvalidGraphError
 
 __all__ = [
-    "PathTuple",
     "RegularDigraph",
     "make_bidirected_cycle",
     "dicycle_factorize_base",
     "line_digraph",
     "iterate_line_digraph",
     "current_position",
-    "centered_label",
-    "step_direction",
-    "advance_label",
     "minimal_window",
     "centered_positions",
 ]

@@ -28,7 +28,6 @@ __all__ = [
     "named_partition",
     "random_partition",
     "random_dicycle_factorization",
-    "coin_index",
 ]
 
 PARTITION_KINDS = ("directional", "reflect_transmit", "random", "random_dicycle")

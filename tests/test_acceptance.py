@@ -15,6 +15,7 @@ import subprocess
 import sys
 import time
 from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 import pytest
@@ -57,6 +58,7 @@ from memwalk.experiments import (
     _class_spec,
     _paired_origin_state,
     _paired_reflect_transmit_state,
+    _spread,
     equivalence_report,
     resolve_spec,
     run_history,
@@ -316,7 +318,9 @@ def test_criterion_07_occupancy_floor(class_sweep, acceptance_log):
 def test_criterion_08_distinct_walk_census(acceptance_log):
     with criterion(8, "distinct dicycle walk census", 10.0, acceptance_log) as info:
         host = iterate_line_digraph(make_bidirected_cycle(minimal_window(30, 1)), 1)
-        census = analysis.count_distinct_dicycle_carried_walks(host, list(range(50)), 30)
+        census = analysis.count_distinct_dicycle_carried_walks(
+            host, list(range(50)), 30, partial(_spread, n=1)
+        )
         assert census.n_classes <= 8
         assert census.keys_consistent
         info["detail"] = (

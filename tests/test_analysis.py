@@ -11,6 +11,7 @@ from memwalk import (
     NumericalCheckError,
     ValidationError,
     balanced_origin_terms,
+    build_shift_operator,
     carried_coin_shift,
     directional_partition,
     equivalence_initial_terms,
@@ -24,6 +25,7 @@ from memwalk import (
     recycled_coin_shift,
     reflect_transmit_partition,
     state_from_terms,
+    walk_states,
 )
 from memwalk import analysis, engine, experiments
 from memwalk.analysis import (
@@ -49,6 +51,8 @@ from memwalk.analysis import (
 )
 from memwalk.analysis import BetaField
 from memwalk.cli import main
+
+one_process = partial(experiments._spread, n=1)
 
 
 def dist(positions, probs, time=0):
@@ -275,7 +279,7 @@ def per_probe_census(host, seeds, t_max):
 def test_census_matches_per_probe_census():
     host = iterate_line_digraph(make_bidirected_cycle(minimal_window(30, 1)), 1)
     seeds = list(range(200))
-    report = count_distinct_dicycle_carried_walks(host, seeds, 30)
+    report = count_distinct_dicycle_carried_walks(host, seeds, 30, one_process)
     assert (report.n_classes, report.class_of, report.key_of) == per_probe_census(
         host, seeds, 30
     )
@@ -288,7 +292,7 @@ def test_census_keys_are_consistent_only_one_to_one_with_classes(host_d1, monkey
     keys = iter(range(10**6))
     fake = (lambda p: ()) if key == "constant" else (lambda p: (next(keys),))
     monkeypatch.setattr(analysis, "partition_center_key", fake)
-    report = count_distinct_dicycle_carried_walks(host_d1, list(range(12)), 10)
+    report = count_distinct_dicycle_carried_walks(host_d1, list(range(12)), 10, one_process)
     assert 1 < report.n_classes < 12
     assert not report.keys_consistent
 
@@ -303,7 +307,7 @@ def test_census_builds_each_seed_shift_once(host_d1, monkeypatch):
 
     monkeypatch.setattr(analysis, "build_shift_operator", counting)
     seeds = list(range(6))
-    count_distinct_dicycle_carried_walks(host_d1, seeds, 10)
+    count_distinct_dicycle_carried_walks(host_d1, seeds, 10, one_process)
     assert built == seeds
 
 
@@ -322,7 +326,7 @@ def test_census_checks_its_coin_once_and_every_probe_start(host_d1, monkeypatch)
     monkeypatch.setattr(engine, "check_unitary", counting_check)
     monkeypatch.setattr(analysis, "_start_check", counting_start)
     # With two processes, this one still checks each once.
-    for spread in (None, partial(experiments._spread, n=2)):
+    for spread in (one_process, partial(experiments._spread, n=2)):
         checked.clear()
         started.clear()
         count_distinct_dicycle_carried_walks(host_d1, list(range(6)), 10, spread)
@@ -331,7 +335,7 @@ def test_census_checks_its_coin_once_and_every_probe_start(host_d1, monkeypatch)
 
 
 def test_dicycle_census_small(host_d1):
-    report = count_distinct_dicycle_carried_walks(host_d1, list(range(12)), 30)
+    report = count_distinct_dicycle_carried_walks(host_d1, list(range(12)), 30, one_process)
     assert report.n_classes <= 8
     assert report.keys_consistent
     assert set(report.class_of) == set(range(12))
@@ -346,16 +350,17 @@ def _no_child_left():
 @pytest.mark.parametrize("seeds", [list(range(8)), [0, 1, 0]])
 def test_two_process_census_matches_one_process(tmp_path, monkeypatch, forks, two_cpus, seeds):
     host = iterate_line_digraph(make_bidirected_cycle(minimal_window(20, 1)), 1)
-    one = count_distinct_dicycle_carried_walks(host, seeds, 20)
+    one = count_distinct_dicycle_carried_walks(host, seeds, 20, one_process)
     two = count_distinct_dicycle_carried_walks(host, seeds, 20, partial(experiments._spread, n=2))
     assert len(forks) == 1
     _no_child_left()
     assert two == one
 
+    # enumerate refuses a repeated seed, so the report lists each seed once.
     written = []
     for gate in (float("inf"), 0):
         monkeypatch.setattr(experiments, "CENSUS_FORK_MIN_SEED_STEPS", gate)
-        experiments.run_enumerate(tmp_path / str(gate), 3, seeds, 20)
+        experiments.run_enumerate(tmp_path / str(gate), 3, list(dict.fromkeys(seeds)), 20)
         written.append((tmp_path / str(gate) / "enumerate.json").read_bytes())
     assert len(forks) == 2
     _no_child_left()
@@ -448,7 +453,9 @@ def test_fold_statistics_equal_their_written_out_expressions(request, host_name)
     p = random_dicycle_factorization(host, 3)
     start = state_from_terms(host, balanced_origin_terms(host))
     outside = (int(host.positions[0]) - 1, int(host.positions[-1]) + 1, 10**6)
-    for state in evolve(p, carried_coin_shift(p), hadamard_coin(), start, 30, False):
+    op = build_shift_operator(p, carried_coin_shift(p))
+    # The even host is not centered, so no window check can run on it.
+    for state in walk_states(lambda t: op, hadamard_coin(), start, 30, False):
         d = position_marginal(state)
         probs = _written_out_marginal(host, state.amps)
         assert d.probs.tobytes() == probs.tobytes()

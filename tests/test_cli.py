@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -13,7 +15,7 @@ import pytest
 import memwalk
 from memwalk import engine, experiments
 from memwalk.constants import UNITARY_ATOL
-from memwalk.cli import build_parser, main
+from memwalk.cli import _parse_seeds, build_parser, main
 from memwalk.engine import WalkState
 
 
@@ -203,6 +205,23 @@ def test_sweep_rejects_a_repeated_seed(tmp_path, config, capsys, where):
     out = tmp_path / "o"
     assert main(["sweep", "--config", config(doc), "--out", str(out)] + args) == 2
     assert "error: sweep seeds repeat: [3]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_enumerate_rejects_a_repeated_seed(tmp_path, capsys):
+    # The report keys its census by seed: a repeated seed would be walked
+    # twice and listed once.
+    out = tmp_path / "o"
+    assert main(["enumerate", "--seeds", "3,1,3", "--out", str(out)]) == 2
+    assert "error: enumerate seeds repeat: [3]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("t_max", ["-1", "-2", "-3"])
+def test_equivalence_checks_t_max_before_building_its_window(tmp_path, capsys, t_max):
+    out = tmp_path / "o"
+    assert main(["equivalence", "--t-max", t_max, "--out", str(out)]) == 2
+    assert f"error: t_max must be >= 0, got {t_max}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -720,3 +739,27 @@ def test_each_subcommand_takes_the_flags_it_reads(capsys, command):
     assert _help_flags(capsys, command) == {*READS[command], "--help"}
     argv = [command] + [part for flag in READS[command] for part in (flag, FLAG_VALUES[flag])]
     assert build_parser().parse_args(argv).command == command
+
+
+def test_subcommand_defaults_are_the_documented_ones():
+    parse = build_parser().parse_args
+    assert parse(["equivalence"]).t_max == 100
+    args = parse(["enumerate"])
+    assert (_parse_seeds(args.seeds), args.t_max, args.cycle_size) == ([], 30, 3)
+    # --t-max None keeps the config's horizon.
+    for command in ("simulate", "sweep"):
+        args = parse([command])
+        assert (args.seeds, args.t_max) == (None, None)
+
+
+def test_the_package_exports_each_module_public_name_once():
+    modules = [
+        importlib.import_module(f"memwalk.{info.name}")
+        for info in pkgutil.iter_modules(memwalk.__path__)
+    ]
+    declared = [name for module in modules for name in getattr(module, "__all__", ())]
+    assert len(declared) == len(set(declared))
+    assert sorted(memwalk.__all__) == sorted(declared)
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert getattr(memwalk, name) is getattr(module, name)

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from memwalk import (
     ConstraintViolationError,
+    Partition,
     ValidationError,
     carried_coin_shift,
     directional_partition,
@@ -123,6 +124,19 @@ def test_enumeration_count_and_brute_force(small_host):
 def test_enumeration_guard(host_d1):
     with pytest.raises(ValidationError):
         enumerate_coin_shifts(reflect_transmit_partition(host_d1))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [enumerate_coin_shifts, lambda p: random_coin_shift(p, 0)],
+    ids=["enumerate", "random"],
+)
+def test_a_partition_that_is_not_an_arc_partition_is_rejected(small_host, build):
+    # Every successor is a vertex, so Partition accepts the table, but vertex
+    # 0 receives all 12 cells and the others none.
+    p = Partition(small_host, np.zeros((6, 2), dtype=np.int64))
+    with pytest.raises(ValidationError, match="sends 12 cells to vertex 0"):
+        build(p)
 
 
 def test_random_coin_shift_valid_and_deterministic(host_d1):

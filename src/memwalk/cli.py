@@ -49,8 +49,12 @@ def _load_config(path: str | None) -> dict:
 
 
 def _parse_seeds(text: str) -> list[int]:
+    """The seeds of a comma-separated list; "" is no seeds.  An empty part,
+    as in "1,,2" or ",3,", is malformed."""
+    if text == "":
+        return []
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
+        return [int(part) for part in text.split(",")]
     except ValueError as exc:
         raise ValidationError(f"bad seed list {text!r}: {exc}") from exc
 

@@ -14,8 +14,11 @@ code with the engine on purpose: they exist to cross-check it.
 
 from __future__ import annotations
 
+import ctypes
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 
@@ -77,9 +80,8 @@ class ShiftOp:
         self.inverse_perm.flags.writeable = False
 
 
-@dataclass(frozen=True, eq=False)
 class WalkState:
-    """Amplitudes of one walk, shape (V, m).
+    """Amplitudes of one walk, shape (V, m); ``amps`` is made read-only.
 
     Only the shape is checked here.  Normalization is checked where a state
     enters a run (``state_from_terms`` and the start of ``evolve`` and
@@ -87,26 +89,39 @@ class WalkState:
     every step, so a step computes the norm once.
     """
 
-    host: RegularDigraph
-    amps: np.ndarray
-    time: int = 0
+    __slots__ = ("host", "amps", "time")
 
-    def __post_init__(self):
+    def __init__(self, host: RegularDigraph, amps: np.ndarray, time: int = 0):
         # out_neighbors has shape (n_vertices, degree); reading it directly
         # skips two property calls on every step's two states.
-        expected = self.host.out_neighbors.shape
-        if self.amps.shape != expected:
-            raise ValidationError(
-                f"amplitude array shape {self.amps.shape}, expected {expected}"
-            )
-        self.amps.flags.writeable = False
+        expected = host.out_neighbors.shape
+        if amps.shape != expected:
+            raise ValidationError(f"amplitude array shape {amps.shape}, expected {expected}")
+        amps.flags.writeable = False
+        self.host = host
+        self.amps = amps
+        self.time = time
 
     def norm_squared(self) -> float:
-        # A plain numpy reduction, not np.vdot: above 10,000 amplitudes
-        # OpenBLAS runs a dot product on its worker threads, which then spin
-        # on a second core for every step's check.
-        x = self.amps.ravel().view(np.float64)
-        return float(np.add.reduce(np.square(x)))
+        return float(np.vdot(self.amps, self.amps).real)
+
+
+@cache
+def _one_blas_thread() -> None:
+    """Cap numpy's bundled OpenBLAS at one thread, for the whole process.
+
+    Above 10,000 elements OpenBLAS splits a dot product over its worker
+    threads, which sum in another order, so a statistic would depend on the
+    CPU count, and the workers would spin on a second core for every step's
+    norm check.  OPENBLAS_NUM_THREADS would act only if set before numpy
+    loads.  A numpy without the bundled library is left as it is.
+    """
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_-*.so")):
+        set_num_threads = ctypes.CDLL(str(path)).scipy_openblas_set_num_threads64_
+        set_num_threads.argtypes, set_num_threads.restype = [ctypes.c_int], None
+        set_num_threads(1)
+        return
 
 
 def _check_normalized(state: WalkState) -> None:
@@ -270,6 +285,7 @@ def _steps(
     initial: WalkState,
     t_max: int,
 ) -> Iterator[WalkState]:
+    _one_blas_thread()
     yield initial
     state = initial
     for t in range(1, t_max + 1):

@@ -81,6 +81,7 @@ from .constants import (
 from .engine import (
     ShiftOp,
     WalkState,
+    _one_blas_thread,
     balanced_origin_terms,
     build_shift_operator,
     equivalence_initial_terms,
@@ -700,6 +701,10 @@ def _forked(work: Callable[[], _T]) -> Iterator[Callable[[], _T]]:
     block raises before ``result`` has returned, the child is killed.
     Either way it is reaped before this returns.  Only _spread forks.
     """
+    # Cap OpenBLAS before the fork, not in the walks after it: its fork
+    # handler stops its thread pool, and a cap set after the fork starts the
+    # pool again, whose worker then spins on a CPU the walks need.
+    _one_blas_thread()
     with tempfile.TemporaryFile() as channel:
         pid = os.fork()
         if pid == 0:  # the child, which must never return into the caller

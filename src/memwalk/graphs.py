@@ -339,7 +339,8 @@ def dicycle_factorize_base(g: RegularDigraph, seed: int | None = None) -> list[n
     matching for the first m - 1 classes, and the last class is the one arc
     each vertex has left.
     """
-    rng = np.random.default_rng(seed) if seed is not None else None
+    # default_rng(seed)'s stream, minus its argument checks.
+    rng = np.random.Generator(np.random.PCG64(seed)) if seed is not None else None
     twins = g.twins
     if twins is not None:
         return _twin_factorization(g, twins, rng)

@@ -162,7 +162,9 @@ def named_partition(
 
 def random_partition(host: RegularDigraph, seed: int) -> Partition:
     """Uniform independent per-vertex coin->arc bijections."""
-    rng = np.random.default_rng(seed)
+    # default_rng(seed)'s stream, minus its argument checks: the sweep draws
+    # one partition per annealed step.
+    rng = np.random.Generator(np.random.PCG64(seed))
     v, m = host.n_vertices, host.degree
     draws = rng.random((v, m))
     out = host.out_neighbors

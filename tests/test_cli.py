@@ -347,6 +347,26 @@ def test_sweep_bad_seed_list(tmp_path, config):
     assert main(["sweep", "--config", config(doc), "--seeds", "1,q", "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize(
+    "command, seeds",
+    [("enumerate", "1,,2"), ("sweep", ",3,"), ("sweep", "3,"), ("simulate", ",")],
+)
+def test_a_seed_list_with_an_empty_part_exits_2_and_writes_nothing(
+    tmp_path, capsys, command, seeds
+):
+    out = tmp_path / "o"
+    assert main([command, "--seeds", seeds, "--t-max", "5", "--out", str(out)]) == 2
+    assert f"error: bad seed list {seeds!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_enumerate_without_seeds_runs_no_census(tmp_path):
+    out = tmp_path / "o"
+    assert main(["enumerate", "--out", str(out)]) == 0
+    report = json.loads((out / "enumerate.json").read_text())
+    assert report["distinct_walks"]["seeds"] == []
+
+
 def test_equivalence_subcommand(tmp_path, capsys):
     out = tmp_path / "eq"
     assert main(["equivalence", "--out", str(out), "--t-max", "40"]) == 0

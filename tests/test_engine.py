@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import ctypes
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -33,7 +37,7 @@ from memwalk import (
 from memwalk.coin_shift import CoinShift
 from memwalk.partitions import Partition
 from memwalk.engine import WalkState, check_unitary
-from memwalk import NumericalCheckError, analysis, engine
+from memwalk import NumericalCheckError, analysis, engine, experiments
 
 
 def test_hadamard_is_unitary():
@@ -400,9 +404,10 @@ def test_norm_drift_stops_the_run(host_d1, monkeypatch, factor):
 
 
 @pytest.mark.parametrize("window", [65, minimal_window(1500, 1)], ids=["260", "12020"])
-def test_norm_squared_agrees_with_a_complex_dot_product(rng, window):
+def test_norm_squared_agrees_with_a_sum_of_squares(rng, window):
     # 260 amplitudes: a census probe state; 12,020: the host of a
-    # --t-max 1500 simulate run, where OpenBLAS would thread the dot product.
+    # --t-max 1500 simulate run, where a threaded OpenBLAS would split the
+    # dot product.
     host = iterate_line_digraph(make_bidirected_cycle(window), 1)
     for _ in range(5):
         amps = rng.standard_normal((host.n_vertices, 2)) + 1j * rng.standard_normal(
@@ -411,4 +416,50 @@ def test_norm_squared_agrees_with_a_complex_dot_product(rng, window):
         amps /= np.linalg.norm(amps)
         state = WalkState(host, amps)
         assert amps.size in (260, 12020)
-        assert abs(state.norm_squared() - np.vdot(amps, amps).real) <= 1e-14
+        want = np.add.reduce(np.square(amps.ravel().view(np.float64)))
+        assert abs(state.norm_squared() - want) <= 1e-14
+
+
+def _uncapped_openblas() -> ctypes.CDLL:
+    """numpy's bundled OpenBLAS set to two threads, with the cap's cache
+    cleared, so that the next walk has to set the cap again."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    found = sorted(libs.glob("libscipy_openblas64_-*.so"))
+    if not found:
+        pytest.skip("this numpy has no bundled OpenBLAS")
+    blas = ctypes.CDLL(str(found[0]))
+    blas.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+    blas.scipy_openblas_set_num_threads64_.restype = None
+    blas.scipy_openblas_get_num_threads64_.argtypes = []
+    blas.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+    blas.scipy_openblas_set_num_threads64_(2)
+    engine._one_blas_thread.cache_clear()
+    assert blas.scipy_openblas_get_num_threads64_() == 2
+    return blas
+
+
+def test_a_walk_caps_numpys_openblas_at_one_thread(host_d1):
+    blas = _uncapped_openblas()
+    start = state_from_terms(host_d1, balanced_origin_terms(host_d1))
+    p = reflect_transmit_partition(host_d1)
+    op = build_shift_operator(p, carried_coin_shift(p))
+    stream = walk_states(lambda t: op, hadamard_coin(), start, 3)
+    next(stream)
+    assert blas.scipy_openblas_get_num_threads64_() == 1
+
+
+def test_a_forked_walk_runs_without_openblas_worker_threads(host_d1):
+    # OpenBLAS's fork handler stops its thread pool, and a cap set after the
+    # fork would start the pool again: its worker would spin beside the walk.
+    blas = _uncapped_openblas()
+    start = state_from_terms(host_d1, balanced_origin_terms(host_d1))
+    p = reflect_transmit_partition(host_d1)
+    op = build_shift_operator(p, carried_coin_shift(p))
+
+    def walk(job):
+        for _ in walk_states(lambda t: op, hadamard_coin(), start, 3):
+            pass
+        return blas.scipy_openblas_get_num_threads64_(), len(os.listdir("/proc/self/task"))
+
+    # Job 1 runs in the forked process, whose only thread runs the walk.
+    assert experiments._spread(walk, [0, 1], 2)[1] == (1, 1)

@@ -289,7 +289,9 @@ def _kuhn_factorization(g: RegularDigraph, seed: int | None) -> list[np.ndarray]
 def test_factorization_matches_kuhn_reference(window, depth, base_seed):
     host = iterate_line_digraph(make_bidirected_cycle(window), depth, seed=base_seed)
     assert (host.twins is None) == (depth == 0)
-    for seed in [None, *range(200)]:
+    # Past 2^63 too: the sampler builds Generator(PCG64(seed)), the
+    # reference default_rng(seed).
+    for seed in [None, *range(200), 2**63 + 12345, 2**64 - 1]:
         got = dicycle_factorize_base(host, seed)
         want = _kuhn_factorization(host, seed)
         assert len(got) == len(want)
@@ -300,7 +302,7 @@ def test_factorization_matches_kuhn_reference(window, depth, base_seed):
 
 def test_degree_3_factorization_matches_kuhn_reference():
     g = _circulant_3()
-    for seed in [None, *range(50)]:
+    for seed in [None, *range(50), 2**63 + 12345, 2**64 - 1]:
         for a, b in zip(dicycle_factorize_base(g, seed), _kuhn_factorization(g, seed)):
             assert np.array_equal(a, b)
 

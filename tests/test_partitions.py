@@ -156,12 +156,13 @@ def test_partition_rejects_wrong_shape(host_d1):
 def test_random_partition_matches_default_argsort_gather(host_d1):
     # The two-arc swap (m = 2) and the stable sort with its flat gather
     # (m = 3 here) reproduce the default-kind argsort and take_along_axis,
-    # seed for seed.
+    # seed for seed, with Generator(PCG64(seed)) drawing default_rng(seed)'s
+    # stream past 2^63 too.
     n = 7
     out = np.stack([(np.arange(n) + k) % n for k in (1, 2, 3)], axis=1)
     circulant = RegularDigraph(out, tuple((i,) for i in range(n)), base_n=n)
     for host in (host_d1, circulant):
-        for seed in range(100):
+        for seed in [*range(100), 2**63 + 12345, 2**64 - 1]:
             draws = np.random.default_rng(seed).random((host.n_vertices, host.degree))
             perms = np.argsort(draws, axis=1)
             want = np.take_along_axis(host.out_neighbors, perms, axis=1).astype(np.int64)

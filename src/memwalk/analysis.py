@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -451,7 +452,7 @@ def count_distinct_dicycle_carried_walks(
         # Signature layout: (probe, time, position).  Every probe walks
         # through the seed's one checked shift, with the coin checked above.
         for i, start in enumerate(starts):
-            for t, s in enumerate(_steps(lambda _: op, coin, start, t_max)):
+            for t, s in enumerate(_steps(repeat(op), coin, start, t_max)):
                 amps[i, t] = s.amps
         signature = np.round(_position_probs(host, amps), 10).tobytes()
         # One object per distinct signature in each process: the pickle that

@@ -74,17 +74,18 @@ def validate_coin_shift(
 ) -> CoinShiftReport:
     """Check the per-target permutation constraint.
 
-    Cell (v, c) lands on the flat (target vertex, emitted coin) index
-    succ * m + table, which lies in 0..V*m-1 because Partition keeps every
-    successor in 0..V-1 and CoinShift every table entry in 0..m-1.  One
-    scatter of the cell indices into ``inverse``, filled with -1 first,
-    leaves no -1 iff the shift is a bijection; ``inverse`` then holds the
-    cell landing on each target, the shift's gather index.  Pass a length
-    V*m intp array as ``inverse`` to keep it.  Otherwise a bincount of the
-    targets finds the violating target vertices (deterministic ascending
-    order).
+    ``p`` and ``gc`` must live on one host object: a host of the same shape
+    is another host.  Cell (v, c) lands on the flat (target vertex, emitted
+    coin) index succ * m + table, which lies in 0..V*m-1 because Partition
+    keeps every successor in 0..V-1 and CoinShift every table entry in
+    0..m-1.  One scatter of the cell indices into ``inverse``, filled with
+    -1 first, leaves no -1 iff the shift is a bijection; ``inverse`` then
+    holds the cell landing on each target, the shift's gather index.  Pass
+    a length V*m intp array as ``inverse`` to keep it.  Otherwise a
+    bincount of the targets finds the violating target vertices
+    (deterministic ascending order).
     """
-    if gc.table.shape != p.succ.shape:
+    if gc.host is not p.host:
         raise ValidationError("partition and coin shift live on different hosts")
     v, m = p.host.n_vertices, p.degree
     targets = (p.succ * m + gc.table).ravel()

@@ -15,9 +15,9 @@ code with the engine on purpose: they exist to cross-check it.
 from __future__ import annotations
 
 import ctypes
-from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Iterator
 from functools import cache
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,6 @@ from .partitions import Partition, coin_index
 
 __all__ = [
     "hadamard_coin",
-    "ShiftOp",
     "WalkState",
     "state_from_terms",
     "origin_basis_terms",
@@ -64,29 +63,13 @@ def check_unitary(a: np.ndarray) -> None:
         raise ValidationError(f"coin matrix is not unitary (residual {residual:.3e})")
 
 
-@dataclass(frozen=True, eq=False)
-class ShiftOp:
-    """A basis permutation over (vertex, coin) pairs, flat-indexed v*m + c.
-
-    It is held as the gather index shift_step uses: inverse_perm[j] is the
-    pair whose amplitude moves to j.  inverse_perm is keyword-only, so a
-    positional forward permutation is a TypeError.
-    """
-
-    host: RegularDigraph
-    inverse_perm: np.ndarray = field(kw_only=True)
-
-    def __post_init__(self):
-        self.inverse_perm.flags.writeable = False
-
-
 class WalkState:
     """Amplitudes of one walk, shape (V, m); ``amps`` is made read-only.
 
     Only the shape is checked here.  Normalization is checked where a state
-    enters a run (``state_from_terms`` and the start of ``evolve`` and
-    ``experiments.iter_history``), and the loop checks the norm drift after
-    every step, so a step computes the norm once.
+    enters a run (``state_from_terms`` and the start of ``walk_states``),
+    and the loop checks the norm drift after every step, so a step computes
+    the norm once.
     """
 
     __slots__ = ("host", "amps", "time")
@@ -194,10 +177,12 @@ def balanced_origin_terms(host: RegularDigraph) -> list[tuple]:
     return terms
 
 
-def build_shift_operator(p: Partition, gc: CoinShift) -> ShiftOp:
+def build_shift_operator(p: Partition, gc: CoinShift) -> np.ndarray:
     """Assemble the conditional move into a checked basis permutation.
 
-    validate_coin_shift's check fills in the permutation's gather index.
+    Returns the permutation over (vertex, coin) cells, flat-indexed v*m + c,
+    as the read-only gather index shift_step uses: entry j is the cell whose
+    amplitude moves to j.  validate_coin_shift's check fills it in.
     """
     inverse = np.empty(p.succ.size, dtype=np.intp)
     report = validate_coin_shift(p, gc, inverse)
@@ -207,7 +192,8 @@ def build_shift_operator(p: Partition, gc: CoinShift) -> ShiftOp:
             f"{len(report.violations)} target(s)",
             report.violations,
         )
-    return ShiftOp(p.host, inverse_perm=inverse)
+    inverse.flags.writeable = False
+    return inverse
 
 
 def coin_step(state: WalkState, coin: np.ndarray) -> WalkState:
@@ -216,9 +202,9 @@ def coin_step(state: WalkState, coin: np.ndarray) -> WalkState:
     return WalkState(state.host, state.amps @ coin, state.time)
 
 
-def shift_step(state: WalkState, op: ShiftOp) -> WalkState:
-    flat = state.amps.ravel()
-    moved = flat[op.inverse_perm].reshape(state.amps.shape)
+def shift_step(state: WalkState, shift: np.ndarray) -> WalkState:
+    """Gather through ``shift``, a gather index from build_shift_operator."""
+    moved = state.amps.ravel()[shift].reshape(state.amps.shape)
     return WalkState(state.host, moved, state.time + 1)
 
 
@@ -251,7 +237,8 @@ def _start_check(initial: WalkState, t_max: int, enforce_window: bool) -> None:
 
 
 def walk_states(
-    shift: Callable[[int], ShiftOp],
+    partition: Partition | Callable[[int], Partition],
+    gc: CoinShift,
     coin: np.ndarray,
     initial: WalkState,
     t_max: int,
@@ -259,16 +246,28 @@ def walk_states(
 ) -> Iterator[WalkState]:
     """Yield the states for t = 0..t_max of coin-then-shift evolution.
 
-    ``shift(t)`` is the ShiftOp moving the walk from t-1 to t (t = 1..t_max).
-    t_max, the start state's normalization, the no-wrap window (line-surrogate
-    semantics; pass ``enforce_window=False`` on a cycle) and the coin are
-    checked once, when this is called, so a bad start fails before the
-    caller writes anything; the norm drift is checked after every step.
-    Only the current state is held, so memory does not grow with t_max.
+    ``partition`` is the walk's Partition, or a function of t returning the
+    Partition that moves the walk from t-1 to t (t = 1..t_max); ``gc`` is
+    the coin shift of every step.  Checked when this is called, in order:
+    t_max, the start state's normalization, the no-wrap window
+    (line-surrogate semantics; pass ``enforce_window=False`` on a cycle),
+    the coin, that ``gc`` and step 1's partition live on the start state's
+    host, and step 1's shift, so a bad start fails before the caller writes
+    anything.  A function is asked for each later partition just before its
+    step, whose host and shift are checked then.  The norm drift is checked
+    after every step.  Only the current state is held.
     """
     _start_check(initial, t_max, enforce_window)
     _coin_check(coin, initial.host)
-    return _steps(shift, coin, initial, t_max)
+    if gc.host is not initial.host:
+        raise ValidationError("coin shift lives on a different host from the start state")
+    # build_shift_operator checks that each partition lives on gc's host.
+    if isinstance(partition, Partition):
+        shifts = repeat(build_shift_operator(partition, gc))
+    else:
+        later = (build_shift_operator(partition(t), gc) for t in range(2, t_max + 1))
+        shifts = chain([build_shift_operator(partition(1), gc)], later)
+    return _steps(shifts, coin, initial, t_max)
 
 
 def _coin_check(coin: np.ndarray, host: RegularDigraph) -> None:
@@ -280,7 +279,7 @@ def _coin_check(coin: np.ndarray, host: RegularDigraph) -> None:
 
 
 def _steps(
-    shift: Callable[[int], ShiftOp],
+    shifts: Iterable[np.ndarray],
     coin: np.ndarray,
     initial: WalkState,
     t_max: int,
@@ -288,8 +287,9 @@ def _steps(
     _one_blas_thread()
     yield initial
     state = initial
-    for t in range(1, t_max + 1):
-        state = shift_step(coin_step(state, coin), shift(t))
+    # zip draws from the range first, so no shift is drawn past t_max.
+    for _, shift in zip(range(t_max), shifts):
+        state = shift_step(coin_step(state, coin), shift)
         drift = abs(state.norm_squared() - 1.0)
         # Written so that a NaN norm fails too.
         if not drift <= UNITARY_ATOL:
@@ -308,16 +308,10 @@ def evolve(
 ) -> list[WalkState]:
     """Run t_max steps of coin-then-shift; returns states for t = 0..t_max.
 
-    Checks that the start state lives on the partition's host and makes
-    ``walk_states``'s checks before it builds the shift.  The whole history
-    is kept; stream ``walk_states`` instead when only a per-step summary is
-    needed.
+    Makes ``walk_states``'s checks.  The whole history is kept; stream
+    ``walk_states`` instead when only a per-step summary is needed.
     """
-    if initial.host is not partition.host:
-        raise ValidationError("initial state lives on a different host")
-    states = walk_states(lambda t: op, coin, initial, t_max)
-    op = build_shift_operator(partition, gc)
-    return list(states)
+    return list(walk_states(partition, gc, coin, initial, t_max))
 
 
 # -- independent oracle walkers ------------------------------------------------

@@ -79,11 +79,9 @@ from .constants import (
     UNITARY_ATOL,
 )
 from .engine import (
-    ShiftOp,
     WalkState,
     _one_blas_thread,
     balanced_origin_terms,
-    build_shift_operator,
     equivalence_initial_terms,
     evolve,
     hadamard_coin,
@@ -405,7 +403,7 @@ def resolve_spec(
     window and memory depth.
     """
     window = _check_spec(spec)
-    spec.window = window
+    spec = replace(spec, window=window)  # the caller's spec keeps its window
     if host is None:
         host = iterate_line_digraph(make_bidirected_cycle(window), spec.memory_depth)
     elif (host.base_n, host.depth) != (window, spec.memory_depth):
@@ -428,32 +426,31 @@ def iter_history(resolved: ResolvedExperiment) -> Iterator[WalkState]:
     keeps the resolved coin-shift table: every coin-shift kind builds a
     table that depends on the host and the spec only, never on the
     partition.  Step 1 takes the resolved partition, which resolve_spec
-    drew from step 1's seed.  build_shift_operator checks each step's shift
-    for bijectivity, which is also the carried kind's dicycle requirement.
-    walk_states checks the start state, the window and the coin first, so a
-    window too short for t_max is reported before a bad coin-shift table.
+    drew from step 1's seed.  walk_states checks the start state, the
+    window and the coin first, then step 1's shift, so a window too short
+    for t_max is reported before a bad coin-shift table; each step's shift
+    is checked for bijectivity, which is also the carried kind's dicycle
+    requirement.
     """
     spec = resolved.spec
     if spec.partition_resample == "per_step":
         seeds = _partition_seeds(spec)
 
-        def shift(t: int) -> ShiftOp:
+        def partition(t: int) -> Partition:
             if t == 1:
-                p = resolved.partition
-            else:
-                p = named_partition(resolved.host, spec.partition_kind, seeds[t - 1])
-            return build_shift_operator(p, resolved.gc)
+                return resolved.partition
+            return named_partition(resolved.host, spec.partition_kind, seeds[t - 1])
 
     else:
-        def shift(t: int) -> ShiftOp:
-            return op  # built once, below
-
-    states = walk_states(
-        shift, resolved.coin, resolved.initial, spec.t_max, spec.graph_family == "line"
+        partition = resolved.partition
+    return walk_states(
+        partition,
+        resolved.gc,
+        resolved.coin,
+        resolved.initial,
+        spec.t_max,
+        spec.graph_family == "line",
     )
-    if spec.partition_resample != "per_step":
-        op = build_shift_operator(resolved.partition, resolved.gc)
-    return states
 
 
 def run_history(resolved: ResolvedExperiment) -> list[WalkState]:
@@ -855,7 +852,7 @@ def run_simulate(spec: ExperimentSpec, out_dir: str | Path) -> dict:
         else:
             parts = [_fold_series(states, spec.outputs)]
         series = {key: [v for part in parts for v in part[key]] for key in parts[0]}
-        summary = {"spec": spec.to_json_dict(), "series": series}
+        summary = {"spec": resolved.spec.to_json_dict(), "series": series}
         if "scaling-fit" in spec.outputs:
             summary["scaling_fit"] = _fit_summary(series["variance"], spec.t_max)
             if "variance" not in spec.outputs:
@@ -1040,8 +1037,7 @@ def equivalence_report(t_max: int) -> dict:
     # Engine runs the same walk from the same four-amplitude start, with
     # evolve's checks, one state at a time.
     start = state_from_terms(host, equivalence_initial_terms(host))
-    op = build_shift_operator(partition, gc)
-    engine_states = walk_states(lambda t: op, hadamard_coin(), start, t_max)
+    engine_states = walk_states(partition, gc, hadamard_coin(), start, t_max)
 
     alpha = analysis.qwom_initial_alpha(window)
     alpha_diff_max = 0.0

@@ -185,8 +185,8 @@ def test_criterion_04_unitarity(acceptance_log):
         small = iterate_line_digraph(make_bidirected_cycle(minimal_window(30, 1)), 1)
 
         def assert_permutation(p, gc):
-            op = build_shift_operator(p, gc)
-            counts = np.bincount(op.inverse_perm, minlength=op.inverse_perm.size)
+            shift = build_shift_operator(p, gc)
+            counts = np.bincount(shift, minlength=shift.size)
             assert (counts == 1).all()
 
         for walk_class in WALK_CLASSES:

@@ -11,7 +11,6 @@ from memwalk import (
     NumericalCheckError,
     ValidationError,
     balanced_origin_terms,
-    build_shift_operator,
     carried_coin_shift,
     directional_partition,
     equivalence_initial_terms,
@@ -453,9 +452,8 @@ def test_fold_statistics_equal_their_written_out_expressions(request, host_name)
     p = random_dicycle_factorization(host, 3)
     start = state_from_terms(host, balanced_origin_terms(host))
     outside = (int(host.positions[0]) - 1, int(host.positions[-1]) + 1, 10**6)
-    op = build_shift_operator(p, carried_coin_shift(p))
     # The even host is not centered, so no window check can run on it.
-    for state in walk_states(lambda t: op, hadamard_coin(), start, 30, False):
+    for state in walk_states(p, carried_coin_shift(p), hadamard_coin(), start, 30, False):
         d = position_marginal(state)
         probs = _written_out_marginal(host, state.amps)
         assert d.probs.tobytes() == probs.tobytes()

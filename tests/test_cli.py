@@ -15,6 +15,7 @@ import pytest
 import memwalk
 from memwalk import engine, experiments
 from memwalk.constants import UNITARY_ATOL
+from memwalk.graphs import minimal_window
 from memwalk.cli import _parse_seeds, build_parser, main
 from memwalk.engine import WalkState
 
@@ -281,6 +282,22 @@ def test_a_seed_a_random_partition_draws_from_changes_the_walk(tmp_path, config)
 def test_constraint_violation_exit_code(tmp_path, config, capsys):
     doc = simulate_doc(
         partition={"kind": "directional"}, coin_shift={"kind": "carried"}
+    )
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", config(doc), "--out", str(out)]) == 3
+    assert "constraint" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("resample", ["never", "per_step"])
+def test_a_non_bijective_table_exits_3_even_at_t_max_0(tmp_path, config, capsys, resample):
+    # Every arc emits coin +1, so a vertex's two incoming arcs collide.
+    n = 2 * minimal_window(0, 1)
+    doc = simulate_doc(
+        partition={"kind": "random", "seed": 4, "resample": resample},
+        coin_shift={"kind": "table", "entries": [[v, c, 1] for v in range(n) for c in (1, -1)]},
+        t_max=0,
+        outputs=["variance"],
     )
     out = tmp_path / "run"
     assert main(["simulate", "--config", config(doc), "--out", str(out)]) == 3

@@ -70,7 +70,7 @@ def test_nan_coin_is_rejected_before_any_step(host_d1, monkeypatch):
     with pytest.raises(ValidationError):
         evolve(p, gc, coin, s, 5)
     with pytest.raises(ValidationError):
-        next(walk_states(lambda t: build_shift_operator(p, gc), coin, s, 5))
+        walk_states(p, gc, coin, s, 5)
     assert stepped == []
 
 
@@ -129,28 +129,16 @@ def test_equivalence_initial_terms(host_d1):
 def test_shift_operator_is_permutation(host_d1):
     p = directional_partition(host_d1)
     gc = recycled_coin_shift(p)
-    op = build_shift_operator(p, gc)
-    counts = np.bincount(op.inverse_perm, minlength=op.inverse_perm.size)
+    shift = build_shift_operator(p, gc)
+    assert shift.dtype == np.intp
+    counts = np.bincount(shift, minlength=shift.size)
     assert (counts == 1).all()
     # The forward map sends cell (v, c) to (succ[v, c], table[v, c]); the
     # gather index is its inverse.
     forward = (p.succ * p.degree + gc.table).ravel()
-    assert np.array_equal(forward[op.inverse_perm], np.arange(forward.size))
-    assert np.array_equal(op.inverse_perm, np.argsort(forward))
-    assert not op.inverse_perm.flags.writeable
-
-
-def test_shift_operator_takes_its_gather_index_by_keyword(host_d1):
-    p = directional_partition(host_d1)
-    gc = recycled_coin_shift(p)
-    op = build_shift_operator(p, gc)
-    # A forward permutation passed the old positional way must not be taken
-    # for the gather index.
-    forward = (p.succ * p.degree + gc.table).ravel()
-    with pytest.raises(TypeError):
-        engine.ShiftOp(host_d1, forward)
-    again = engine.ShiftOp(host_d1, inverse_perm=op.inverse_perm.copy())
-    assert np.array_equal(again.inverse_perm, op.inverse_perm)
+    assert np.array_equal(forward[shift], np.arange(forward.size))
+    assert np.array_equal(shift, np.argsort(forward))
+    assert not shift.flags.writeable
 
 
 def test_shift_operator_rejects_invalid_pair(host_d1):
@@ -180,11 +168,11 @@ def test_shift_build_on_an_in_range_table_is_a_permutation_or_a_violation(small_
         coins = data.draw(st.lists(st.integers(0, m - 1), min_size=v * m, max_size=v * m))
         gc = CoinShift(small_host, np.array(coins, dtype=np.int64).reshape(v, m))
     try:
-        op = build_shift_operator(p, gc)
+        shift = build_shift_operator(p, gc)
     except ConstraintViolationError as err:
         assert err.violations == validate_coin_shift(p, gc).violations != []
     else:
-        assert np.array_equal(np.sort(op.inverse_perm), np.arange(v * m))
+        assert np.array_equal(np.sort(shift), np.arange(v * m))
 
 
 def test_coin_step_mixes_in_place(host_d1):
@@ -199,9 +187,9 @@ def test_coin_step_mixes_in_place(host_d1):
 
 def test_shift_step_moves_and_updates_memory(host_d1):
     p = directional_partition(host_d1)
-    op = build_shift_operator(p, recycled_coin_shift(p))
+    shift = build_shift_operator(p, recycled_coin_shift(p))
     s = state_from_terms(host_d1, [((-1, 0), 1, 1.0)])
-    moved = shift_step(s, op)
+    moved = shift_step(s, shift)
     w = host_d1.index_of((0, 1))
     # coin +1 moved up; the recycled coin re-emits the tuple's old +1 step
     assert moved.amps[w, 0] == pytest.approx(1.0)
@@ -243,31 +231,56 @@ def test_evolve_rejects_foreign_state(host_d1, host_d2):
         evolve(p, recycled_coin_shift(p), hadamard_coin(), s, 1)
 
 
+def test_evolve_rejects_a_coin_shift_from_an_equal_host():
+    # Two window-21 hosts have the same shape, so only identity tells them apart.
+    host, other = (iterate_line_digraph(make_bidirected_cycle(21), 1) for _ in range(2))
+    p = directional_partition(host)
+    foreign_gc = recycled_coin_shift(directional_partition(other))
+    s = state_from_terms(host, balanced_origin_terms(host))
+    with pytest.raises(ValidationError, match="coin shift lives on a different host"):
+        evolve(p, foreign_gc, hadamard_coin(), s, 2)
+
+
+def test_walk_states_rejects_a_partition_from_another_host_of_equal_size():
+    # Depth 2 over a 15-cycle and depth 1 over a 30-cycle both have 60 vertices.
+    host = iterate_line_digraph(make_bidirected_cycle(15), 2)
+    other = iterate_line_digraph(make_bidirected_cycle(30), 1)
+    assert host.n_vertices == other.n_vertices == 60
+    p = directional_partition(host)
+    gc = recycled_coin_shift(p)
+    foreign = directional_partition(other)
+    s = state_from_terms(host, balanced_origin_terms(host))
+    with pytest.raises(ValidationError, match="partition and coin shift live on different hosts"):
+        walk_states(foreign, gc, hadamard_coin(), s, 4)
+    stream = walk_states(lambda t: foreign if t == 3 else p, gc, hadamard_coin(), s, 4)
+    assert [next(stream).time for _ in range(3)] == [0, 1, 2]
+    with pytest.raises(ValidationError, match="partition and coin shift live on different hosts"):
+        next(stream)
+
+
 def test_walk_states_checks_the_start_and_the_window():
     # From the origin a window-9 host holds 2 steps: 40 would wrap around.
     host = iterate_line_digraph(make_bidirected_cycle(9), 1)
     p = reflect_transmit_partition(host)
     gc = carried_coin_shift(p)
-    op = build_shift_operator(p, gc)
     s = state_from_terms(host, balanced_origin_terms(host))
     for run in (
-        lambda: walk_states(lambda t: op, hadamard_coin(), s, 40),
+        lambda: walk_states(p, gc, hadamard_coin(), s, 40),
         lambda: evolve(p, gc, hadamard_coin(), s, 40),
     ):
         with pytest.raises(ValidationError, match="window 9 too small"):
             run()
-    unchecked = walk_states(lambda t: op, hadamard_coin(), s, 40, enforce_window=False)
+    unchecked = walk_states(p, gc, hadamard_coin(), s, 40, enforce_window=False)
     assert len(list(unchecked)) == 41
-    assert len(list(walk_states(lambda t: op, hadamard_coin(), s, 2))) == 3
+    assert len(list(walk_states(p, gc, hadamard_coin(), s, 2))) == 3
     with pytest.raises(ValidationError, match="state norm"):
-        walk_states(lambda t: op, hadamard_coin(), WalkState(host, 2 * s.amps, 0), 2)
+        walk_states(p, gc, hadamard_coin(), WalkState(host, 2 * s.amps, 0), 2)
     with pytest.raises(ValidationError, match="t_max must be >= 0"):
-        walk_states(lambda t: op, hadamard_coin(), s, -1)
+        walk_states(p, gc, hadamard_coin(), s, -1)
 
 
 def test_walk_states_is_lazy(host_d1, monkeypatch):
     p = directional_partition(host_d1)
-    op = build_shift_operator(p, recycled_coin_shift(p))
     s = state_from_terms(host_d1, balanced_origin_terms(host_d1))
     stepped = []
     real_coin_step = engine.coin_step
@@ -277,7 +290,7 @@ def test_walk_states_is_lazy(host_d1, monkeypatch):
         return real_coin_step(state, coin)
 
     monkeypatch.setattr(engine, "coin_step", counting_coin_step)
-    stream = walk_states(lambda t: op, hadamard_coin(), s, 30)
+    stream = walk_states(p, recycled_coin_shift(p), hadamard_coin(), s, 30)
     assert stepped == []
     assert next(stream) is s
     assert stepped == []
@@ -285,18 +298,22 @@ def test_walk_states_is_lazy(host_d1, monkeypatch):
     assert stepped == [0]
 
 
-def test_walk_states_takes_a_per_step_shift(host_d1):
+def test_walk_states_takes_a_per_step_partition(host_d1):
     p = directional_partition(host_d1)
-    op = build_shift_operator(p, recycled_coin_shift(p))
+    gc = recycled_coin_shift(p)
     s = state_from_terms(host_d1, balanced_origin_terms(host_d1))
     asked = []
 
     def schedule(t):
         asked.append(t)
-        return op
+        return p
 
-    streamed = list(walk_states(schedule, hadamard_coin(), s, 12))
-    kept = evolve(p, recycled_coin_shift(p), hadamard_coin(), s, 12)
+    stream = walk_states(schedule, gc, hadamard_coin(), s, 12)
+    # Step 1's partition is checked at the call; each later one is asked
+    # for just before its step.
+    assert asked == [1]
+    streamed = list(stream)
+    kept = evolve(p, gc, hadamard_coin(), s, 12)
     assert asked == list(range(1, 13))
     assert [state.time for state in streamed] == list(range(13))
     for a, b in zip(streamed, kept):
@@ -386,7 +403,6 @@ def test_unnormalized_start_state_is_rejected_when_run(host_d1, factor):
 @pytest.mark.parametrize("factor", [1.0 + 1e-9, np.nan])
 def test_norm_drift_stops_the_run(host_d1, monkeypatch, factor):
     p = directional_partition(host_d1)
-    op = build_shift_operator(p, recycled_coin_shift(p))
     start = state_from_terms(host_d1, balanced_origin_terms(host_d1))
     real_shift_step = engine.shift_step
 
@@ -397,7 +413,7 @@ def test_norm_drift_stops_the_run(host_d1, monkeypatch, factor):
         return WalkState(moved.host, moved.amps * factor, moved.time)
 
     monkeypatch.setattr(engine, "shift_step", leaky_shift_step)
-    stream = walk_states(lambda t: op, hadamard_coin(), start, 10)
+    stream = walk_states(p, recycled_coin_shift(p), hadamard_coin(), start, 10)
     assert [next(stream).time for _ in range(3)] == [0, 1, 2]
     with pytest.raises(NumericalCheckError, match="t=3"):
         next(stream)
@@ -442,8 +458,7 @@ def test_a_walk_caps_numpys_openblas_at_one_thread(host_d1):
     blas = _uncapped_openblas()
     start = state_from_terms(host_d1, balanced_origin_terms(host_d1))
     p = reflect_transmit_partition(host_d1)
-    op = build_shift_operator(p, carried_coin_shift(p))
-    stream = walk_states(lambda t: op, hadamard_coin(), start, 3)
+    stream = walk_states(p, carried_coin_shift(p), hadamard_coin(), start, 3)
     next(stream)
     assert blas.scipy_openblas_get_num_threads64_() == 1
 
@@ -454,10 +469,10 @@ def test_a_forked_walk_runs_without_openblas_worker_threads(host_d1):
     blas = _uncapped_openblas()
     start = state_from_terms(host_d1, balanced_origin_terms(host_d1))
     p = reflect_transmit_partition(host_d1)
-    op = build_shift_operator(p, carried_coin_shift(p))
+    gc = carried_coin_shift(p)
 
     def walk(job):
-        for _ in walk_states(lambda t: op, hadamard_coin(), start, 3):
+        for _ in walk_states(p, gc, hadamard_coin(), start, 3):
             pass
         return blas.scipy_openblas_get_num_threads64_(), len(os.listdir("/proc/self/task"))
 

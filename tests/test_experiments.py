@@ -89,6 +89,18 @@ def test_resolve_defaults_line_window():
     assert resolved.host.centered
 
 
+def test_resolve_spec_leaves_its_callers_spec_as_it_was(tmp_path):
+    # The summary states the window the run resolved; the caller's spec keeps
+    # None, so a longer second run resolves a window of its own.
+    spec = ExperimentSpec(t_max=10, outputs=("variance",))
+    summary = run_simulate(spec, tmp_path / "short")
+    assert spec.window is None
+    assert summary["spec"]["graph"]["window"] == minimal_window(10, 1)
+    spec.t_max = 100
+    summary = run_simulate(spec, tmp_path / "long")
+    assert summary["spec"]["graph"]["window"] == minimal_window(100, 1)
+
+
 def test_cycle_family_requires_window():
     with pytest.raises(ValidationError):
         resolve_spec(ExperimentSpec.from_json_dict(spec_doc(graph={"family": "cycle"})))
@@ -398,7 +410,7 @@ def test_the_blocks_share_one_shift_and_the_first_stops_at_the_cut(
 ):
     parent = os.getpid()
     built, stepped = [], []
-    real_build, real_coin_step = experiments.build_shift_operator, engine.coin_step
+    real_build, real_coin_step = engine.build_shift_operator, engine.coin_step
 
     def build(*args):
         # The forked block reads the stream whose shift was built before the fork.
@@ -411,7 +423,7 @@ def test_the_blocks_share_one_shift_and_the_first_stops_at_the_cut(
             stepped.append(state.time)
         return real_coin_step(state, coin)
 
-    monkeypatch.setattr(experiments, "build_shift_operator", build)
+    monkeypatch.setattr(engine, "build_shift_operator", build)
     monkeypatch.setattr(engine, "coin_step", coin_step)
     _split_at(monkeypatch, 25)
     run_simulate(ExperimentSpec.from_json_dict(spec_doc(t_max=40)), tmp_path)

@@ -8,7 +8,7 @@ its m incoming (vertex, coin) pairs form a permutation of all m coins.
 Two constructions cover the walks this package studies on 2-regular hosts:
 
 * recycled_coin_shift: the emitted coin is the oldest step recorded in the
-  vertex's path tuple, independent of the incoming coin.  The two vertices
+  vertex's path, independent of the incoming coin.  The two vertices
   sharing any out-neighborhood have opposite oldest steps, so this satisfies
   the constraint for every partition.
 * carried_coin_shift: the coin label rides through the move unchanged.
@@ -34,7 +34,6 @@ __all__ = [
     "carried_coin_shift",
     "validate_coin_shift",
     "enumerate_coin_shifts",
-    "random_coin_shift",
 ]
 
 #: Hosts whose full gc table exceeds this many cells refuse exhaustive
@@ -101,9 +100,9 @@ def validate_coin_shift(
 
 
 def recycled_coin_shift(p: Partition) -> CoinShift:
-    """Emit the oldest recorded step of the path tuple, whatever coin came in.
+    """Emit the oldest recorded step of the vertex's path, whatever coin came in.
 
-    Needs a 2-regular host of depth >= 1 over a cycle, where each tuple's
+    Needs a 2-regular host of depth >= 1 over a cycle, where each path's
     first two entries are adjacent and their step direction is +-1.
     """
     host = p.host
@@ -187,16 +186,3 @@ def enumerate_coin_shifts(p: Partition) -> list[CoinShift]:
                 table[vertex, c_in] = c_out
         shifts.append(CoinShift(host, table))
     return shifts
-
-
-def random_coin_shift(p: Partition, seed: int) -> CoinShift:
-    """A uniformly random valid coin shift (independent per-target permutations)."""
-    rng = np.random.default_rng(seed)
-    host = p.host
-    table = np.empty((host.n_vertices, host.degree), dtype=np.int64)
-    for group in _target_groups(p):
-        perm = rng.permutation(host.degree)
-        for (vertex, c_in), c_out in zip(group, perm):
-            table[vertex, c_in] = c_out
-    return CoinShift(host, table)
-

@@ -29,7 +29,7 @@ from .errors import (
     NumericalCheckError,
     ValidationError,
 )
-from .graphs import RegularDigraph, centered_label, current_position, minimal_window
+from .graphs import RegularDigraph, minimal_window
 from .partitions import Partition, coin_index
 
 __all__ = [
@@ -118,14 +118,14 @@ def state_from_terms(
     host: RegularDigraph,
     terms: list[tuple[tuple[int, ...], int, complex]],
 ) -> WalkState:
-    """Build a state from (path tuple, coin label, amplitude) terms.
+    """Build a state from (path, coin label, amplitude) terms.
 
     Coin labels follow the rendered convention (+1/-1 for m = 2).  The
     resulting state must already be normalized; nothing is rescaled here.
     """
     amps = np.zeros((host.n_vertices, host.degree), dtype=np.complex128)
     for path, label, amplitude in terms:
-        amps[host.index_of(tuple(path)), coin_index(label, host.degree)] += amplitude
+        amps[host.index_of(path), coin_index(label, host.degree)] += amplitude
     state = WalkState(host, amps)
     _check_normalized(state)
     return state
@@ -136,16 +136,11 @@ def origin_basis_terms(host: RegularDigraph) -> list[list[tuple]]:
 
     Deterministic order: vertices by index, coins by +1 before -1.
     """
-    out = []
-    for v, lab in enumerate(host.labels):
-        if current_position(lab) != 0:
-            continue
-        for c in range(host.degree):
-            label = 1 if c == 0 else -1
-            out.append([(lab, label, 1.0 + 0.0j)])
-    if not out:
+    paths = host.paths[host.paths[:, -1] == 0].tolist()
+    if not paths:
         raise ValidationError("host has no vertex at position 0")
-    return out
+    labels = [1 if c == 0 else -1 for c in range(host.degree)]
+    return [[(tuple(path), label, 1.0 + 0.0j)] for path in paths for label in labels]
 
 
 def equivalence_initial_terms(host: RegularDigraph) -> list[tuple]:
@@ -214,10 +209,7 @@ def _window_check(initial: WalkState, t_max: int) -> None:
         raise ValidationError("window enforcement needs a centered host")
     half = (host.base_n - 1) // 2
     support = np.flatnonzero(np.abs(initial.amps).sum(axis=1) > 0)
-    start = max(
-        abs(entry) for v in support for entry in host.labels[int(v)]
-    )
-    reach = start + t_max
+    reach = int(np.abs(host.paths[support]).max()) + t_max
     if reach > half - 1:
         raise ValidationError(
             f"window {host.base_n} too small: support may reach +-{reach}, "

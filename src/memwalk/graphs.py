@@ -1,12 +1,12 @@
 """Regular digraphs, dicycle factorizations, and iterated line digraphs.
 
-A line-digraph vertex is a d-step walk of the base graph, stored as a path
-tuple (oldest position first).  Construction uses a block labeling derived
-from a dicycle factorization {D_1, ..., D_m} of the current level: block k,
-offset u holds the arc of D_k that ends at u.  Under that labeling the
-adjacency matrix of the next level consists of m identical block-rows
-(M(D_1) ... M(D_m)), which is what the coin-shift pairing logic in the rest
-of the package relies on.
+A line-digraph vertex is a d-step walk of the base graph, stored as one row
+of the host's ``paths`` array (oldest position first).  Construction uses a
+block labeling derived from a dicycle factorization {D_1, ..., D_m} of the
+current level: block k, offset u holds the arc of D_k that ends at u.  Under
+that labeling the adjacency matrix of the next level consists of m identical
+block-rows (M(D_1) ... M(D_m)), which is what the coin-shift pairing logic in
+the rest of the package relies on.
 """
 
 from __future__ import annotations
@@ -25,15 +25,9 @@ __all__ = [
     "dicycle_factorize_base",
     "line_digraph",
     "iterate_line_digraph",
-    "current_position",
     "minimal_window",
     "centered_positions",
 ]
-
-#: A vertex of an iterated line digraph: the walk it abbreviates, oldest
-#: base-graph position first.  Depth-0 vertices are 1-tuples.
-PathTuple = tuple[int, ...]
-
 
 class PositionWindow(NamedTuple):
     """The positions of a window with what per-step position statistics read
@@ -59,23 +53,33 @@ class RegularDigraph:
         Integer array of shape (V, m); row v lists v's out-neighbors.  The
         column order is part of the graph's identity (it fixes the block
         labeling of deeper line digraphs).
-    labels:
-        One path tuple per vertex.  Entries are base-graph positions, in
-        centered coordinates when ``centered`` is set.
+    paths:
+        Integer array of shape (V, d + 1); row v is the walk vertex v
+        abbreviates, oldest base-graph position first.  Entries are
+        base-graph positions, in centered coordinates when ``centered`` is
+        set.  Depth-0 vertices are one-entry rows.
     base_n:
-        Vertex count of the underlying base graph the tuples refer to.
+        Vertex count of the underlying base graph the paths refer to.
     centered:
         Whether base positions are reported in a centered window
         [-(base_n-1)/2, (base_n-1)/2] (odd base_n only).
     """
 
     out_neighbors: np.ndarray
-    labels: tuple[PathTuple, ...]
+    paths: np.ndarray
     base_n: int
     centered: bool = False
 
     def __post_init__(self):
+        if self.paths.ndim != 2 or self.paths.shape[1] < 1 or (
+            self.paths.shape[0] != self.out_neighbors.shape[0]
+        ):
+            raise InvalidGraphError(
+                f"paths of shape {self.paths.shape} do not give one path per"
+                f" vertex of {self.out_neighbors.shape[0]}"
+            )
         self.out_neighbors.flags.writeable = False
+        self.paths.flags.writeable = False
 
     @property
     def n_vertices(self) -> int:
@@ -88,27 +92,34 @@ class RegularDigraph:
     @property
     def depth(self) -> int:
         """How many line-digraph iterations produced this graph."""
-        return len(self.labels[0]) - 1
+        return self.paths.shape[1] - 1
 
-    @cached_property
-    def _tuple_index(self) -> dict[PathTuple, int]:
-        return {lab: i for i, lab in enumerate(self.labels)}
-
-    def index_of(self, path: PathTuple) -> int:
-        """Vertex index for a path tuple; KeyError if absent."""
-        return self._tuple_index[tuple(path)]
+    def index_of(self, path) -> int:
+        """Vertex index of a path, oldest position first; KeyError if no
+        vertex has it, including a path of another length and one with an
+        entry outside int64 (which numpy holds as an object)."""
+        row = np.asarray(path)
+        if row.shape == self.paths.shape[1:] and row.dtype.kind in "biuf":
+            hits = np.flatnonzero((self.paths == row).all(axis=1))
+            if hits.size:
+                return int(hits[0])
+        raise KeyError(tuple(path))
 
     @cached_property
     def oldest_steps(self) -> np.ndarray:
         """Direction (+1 or -1) of each vertex's oldest recorded cycle step.
 
-        Needs depth >= 1 over a cycle; ValueError if a tuple's first two
+        Needs depth >= 1 over a cycle; ValueError if a path's first two
         entries are not cycle-adjacent.
         """
-        steps = np.array(
-            [step_direction(lab[0], lab[1], self.base_n) for lab in self.labels],
-            dtype=np.int64,
-        )
+        n = self.base_n
+        a, b = self.paths[:, 0], self.paths[:, 1]
+        delta = (b - a) % n
+        bad = np.flatnonzero((delta != 1) & (delta != n - 1))
+        if bad.size:
+            v = bad[0]
+            raise ValueError(f"labels {a[v]} and {b[v]} are not adjacent on a {n}-cycle")
+        steps = np.where(delta == 1, 1, -1)
         steps.flags.writeable = False
         return steps
 
@@ -116,9 +127,7 @@ class RegularDigraph:
     def position_index(self) -> np.ndarray:
         """Each vertex's current position as an index into ``positions``."""
         offset = (self.base_n - 1) // 2 if self.centered else 0
-        idx = np.array(
-            [current_position(lab) + offset for lab in self.labels], dtype=np.intp
-        )
+        idx = (self.paths[:, -1] + offset).astype(np.intp)
         idx.flags.writeable = False
         return idx
 
@@ -180,31 +189,6 @@ class RegularDigraph:
 # -- position bookkeeping on the cycle surrogate -------------------------------
 
 
-def centered_label(raw: int, n: int) -> int:
-    """Map a raw cycle vertex 0..n-1 to the centered window (odd n)."""
-    raw %= n
-    return raw if raw <= (n - 1) // 2 else raw - n
-
-
-def step_direction(a: int, b: int, n: int) -> int:
-    """Direction (+1 or -1) of the cycle step from a to b.
-
-    Accepts raw or centered labels; a and b must be cycle-adjacent.
-    """
-    delta = (b - a) % n
-    if delta == 1:
-        return 1
-    if delta == n - 1:
-        return -1
-    raise ValueError(f"labels {a} and {b} are not adjacent on a {n}-cycle")
-
-
-def advance_label(label: int, delta: int, n: int, centered: bool) -> int:
-    """Move a cycle label by delta steps, staying in the label convention."""
-    raw = (label + delta) % n
-    return centered_label(raw, n) if centered else raw
-
-
 def minimal_window(t_max: int, depth: int) -> int:
     """Smallest window that keeps a t_max-step origin walk off the seam."""
     return 2 * t_max + 2 * depth + 3
@@ -230,13 +214,12 @@ def make_bidirected_cycle(n: int) -> RegularDigraph:
     """
     if n < 3:
         raise InvalidGraphError(f"bidirected cycle needs n >= 3, got {n}")
-    idx = np.arange(n)
-    out = np.stack([(idx + 1) % n, (idx - 1) % n], axis=1).astype(np.int64)
+    idx = np.arange(n, dtype=np.int64)
+    out = np.stack([(idx + 1) % n, (idx - 1) % n], axis=1)
     centered = n % 2 == 1
-    labels = tuple(
-        (centered_label(x, n),) if centered else (int(x),) for x in range(n)
-    )
-    return RegularDigraph(out, labels, base_n=n, centered=centered)
+    # A centered window reports the vertices past (n-1)/2 as negative.
+    paths = np.where(idx > (n - 1) // 2, idx - n, idx) if centered else idx
+    return RegularDigraph(out, paths[:, None], base_n=n, centered=centered)
 
 
 # -- dicycle factorization -------------------------------------------------------
@@ -360,18 +343,18 @@ def _check_factorization(g: RegularDigraph, classes: list[np.ndarray]) -> None:
         raise FactorizationError(
             f"expected {g.degree} classes, got {len(classes)}"
         )
-    seen = [set() for _ in range(g.n_vertices)]
     for perm in classes:
         if len(perm) != g.n_vertices:
             raise FactorizationError("class size does not match vertex count")
         if not np.array_equal(np.sort(perm), np.arange(g.n_vertices)):
             raise FactorizationError("class is not a permutation of the vertices")
-        for v in range(g.n_vertices):
-            w = int(perm[v])
-            if w not in map(int, g.out_neighbors[v]):
-                raise FactorizationError(f"({v}, {w}) is not an arc")
-            seen[v].add(w)
-    if any(len(s) != g.degree for s in seen):
+        off_arc = np.flatnonzero(~(g.out_neighbors == np.asarray(perm)[:, None]).any(axis=1))
+        if off_arc.size:
+            v = off_arc[0]
+            raise FactorizationError(f"({v}, {int(perm[v])}) is not an arc")
+    # Each vertex's successors over the classes must be distinct.
+    succ = np.sort(np.column_stack(classes), axis=1)
+    if (succ[:, 1:] == succ[:, :-1]).any():
         raise FactorizationError("classes do not partition the arc set")
 
 
@@ -382,7 +365,7 @@ def line_digraph(g: RegularDigraph, factorization: list[np.ndarray]) -> RegularD
     """The line digraph of g under the block labeling.
 
     Vertex k*V + u of the result is the arc of class D_k ending at u, i.e.
-    the walk label(D_k^{-1}(u)) extended by u's last position.  Out-neighbor
+    the path of D_k^{-1}(u) extended by u's last position.  Out-neighbor
     column l points at class D_l's continuation, so all vertices sharing a
     head have identical ordered out-neighbor rows.  ``factorization`` is a
     dicycle factorization of g, such as dicycle_factorize_base returns.
@@ -397,16 +380,10 @@ def line_digraph(g: RegularDigraph, factorization: list[np.ndarray]) -> RegularD
         # Identical for every block k: the head alone fixes the successors.
         out[:, l] = np.tile(l * n + perm, m)
 
-    labels: list[PathTuple] = []
-    for k in range(m):
-        inv = inverses[k]
-        for u in range(n):
-            pred = int(inv[u])
-            labels.append(g.labels[pred] + (g.labels[u][-1],))
-
-    return RegularDigraph(
-        out, tuple(labels), base_n=g.base_n, centered=g.centered
+    paths = np.concatenate(
+        [np.hstack([g.paths[inverse], g.paths[:, -1:]]) for inverse in inverses]
     )
+    return RegularDigraph(out, paths, base_n=g.base_n, centered=g.centered)
 
 
 def _lift_factorization(
@@ -446,8 +423,3 @@ def iterate_line_digraph(g: RegularDigraph, d: int, seed: int | None = None) -> 
         classes = _lift_factorization(cur.n_vertices, cur.degree, classes)
         cur = nxt
     return cur
-
-
-def current_position(path: PathTuple) -> int:
-    """The position a path tuple currently occupies (its last entry)."""
-    return path[-1]

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError
-from .graphs import RegularDigraph, advance_label, step_direction
+from .graphs import RegularDigraph
 from . import graphs as _graphs
 
 __all__ = [
@@ -98,45 +98,49 @@ def _require_cycle_host(host: RegularDigraph, min_depth: int = 1) -> None:
         )
 
 
+def _marked_first(host: RegularDigraph, first: np.ndarray) -> np.ndarray:
+    """Each vertex's two out-neighbors, the one ``first`` marks in column 0.
+
+    ``first[v]`` marks each out-neighbor of v (True or False) and must mark
+    exactly one: the partitions below place a vertex's successors by their
+    position, which tells them apart on any line digraph of a cycle.
+    """
+    if (first[:, 0] == first[:, 1]).any():
+        raise ValidationError("host is not a line digraph of a cycle")
+    out = host.out_neighbors
+    return np.where(first[:, :1], out, out[:, ::-1])
+
+
 def directional_partition(host: RegularDigraph) -> Partition:
     """Classes move in a fixed direction: coin index k appends step +1 or -1.
 
     At any depth d >= 1 over the cycle, class k sends the walk
-    (p_0, ..., p_d) to (p_1, ..., p_d, p_d + s_k) with s_0 = +1, s_1 = -1.
+    (p_0, ..., p_d) to (p_1, ..., p_d, p_d + s_k) with s_0 = +1, s_1 = -1:
+    class 0 takes the out-neighbor one step up, class 1 the one a step down.
     Both arcs into a given target come from the same class, so this is never
     a dicycle factorization.
     """
     _require_cycle_host(host)
-    n = host.base_n
-    succ = np.empty((host.n_vertices, 2), dtype=np.int64)
-    for v, lab in enumerate(host.labels):
-        tail = lab[1:]
-        for k, s in enumerate((1, -1)):
-            succ[v, k] = host.index_of(
-                tail + (advance_label(lab[-1], s, n, host.centered),)
-            )
-    return Partition(host, succ, kind="directional")
+    heads = host.paths[host.out_neighbors, -1]
+    up = (heads - host.paths[:, -1:]) % host.base_n == 1
+    return Partition(host, _marked_first(host, up), kind="directional")
 
 
 def reflect_transmit_partition(host: RegularDigraph) -> Partition:
     """Coin +1 reverses the last step, coin -1 continues it.
 
     Defined on depth-1 hosts: vertex (a, b) goes to (b, a) under reflect and
-    to (b, 2b - a) under transmit.  Both classes are spanning permutations,
-    so this is a dicycle factorization.
+    to (b, 2b - a) under transmit.  Class 0 takes the out-neighbor whose
+    position is the vertex's previous one, class 1 the other.  Both classes
+    are spanning permutations, so this is a dicycle factorization.
     """
     _require_cycle_host(host)
     if host.depth != 1:
         raise ValidationError(
             f"reflect/transmit classes need a depth-1 host, got depth {host.depth}"
         )
-    n = host.base_n
-    succ = np.empty((host.n_vertices, 2), dtype=np.int64)
-    for v, (a, b) in enumerate(host.labels):
-        direction = step_direction(a, b, n)
-        succ[v, 0] = host.index_of((b, a))
-        succ[v, 1] = host.index_of((b, advance_label(b, direction, n, host.centered)))
-    return Partition(host, succ, kind="reflect_transmit")
+    back = host.paths[host.out_neighbors, -1] == host.paths[:, :1]
+    return Partition(host, _marked_first(host, back), kind="reflect_transmit")
 
 
 def named_partition(

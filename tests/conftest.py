@@ -2,12 +2,23 @@ from __future__ import annotations
 
 import math
 import os
+from functools import cache
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from memwalk import experiments, iterate_line_digraph, make_bidirected_cycle, minimal_window
+from memwalk import (
+    CoinShift,
+    Partition,
+    dicycle_factorize_base,
+    experiments,
+    iterate_line_digraph,
+    make_bidirected_cycle,
+    minimal_window,
+)
+from memwalk.coin_shift import _target_groups
+from memwalk.graphs import RegularDigraph, _lift_factorization
 
 settings.register_profile(
     "memwalk",
@@ -80,3 +91,69 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", fork)
     return pids
+
+
+def random_coin_shift(p: Partition, seed: int) -> CoinShift:
+    """A uniformly random valid coin shift (independent per-target permutations)."""
+    rng = np.random.default_rng(seed)
+    host = p.host
+    table = np.empty((host.n_vertices, host.degree), dtype=np.int64)
+    for group in _target_groups(p):
+        perm = rng.permutation(host.degree)
+        for (vertex, c_in), c_out in zip(group, perm):
+            table[vertex, c_in] = c_out
+    return CoinShift(host, table)
+
+
+# -- path-tuple references ---------------------------------------------------------
+# Per-vertex builders over path tuples: the references that the array-built
+# hosts, partitions and start states are compared with.
+
+
+def centered_label(raw: int, n: int) -> int:
+    """Map a raw cycle vertex 0..n-1 to the centered window (odd n)."""
+    raw %= n
+    return raw if raw <= (n - 1) // 2 else raw - n
+
+
+def step_direction(a: int, b: int, n: int) -> int:
+    """Direction (+1 or -1) of the cycle step from a to b."""
+    delta = (b - a) % n
+    if delta == 1:
+        return 1
+    if delta == n - 1:
+        return -1
+    raise ValueError(f"labels {a} and {b} are not adjacent on a {n}-cycle")
+
+
+def advance_label(label: int, delta: int, n: int, centered: bool) -> int:
+    """Move a cycle label by delta steps, staying in the label convention."""
+    raw = (label + delta) % n
+    return centered_label(raw, n) if centered else raw
+
+
+@cache
+def reference_host(
+    window: int, depth: int, seed: int | None
+) -> tuple[RegularDigraph, tuple[tuple[int, ...], ...]]:
+    """iterate_line_digraph's host on a window-cycle, and its path tuples as
+    line_digraph's label loop built them from the same factorizations."""
+    centered = window % 2 == 1
+    labels = [(centered_label(x, window),) if centered else (x,) for x in range(window)]
+    base = make_bidirected_cycle(window)
+    classes = dicycle_factorize_base(base, seed) if depth else None
+    for _ in range(depth):
+        n = len(labels)
+        inverses = [np.argsort(perm) for perm in classes]
+        labels = [labels[int(inv[u])] + (labels[u][-1],) for inv in inverses for u in range(n)]
+        classes = _lift_factorization(n, 2, classes)
+    return iterate_line_digraph(base, depth, seed=seed), tuple(labels)
+
+
+def reference_hosts():
+    """reference_host for base windows 3-41 of both parities, depths 0-3 and
+    base-factorization seeds None, 3 and 7."""
+    for depth in range(4):
+        for seed in (None, 3, 7):
+            for window in range(3, 42):
+                yield reference_host(window, depth, seed)

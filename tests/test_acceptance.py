@@ -33,7 +33,6 @@ from memwalk import (
     make_bidirected_cycle,
     minimal_window,
     named_partition,
-    random_coin_shift,
     random_dicycle_factorization,
     random_partition,
     recycled_coin_shift,
@@ -64,6 +63,8 @@ from memwalk.experiments import (
     run_history,
     run_sweep,
 )
+
+from conftest import random_coin_shift
 
 BALLISTIC_CLASSES = (
     "directional+recycled",

@@ -170,7 +170,7 @@ def _beta_by_vertex(state):
     host = state.host
     n = host.base_n
     amps = np.zeros((n, 2, 2), dtype=np.complex128)
-    for v, (prev, cur) in enumerate(host.labels):
+    for v, (prev, cur) in enumerate(host.paths.tolist()):
         r = 0 if (cur - prev) % n == 1 else 1
         amps[cur % n, r, :] = state.amps[v, :]
     return amps

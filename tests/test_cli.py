@@ -7,10 +7,12 @@ import pkgutil
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import memwalk
 from memwalk import engine, experiments
@@ -148,12 +150,15 @@ def _carried_table(vertices):
         {"initial_state": {"terms": [{"path": [-1, 0], "coin": True, "amplitude": [1, 0]}]}},
         {"initial_state": {"terms": [{"path": [-1, 0], "coin": 1.0, "amplitude": [1, 0]}]}},
         {"initial_state": {"terms": [{"path": [-1.0, 0.0], "coin": 1, "amplitude": [1, 0]}]}},
+        # an entry past int64 and a path one entry too long name no vertex
+        {"initial_state": {"terms": [{"path": [10**30, 0], "coin": 1, "amplitude": [1, 0]}]}},
+        {"initial_state": {"terms": [{"path": [-1, 0, 1], "coin": 1, "amplitude": [1, 0]}]}},
     ],
     ids=[
         "outputs-not-a-list", "table-vertex-too-large", "table-vertex-negative",
         "term-path-not-a-vertex", "amplitude-not-a-pair", "amplitude-nan",
         "coin-cell-not-a-pair", "coin-cell-nan", "term-coin-bool", "term-coin-float",
-        "term-path-floats",
+        "term-path-floats", "term-path-past-int64", "term-path-too-long",
     ],
 )
 def test_malformed_payloads_are_validation_errors(tmp_path, config, capsys, overrides):
@@ -800,3 +805,121 @@ def test_the_package_exports_each_module_public_name_once():
     for module in modules:
         for name in getattr(module, "__all__", ()):
             assert getattr(memwalk, name) is getattr(module, name)
+
+
+# -- every subcommand over generated flags and configs ------------------------------
+# Each subcommand gets only the flags it reads, with values and config JSON
+# drawn around the edges of what it accepts.  A run must end in one of the
+# CLI's exit codes, and a run that fails must leave nothing behind; the one
+# exception is equivalence's exit 4, which still writes its report.
+
+T_MAX = st.integers(-1, 250)
+SEED = st.integers(-1, 2**64)
+SEEDS = st.one_of(
+    st.lists(st.integers(-1, 9), max_size=4).map(lambda xs: ",".join(map(str, xs))),
+    st.sampled_from(["1,,2", ",3", "x"]),
+)
+TERM = st.fixed_dictionaries(
+    {
+        "path": st.lists(st.integers(-3, 3), min_size=1, max_size=3),
+        "coin": st.sampled_from([1, -1, 2]),
+        "amplitude": st.just([1, 0]),
+    }
+)
+SPEC = st.fixed_dictionaries(
+    {},
+    optional={
+        "graph": st.fixed_dictionaries(
+            {},
+            optional={
+                "family": st.sampled_from(["line", "cycle", "torus"]),
+                "window": st.one_of(st.none(), st.integers(-1, 41)),
+            },
+        ),
+        "memory_depth": st.integers(0, 3),
+        "partition": st.fixed_dictionaries(
+            {},
+            optional={
+                "kind": st.sampled_from(
+                    ["directional", "reflect_transmit", "random", "random_dicycle", "spiral"]
+                ),
+                "seed": st.one_of(st.none(), SEED),
+                "resample": st.sampled_from(["never", "per_step", "hourly"]),
+            },
+        ),
+        "coin_shift": st.fixed_dictionaries(
+            {}, optional={"kind": st.sampled_from(["recycled", "carried", "table", "mirror"])}
+        ),
+        "coin": st.fixed_dictionaries({}, optional={"kind": st.sampled_from(["hadamard", "matrix"])}),
+        "initial_state": st.one_of(
+            st.fixed_dictionaries(
+                {"preset": st.sampled_from(["origin-balanced", "equivalence", "nowhere"])}
+            ),
+            st.fixed_dictionaries({"terms": st.lists(TERM, min_size=1, max_size=1)}),
+        ),
+        "t_max": T_MAX,
+        "outputs": st.lists(
+            st.sampled_from(["distribution", "variance", "occrate", "origin-series",
+                             "scaling-fit", "bogus"]),
+            unique=True,
+        ),
+        "seed": st.one_of(st.none(), SEED),
+    },
+)
+SWEEP = st.fixed_dictionaries(
+    {},
+    optional={
+        "template": SPEC,
+        "classes": st.lists(st.sampled_from([*experiments.WALK_CLASSES, "bogus"]), max_size=3),
+        "seeds": st.lists(st.integers(-1, 9), max_size=4),
+    },
+)
+
+
+def _flags(**values) -> st.SearchStrategy[list[str]]:
+    """Each flag present or absent, as --flag=value."""
+    parts = [
+        st.one_of(st.just([]), value.map(lambda v, f=flag: [f"--{f.replace('_', '-')}={v}"]))
+        for flag, value in values.items()
+    ]
+    return st.tuples(*parts).map(lambda chosen: [arg for args in chosen for arg in args])
+
+
+COMMANDS = st.one_of(
+    st.tuples(st.just("simulate"), st.one_of(st.none(), SPEC), _flags(seeds=SEEDS, t_max=T_MAX)),
+    st.tuples(st.just("sweep"), st.one_of(st.none(), SWEEP), _flags(seeds=SEEDS, t_max=T_MAX)),
+    st.tuples(st.just("equivalence"), st.none(), _flags(t_max=T_MAX)),
+    st.tuples(
+        st.just("enumerate"),
+        st.none(),
+        _flags(seeds=SEEDS, t_max=T_MAX, cycle_size=st.integers(-1, 6)),
+    ),
+)
+
+
+@settings(
+    max_examples=40,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(command=COMMANDS)
+def test_every_run_ends_in_an_exit_code_and_a_failed_run_writes_nothing(
+    two_cpus, capsys, command
+):
+    name, doc, flags = command
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        argv = [name, *flags, f"--out={out}"]
+        if doc is not None:
+            config = Path(tmp) / "config.json"
+            config.write_text(json.dumps(doc))
+            argv.append(f"--config={config}")
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4), err
+        if code == 0:
+            assert out.is_dir()
+        elif name == "equivalence" and code == 4:
+            assert sorted(p.name for p in out.iterdir()) == ["equivalence.json"]
+        else:
+            assert not out.exists(), err
+            assert err.startswith("error: "), err

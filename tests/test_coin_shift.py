@@ -14,7 +14,6 @@ from memwalk import (
     directional_partition,
     enumerate_coin_shifts,
     named_partition,
-    random_coin_shift,
     random_dicycle_factorization,
     random_partition,
     recycled_coin_shift,
@@ -23,6 +22,8 @@ from memwalk import (
 )
 from memwalk.coin_shift import CoinShift
 from memwalk.partitions import PARTITION_KINDS
+
+from conftest import random_coin_shift
 
 
 def test_recycled_is_vertex_only(host_d1):
@@ -160,8 +161,8 @@ def test_paired_vertices_share_out_neighborhoods(host_d1):
 def test_paired_vertices_differ_in_oldest_entry(host_d1):
     for v in range(host_d1.n_vertices):
         w = host_d1.twins[v]
-        assert host_d1.labels[v][1:] == host_d1.labels[w][1:]
-        assert host_d1.labels[v][0] != host_d1.labels[w][0]
+        assert host_d1.paths[v, 1:].tolist() == host_d1.paths[w, 1:].tolist()
+        assert host_d1.paths[v, 0] != host_d1.paths[w, 0]
 
 
 def test_recycled_opposite_at_paired_vertices(host_d1):

@@ -23,7 +23,6 @@ from memwalk import (
     make_bidirected_cycle,
     minimal_window,
     origin_basis_terms,
-    random_coin_shift,
     random_partition,
     recycled_coin_shift,
     recycled_coin_walk,
@@ -38,6 +37,8 @@ from memwalk.coin_shift import CoinShift
 from memwalk.partitions import Partition
 from memwalk.engine import WalkState, check_unitary
 from memwalk import NumericalCheckError, analysis, engine, experiments
+
+from conftest import random_coin_shift, reference_hosts
 
 
 def test_hadamard_is_unitary():
@@ -111,6 +112,25 @@ def test_origin_basis_terms_depth_2(host_d2):
     assert len(states) == 8
     for terms in states:
         assert terms[0][0][-1] == 0
+
+
+def _origin_basis_by_vertex(host, labels) -> list[list[tuple]]:
+    """origin_basis_terms, built one vertex at a time: the reference."""
+    out = []
+    for lab in labels:
+        if lab[-1] != 0:
+            continue
+        for c in range(host.degree):
+            out.append([(lab, 1 if c == 0 else -1, 1.0 + 0.0j)])
+    return out
+
+
+def test_origin_basis_terms_match_the_per_vertex_reference():
+    for host, labels in reference_hosts():
+        got = origin_basis_terms(host)
+        assert got == _origin_basis_by_vertex(host, labels)
+        # plain ints, as the path tuples held
+        assert all(type(x) is int for ((path, _, _),) in got for x in path)
 
 
 def test_balanced_origin_state_normalizes(host_d1):

@@ -195,6 +195,41 @@ def test_simulate_bytes_are_pinned(tmp_path, run, summary_sha, csv_sha):
     assert digest == {"summary.json": summary_sha, "distributions.csv": csv_sha}
 
 
+# The goldens and the runs above cover depth-1 centered hosts only.  These
+# two pin an even window, whose host is not centered, and a depth-2 host;
+# their sha256 were recorded from hosts that held each path as a tuple.
+PINNED_HOST_SHAPES = [
+    (
+        {"graph": {"family": "cycle", "window": 40}, "t_max": 60},
+        "b3dbedf5408599faff577e98ef3f3e816ae111d12369a084ec8837c79ad6d49b",
+        "13085bf9cadf339e42dae4b6569cda5fcdb499b622c8498a4bffd1d12160e337",
+    ),
+    (
+        {
+            "graph": {"family": "cycle", "window": 41},
+            "t_max": 60,
+            "memory_depth": 2,
+            "partition": {"kind": "directional"},
+            "coin_shift": {"kind": "recycled"},
+        },
+        "c40394637aa92b76d1f3f64e35a0475994b9799bff5c8802da7fb5eb12a9c128",
+        "ca17531f37180af1f34b77f802a1a59454b066d32a2817e1367dd4c615d003ec",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "doc, summary_sha, csv_sha", PINNED_HOST_SHAPES, ids=["even-window", "depth-2"]
+)
+def test_simulate_bytes_on_other_host_shapes_are_pinned(tmp_path, doc, summary_sha, csv_sha):
+    run_simulate(ExperimentSpec.from_json_dict(doc), tmp_path)
+    digest = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("summary.json", "distributions.csv")
+    }
+    assert digest == {"summary.json": summary_sha, "distributions.csv": csv_sha}
+
+
 @pytest.mark.parametrize("shift", ["recycled", "carried"])
 def test_per_step_run_builds_its_coin_shift_table_once(monkeypatch, shift):
     builder = f"{shift}_coin_shift"

@@ -15,15 +15,15 @@ from memwalk import (
     minimal_window,
     random_dicycle_factorization,
 )
+from memwalk.errors import FactorizationError
 from memwalk.graphs import (
     RegularDigraph,
+    _check_factorization,
     _perfect_matching,
-    advance_label,
-    centered_label,
     centered_positions,
-    current_position,
-    step_direction,
 )
+
+from conftest import advance_label, reference_hosts, step_direction
 
 
 def test_bidirected_cycle_adjacency_c3():
@@ -47,29 +47,9 @@ def test_too_small_cycle_rejected():
 
 def test_centered_labels_odd_cycle():
     g = make_bidirected_cycle(5)
-    assert [lab[0] for lab in g.labels] == [0, 1, 2, -2, -1]
+    assert g.paths.tolist() == [[0], [1], [2], [-2], [-1]]
     assert g.centered
-
-
-def test_centered_label_helper():
-    assert centered_label(0, 7) == 0
-    assert centered_label(3, 7) == 3
-    assert centered_label(4, 7) == -3
-    assert centered_label(6, 7) == -1
-
-
-def test_step_direction():
-    assert step_direction(0, 1, 7) == 1
-    assert step_direction(1, 0, 7) == -1
-    assert step_direction(3, -3, 7) == 1  # wraps through the centered edge
-    with pytest.raises(ValueError):
-        step_direction(0, 2, 7)
-
-
-def test_advance_label_centered():
-    assert advance_label(3, 1, 7, True) == -3
-    assert advance_label(-3, -1, 7, True) == 3
-    assert advance_label(2, 1, 9, True) == 3
+    assert make_bidirected_cycle(4).paths.tolist() == [[0], [1], [2], [3]]
 
 
 def test_minimal_window_is_odd_and_sufficient():
@@ -86,24 +66,26 @@ def test_line_digraph_vertex_count_and_labels(cycle5):
     assert lg.n_vertices == 10  # one vertex per arc of C5
     assert lg.degree == 2
     assert lg.depth == 1
-    # labels are (tail, head) pairs of adjacent positions
-    for a, b in lg.labels:
+    # paths are (tail, head) pairs of adjacent positions
+    assert lg.paths.shape == (10, 2)
+    for a, b in lg.paths.tolist():
         assert step_direction(a, b, 5) in (-1, 1)
-    assert len(set(lg.labels)) == 10
+    assert len(np.unique(lg.paths, axis=0)) == 10
 
 
 def test_line_digraph_arcs_match_direct_construction(cycle5):
     # independent definition: vertices are arcs (a, b); (a, b) -> (b, c)
     lg = line_digraph(cycle5, dicycle_factorize_base(cycle5))
+    labels = [tuple(path) for path in lg.paths.tolist()]
     expected = set()
-    for a, b in lg.labels:
+    for a, b in labels:
         for k in range(2):
             c = advance_label(b, 1 if k == 0 else -1, 5, True)
             expected.add(((a, b), (b, c)))
     actual = set()
     for v in range(lg.n_vertices):
         for w in lg.out_neighbors[v]:
-            actual.add((lg.labels[v], lg.labels[int(w)]))
+            actual.add((labels[v], labels[int(w)]))
     assert actual == expected
 
 
@@ -121,7 +103,7 @@ def test_iterated_line_digraph_counts(cycle5):
         g = iterate_line_digraph(cycle5, d)
         assert g.n_vertices == 5 * 2**d
         assert g.depth == d
-        assert all(len(lab) == d + 1 for lab in g.labels)
+        assert g.paths.shape == (5 * 2**d, d + 1)
 
 
 def test_iterate_depth_zero_is_identity(cycle5):
@@ -130,17 +112,18 @@ def test_iterate_depth_zero_is_identity(cycle5):
 
 def test_tuple_labels_trace_adjacent_paths(host_d2):
     n = host_d2.base_n
-    for lab in host_d2.labels:
-        for a, b in zip(lab, lab[1:]):
+    for path in host_d2.paths.tolist():
+        for a, b in zip(path, path[1:]):
             assert step_direction(a, b, n) in (-1, 1)
-    assert len(set(host_d2.labels)) == host_d2.n_vertices
+    assert len(np.unique(host_d2.paths, axis=0)) == host_d2.n_vertices
 
 
 def test_line_digraph_edges_follow_path_overlap(host_d1):
-    # arc u -> w exists iff w's tuple is u's tuple shifted by one step
+    # arc u -> w exists iff w's path is u's path shifted by one step
+    paths = host_d1.paths
     for v in range(host_d1.n_vertices):
         for w in host_d1.out_neighbors[v]:
-            assert host_d1.labels[int(w)][:-1] == host_d1.labels[v][1:]
+            assert paths[w, :-1].tolist() == paths[v, 1:].tolist()
 
 
 def test_dicycle_factorization_classes_are_permutations(cycle5):
@@ -183,16 +166,31 @@ def test_centered_positions():
     assert list(centered_positions(7)) == [-3, -2, -1, 0, 1, 2, 3]
 
 
-def test_current_position(host_d2):
-    for lab in host_d2.labels:
-        assert current_position(lab) == lab[-1]
-
-
 def test_index_of_roundtrip(host_d1):
-    for v, lab in enumerate(host_d1.labels):
-        assert host_d1.index_of(lab) == v
+    for v, path in enumerate(host_d1.paths.tolist()):
+        assert host_d1.index_of(path) == v
+        assert host_d1.index_of(tuple(path)) == v
+
+
+@pytest.mark.parametrize(
+    "path",
+    [(999, 1000), (0, 2), (0,), (-1, 0, 1), (), (10**30, 0), (2**63, 0), ("a", 0)],
+    ids=["absent", "not-adjacent", "too-short", "too-long", "empty", "past-int64",
+         "past-int64-by-one", "not-a-number"],
+)
+def test_index_of_raises_key_error_for_a_path_no_vertex_has(host_d1, path):
     with pytest.raises(KeyError):
-        host_d1.index_of((999, 1000))
+        host_d1.index_of(path)
+
+
+def test_paths_are_read_only_and_one_per_vertex(cycle5):
+    assert not cycle5.paths.flags.writeable
+    with pytest.raises(ValueError):
+        cycle5.paths[0, 0] = 1
+    out = np.array(cycle5.out_neighbors)
+    for paths in (np.zeros((4, 1), np.int64), np.zeros((5, 0), np.int64), np.zeros(5, np.int64)):
+        with pytest.raises(InvalidGraphError):
+            RegularDigraph(out, paths, base_n=5)
 
 
 @given(
@@ -236,7 +234,7 @@ def test_unseeded_factorization_is_pinned():
     )
     d2 = iterate_line_digraph(make_bidirected_cycle(minimal_window(30, 2)), 2)
     h = hashlib.sha256(np.ascontiguousarray(d2.out_neighbors, dtype="<i8").tobytes())
-    h.update(repr(d2.labels).encode())
+    h.update(repr(tuple(map(tuple, d2.paths.tolist()))).encode())
     assert h.hexdigest() == (
         "152ab311404d6a391cd77787e1c5762f14c7720a81d4b0ba00a5cb7afb5107d9"
     )
@@ -247,7 +245,7 @@ def test_degree_3_factorization_stream_is_pinned():
     n = 11
     idx = np.arange(n)
     out = np.stack([(idx + 1) % n, (idx + 2) % n, (idx + 5) % n], axis=1)
-    g = RegularDigraph(out.astype(np.int64), tuple((int(x),) for x in idx), base_n=n)
+    g = RegularDigraph(out.astype(np.int64), idx[:, None], base_n=n)
     perms = [perm for s in [None, *range(50)] for perm in dicycle_factorize_base(g, s)]
     assert _digest(perms) == (
         "c1376b75a5ff2eb595d990198a267baef21b49ae7cec048394ce715260f74b87"
@@ -256,16 +254,55 @@ def test_degree_3_factorization_stream_is_pinned():
 
 def test_host_caches_match_labels(host_d2):
     offset = (host_d2.base_n - 1) // 2
-    for v, lab in enumerate(host_d2.labels):
-        assert host_d2.position_index[v] == current_position(lab) + offset
+    for v, lab in enumerate(host_d2.paths.tolist()):
+        assert host_d2.position_index[v] == lab[-1] + offset
         assert host_d2.oldest_steps[v] == step_direction(lab[0], lab[1], host_d2.base_n)
     assert host_d2.position_index is host_d2.position_index
+    assert host_d2.oldest_steps is host_d2.oldest_steps
+
+
+def test_hosts_match_the_path_tuple_references():
+    for host, labels in reference_hosts():
+        n, depth = host.base_n, host.depth
+        assert host.paths.dtype == np.int64
+        assert tuple(map(tuple, host.paths.tolist())) == labels, (n, depth)
+        # a vertex's index from its path, as the tuple-to-index dict gave it
+        assert [host.index_of(lab) for lab in labels] == list(range(len(labels)))
+        offset = (n - 1) // 2 if host.centered else 0
+        assert host.position_index.tolist() == [lab[-1] + offset for lab in labels]
+        if depth:
+            want = [step_direction(lab[0], lab[1], n) for lab in labels]
+            assert host.oldest_steps.tolist() == want
+
+
+def test_oldest_steps_refuse_non_adjacent_entries():
+    out = np.array([[1, 2], [2, 0], [0, 1]], dtype=np.int64)
+    host = RegularDigraph(out, np.array([[0, 1], [1, 2], [0, 2]]), base_n=7)
+    with pytest.raises(ValueError, match="labels 0 and 2 are not adjacent on a 7-cycle"):
+        host.oldest_steps
+
+
+@pytest.mark.parametrize(
+    "classes, message",
+    [
+        (lambda c: c[:1], "expected 2 classes, got 1"),
+        (lambda c: [c[0][:-1], c[1]], "class size does not match vertex count"),
+        (lambda c: [np.zeros(5, np.int64), c[1]], "class is not a permutation"),
+        # vertices 2 and 3 both leave on a non-arc: the first is reported
+        (lambda c: [c[0][[0, 1, 3, 2, 4]], c[1]], r"\(2, 4\) is not an arc"),
+        (lambda c: [c[0], c[0]], "classes do not partition the arc set"),
+    ],
+    ids=["count", "size", "permutation", "arc", "partition"],
+)
+def test_check_factorization_messages(cycle5, classes, message):
+    with pytest.raises(FactorizationError, match=message):
+        _check_factorization(cycle5, classes(dicycle_factorize_base(cycle5)))
 
 
 def _circulant_3(n: int = 11) -> RegularDigraph:
     idx = np.arange(n)
     out = np.stack([(idx + 1) % n, (idx + 2) % n, (idx + 5) % n], axis=1)
-    return RegularDigraph(out.astype(np.int64), tuple((int(x),) for x in idx), base_n=n)
+    return RegularDigraph(out.astype(np.int64), idx[:, None], base_n=n)
 
 
 def _kuhn_factorization(g: RegularDigraph, seed: int | None) -> list[np.ndarray]:

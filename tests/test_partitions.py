@@ -20,6 +20,8 @@ from memwalk import graphs
 from memwalk.graphs import RegularDigraph
 from memwalk.partitions import PARTITION_KINDS, Partition, coin_index
 
+from conftest import advance_label, reference_hosts, step_direction
+
 
 def covers_out_arcs(p: Partition) -> bool:
     """Each vertex's classes take its out-arcs exactly once."""
@@ -39,39 +41,76 @@ def test_coin_index_of_labels():
 def test_directional_successors(host_d1):
     p = directional_partition(host_d1)
     n = host_d1.base_n
-    v = host_d1.index_of((-1, 0))
+    at = host_d1.index_of
+    v = at((-1, 0))
     # class 0 advances the current position by +1, class 1 by -1
-    assert host_d1.labels[p.succ[v, 0]] == (0, 1)
-    assert host_d1.labels[p.succ[v, 1]] == (0, -1)
-    v2 = host_d1.index_of((3, 2))
-    assert host_d1.labels[p.succ[v2, 0]] == (2, 3)
-    assert host_d1.labels[p.succ[v2, 1]] == (2, 1)
+    assert p.succ[v].tolist() == [at((0, 1)), at((0, -1))]
+    v2 = at((3, 2))
+    assert p.succ[v2].tolist() == [at((2, 3)), at((2, 1))]
     assert p.kind == "directional"
     assert n % 2 == 1
 
 
 def test_directional_lifts_to_depth_2(host_d2):
     p = directional_partition(host_d2)
-    v = host_d2.index_of((-2, -1, 0))
-    assert host_d2.labels[p.succ[v, 0]] == (-1, 0, 1)
-    assert host_d2.labels[p.succ[v, 1]] == (-1, 0, -1)
+    at = host_d2.index_of
+    assert p.succ[at((-2, -1, 0))].tolist() == [at((-1, 0, 1)), at((-1, 0, -1))]
 
 
 def test_reflect_transmit_successors(host_d1):
     p = reflect_transmit_partition(host_d1)
-    v = host_d1.index_of((-1, 0))
-    # coin +1 reflects back toward where it came from
-    assert host_d1.labels[p.succ[v, 0]] == (0, -1)
-    # coin -1 transmits straight through
-    assert host_d1.labels[p.succ[v, 1]] == (0, 1)
-    w = host_d1.index_of((1, 0))
-    assert host_d1.labels[p.succ[w, 0]] == (0, 1)
-    assert host_d1.labels[p.succ[w, 1]] == (0, -1)
+    at = host_d1.index_of
+    # coin +1 reflects back toward where it came from, coin -1 transmits
+    # straight through
+    assert p.succ[at((-1, 0))].tolist() == [at((0, -1)), at((0, 1))]
+    assert p.succ[at((1, 0))].tolist() == [at((0, 1)), at((0, -1))]
 
 
 def test_reflect_transmit_needs_depth_1(host_d2):
     with pytest.raises(ValidationError):
         reflect_transmit_partition(host_d2)
+
+
+def _directional_by_vertex(host, labels) -> np.ndarray:
+    """The directional classes, built one vertex at a time: the reference."""
+    index = {lab: i for i, lab in enumerate(labels)}
+    n = host.base_n
+    succ = np.empty((host.n_vertices, 2), dtype=np.int64)
+    for v, lab in enumerate(labels):
+        for k, s in enumerate((1, -1)):
+            succ[v, k] = index[lab[1:] + (advance_label(lab[-1], s, n, host.centered),)]
+    return succ
+
+
+def _reflect_transmit_by_vertex(host, labels) -> np.ndarray:
+    """The reflect/transmit classes, built one vertex at a time: the reference."""
+    index = {lab: i for i, lab in enumerate(labels)}
+    n = host.base_n
+    succ = np.empty((host.n_vertices, 2), dtype=np.int64)
+    for v, (a, b) in enumerate(labels):
+        direction = step_direction(a, b, n)
+        succ[v, 0] = index[(b, a)]
+        succ[v, 1] = index[(b, advance_label(b, direction, n, host.centered))]
+    return succ
+
+
+def test_partitions_match_the_per_vertex_references():
+    for host, labels in reference_hosts():
+        if host.depth == 0:
+            continue
+        assert np.array_equal(directional_partition(host).succ, _directional_by_vertex(host, labels))
+        if host.depth == 1:
+            want = _reflect_transmit_by_vertex(host, labels)
+            assert np.array_equal(reflect_transmit_partition(host).succ, want)
+
+
+@pytest.mark.parametrize("build", [directional_partition, reflect_transmit_partition])
+def test_position_partitions_refuse_a_host_that_is_no_line_digraph(build):
+    # Depth 1 and degree 2, but both successors of each vertex lie a step up.
+    out = np.array([[1, 1], [0, 0]], dtype=np.int64)
+    host = RegularDigraph(out, np.array([[0, 1], [1, 2]]), base_n=5)
+    with pytest.raises(ValidationError, match="not a line digraph of a cycle"):
+        build(host)
 
 
 def test_named_partition_dispatch(host_d1):
@@ -160,7 +199,7 @@ def test_random_partition_matches_default_argsort_gather(host_d1):
     # stream past 2^63 too.
     n = 7
     out = np.stack([(np.arange(n) + k) % n for k in (1, 2, 3)], axis=1)
-    circulant = RegularDigraph(out, tuple((i,) for i in range(n)), base_n=n)
+    circulant = RegularDigraph(out, np.arange(n)[:, None], base_n=n)
     for host in (host_d1, circulant):
         for seed in [*range(100), 2**63 + 12345, 2**64 - 1]:
             draws = np.random.default_rng(seed).random((host.n_vertices, host.degree))

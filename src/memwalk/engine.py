@@ -134,12 +134,13 @@ def state_from_terms(
 def origin_basis_terms(host: RegularDigraph) -> list[list[tuple]]:
     """Single-term states spanning everything currently at position 0.
 
-    Deterministic order: vertices by index, coins by +1 before -1.
+    Deterministic order: vertices by index, then coins by index, labelled as
+    coin_index reads them: +1 before -1 at m = 2, else 1..m.
     """
     paths = host.paths[host.paths[:, -1] == 0].tolist()
     if not paths:
         raise ValidationError("host has no vertex at position 0")
-    labels = [1 if c == 0 else -1 for c in range(host.degree)]
+    labels = [1, -1] if host.degree == 2 else list(range(1, host.degree + 1))
     return [[(tuple(path), label, 1.0 + 0.0j)] for path in paths for label in labels]
 
 
@@ -162,7 +163,8 @@ def equivalence_initial_terms(host: RegularDigraph) -> list[tuple]:
 
 def balanced_origin_terms(host: RegularDigraph) -> list[tuple]:
     """Documented default start for statistics sweeps: every origin basis
-    state weighted equally, coin -1 components in quadrature."""
+    state weighted equally, every coin but the first (label -1 at m = 2) in
+    quadrature."""
     terms = []
     states = origin_basis_terms(host)
     amp = 1.0 / np.sqrt(len(states))

@@ -90,6 +90,7 @@ from .engine import (
     state_from_terms,
     walk_states,
 )
+from ._float_repr import repr_rows
 from .errors import NumericalCheckError, ValidationError
 from .graphs import (
     RegularDigraph,
@@ -465,46 +466,80 @@ def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _distribution_csv_writer(
-    fh, positions: np.ndarray
-) -> Callable[[analysis.PositionDistribution], None]:
-    """Return a function that writes one step's rows to ``fh``, one row per
-    position, "\\r\\n"-terminated, under the "t,x,p" header the caller
-    writes.  Every step of a run shares the host's ``positions``, so the
-    row heads are built once.  Each of run_simulate's blocks formats its
-    own steps' rows with one of these.
+#: The most nonzero cells _distribution_csv_writer holds before it formats
+#: them with one repr_rows call.  Larger batches spread the kernel's fixed
+#: cost per call over more cells but hold more temporaries: on one CPU of a
+#: 2-core VM the 557,682 cells of simulate --t-max 1500 took 0.33 s in
+#: batches of 2,048, 0.27 s in batches of 4,096 and 0.24 s in batches of
+#: 8,192 (repr took 0.55 s), and batches of 8,192 raised the run's peak RSS
+#: by about 0.5 MB over 4,096.
+CSV_BATCH_CELLS = 4096
 
-    These are the bytes csv.writer produces for the same rows: no field
-    (an int or a float repr) holds a delimiter, quote or line break, so
-    nothing is quoted.  A row is the step's time followed by a tail
-    ",x,p\\r\\n".  Exact zeros, about three quarters of the cells, keep a
-    prebuilt ",x,0.0\\r\\n" tail: position_marginal's probabilities are
-    sums of |a|^2, so none is -0.0, whose repr differs.  A mirror-symmetric
-    step (every step of the default reflect_transmit+carried walk is one)
-    reprs its left half and copies each cell to its mirror position, since
-    equal floats have equal reprs.
+
+@contextmanager
+def _distribution_csv_writer(
+    fh: IO[bytes], positions: np.ndarray
+) -> Iterator[Callable[[analysis.PositionDistribution], None]]:
+    """Yield a function that takes one step's distribution, and write each
+    step's rows to the binary file ``fh``, one row per position,
+    "\\r\\n"-terminated, under the "t,x,p" header the caller writes.  Every
+    step of a run shares the host's ``positions``, so the row heads are
+    built once.  Each of run_simulate's blocks formats its own steps' rows
+    with one of these.
+
+    Steps are buffered until they hold CSV_BATCH_CELLS nonzero cells, whose
+    reprs then come from one repr_rows call, and the rest are written
+    when the block ends without an error.  These are the bytes csv.writer
+    produces for the same rows: no field (an int or a float repr) holds a
+    delimiter, quote or line break, so nothing is quoted.  Exact zeros,
+    about three quarters of the cells, keep a prebuilt ",x,0.0" tail:
+    position_marginal's probabilities are sums of |a|^2, so none is -0.0,
+    whose repr differs.  A mirror-symmetric step (every step of the default
+    reflect_transmit+carried walk is one) formats its left half and copies
+    each cell to its mirror position, since equal floats have equal reprs.
     """
-    heads = [f",{int(x)}," for x in positions.tolist()]
-    zero_tails = [h + "0.0\r\n" for h in heads]
+    heads = [f",{int(x)},".encode() for x in positions.tolist()]
+    zero_tails = [h + b"0.0" for h in heads]
+    last = len(heads) - 1
+    steps: list[tuple[int, np.ndarray, bool]] = []  # (time, cells, mirrored)
+    values: list[np.ndarray] = []
+    pending = 0
+
+    def flush() -> None:
+        nonlocal pending
+        reprs = repr_rows(np.concatenate(values)).view("S24").ravel()
+        stop = 0
+        for time, cells, mirrored in steps:
+            start, stop = stop, stop + cells.size
+            tails = zero_tails.copy()
+            indices, texts = cells.tolist(), reprs[start:stop].tolist()
+            for i, text in zip(indices, texts):
+                tails[i] = heads[i] + text
+            if mirrored:
+                for i, text in zip(indices, texts):
+                    tails[last - i] = heads[last - i] + text
+            t = str(time).encode()
+            tails[0] = t + tails[0]
+            tails[-1] += b"\r\n"
+            fh.write((b"\r\n" + t).join(tails))
+        steps.clear()
+        values.clear()
+        pending = 0
 
     def write(d: analysis.PositionDistribution) -> None:
+        nonlocal pending
         p = d.probs
-        tails = zero_tails.copy()
-        if np.array_equal(p, p[::-1]):
-            last = p.size - 1
-            nz = np.flatnonzero(p[: last // 2 + 1])
-            for i, c in zip(nz.tolist(), p[nz].tolist()):
-                cell = f"{c!r}\r\n"
-                tails[i] = heads[i] + cell
-                tails[last - i] = heads[last - i] + cell
-        else:
-            nz = np.flatnonzero(p)
-            for i, c in zip(nz.tolist(), p[nz].tolist()):
-                tails[i] = f"{heads[i]}{c!r}\r\n"
-        t = str(d.time)
-        fh.write(t + t.join(tails))
+        mirrored = bool(np.array_equal(p, p[::-1]))
+        cells = np.flatnonzero(p[: last // 2 + 1] if mirrored else p)
+        steps.append((d.time, cells, mirrored))
+        values.append(p[cells])
+        pending += cells.size
+        if pending >= CSV_BATCH_CELLS:
+            flush()
 
-    return write
+    yield write
+    if steps:
+        flush()
 
 
 def _fold_series(
@@ -794,14 +829,18 @@ def _csv_split(t_max: int) -> int:
     """The first step of run_simulate's second block, or t_max + 1 when the
     walk runs as one block.
 
-    Formatting a step's rows costs about as much as its light cone is wide,
-    so about t_max / sqrt(2) splits the formatting of t = 0..t_max in equal
-    halves.  The two blocks count as two jobs of t_max steps, so they pass
-    the gate from t_max FORK_MIN_JOB_STEPS / 2 = 200 on.
+    The first block walks, folds and formats t < split; the second walks
+    t < split unfolded, then walks, folds and formats the rest.  Timed per
+    step at t_max 1500 on one CPU of a 2-core VM (median of 10 runs), the
+    unfolded walk cost 70 us a step, the folded one 123 us, and the rows of
+    t < 1000 took 0.26 s of the writer's 0.51 s, so about 2 * t_max / 3
+    gives both blocks the same work.  The two blocks count as two jobs of
+    t_max steps, so they pass the gate from t_max FORK_MIN_JOB_STEPS / 2 =
+    200 on.
     """
     if _processes(2, t_max, FORK_MIN_JOB_STEPS) < 2:
         return t_max + 1
-    return round(t_max / math.sqrt(2))
+    return round(2 * t_max / 3)
 
 
 def run_simulate(spec: ExperimentSpec, out_dir: str | Path) -> dict:
@@ -829,16 +868,16 @@ def run_simulate(spec: ExperimentSpec, out_dir: str | Path) -> dict:
         if "distribution" in spec.outputs:
             split = _csv_split(spec.t_max)
             with (
-                csv_tmp.open("w", newline="") as fh,
-                tempfile.TemporaryFile("w+", newline="", dir=csv_tmp.parent) as later,
+                csv_tmp.open("wb") as fh,
+                tempfile.TemporaryFile(dir=csv_tmp.parent) as later,
             ):
-                fh.write("t,x,p\r\n")
+                fh.write(b"t,x,p\r\n")
 
                 # Both blocks read the one stream, unstarted at the fork.
-                def block(job: tuple[int, int, IO[str]]) -> dict:
+                def block(job: tuple[int, int, IO[bytes]]) -> dict:
                     start, stop, sink = job
-                    write = _distribution_csv_writer(sink, resolved.host.positions)
-                    series = _fold_series(islice(states, start, stop), spec.outputs, write)
+                    with _distribution_csv_writer(sink, resolved.host.positions) as write:
+                        series = _fold_series(islice(states, start, stop), spec.outputs, write)
                     sink.flush()  # a forked process ends without flushing
                     return series
 

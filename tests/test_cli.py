@@ -553,19 +553,21 @@ def test_an_admitted_coin_can_fail_the_cumulative_drift_check(
 # that process fails.
 WRITER_FAILS = """
 import sys
+from contextlib import contextmanager
 from memwalk import cli, experiments
 
 real = experiments._distribution_csv_writer
 
+@contextmanager
 def failing(fh, positions):
-    write = real(fh, positions)
+    with real(fh, positions) as write:
 
-    def rows(d):
-        if d.time >= 20:
-            raise OSError(28, "No space left on device")
-        write(d)
+        def rows(d):
+            if d.time >= 20:
+                raise OSError(28, "No space left on device")
+            write(d)
 
-    return rows
+        yield rows
 
 experiments._distribution_csv_writer = failing
 experiments._csv_split = lambda t_max: 20

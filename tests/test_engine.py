@@ -34,6 +34,7 @@ from memwalk import (
     walk_states,
 )
 from memwalk.coin_shift import CoinShift
+from memwalk.graphs import RegularDigraph
 from memwalk.partitions import Partition
 from memwalk.engine import WalkState, check_unitary
 from memwalk import NumericalCheckError, analysis, engine, experiments
@@ -121,7 +122,8 @@ def _origin_basis_by_vertex(host, labels) -> list[list[tuple]]:
         if lab[-1] != 0:
             continue
         for c in range(host.degree):
-            out.append([(lab, 1 if c == 0 else -1, 1.0 + 0.0j)])
+            label = (1 if c == 0 else -1) if host.degree == 2 else c + 1
+            out.append([(lab, label, 1.0 + 0.0j)])
     return out
 
 
@@ -136,6 +138,22 @@ def test_origin_basis_terms_match_the_per_vertex_reference():
 def test_balanced_origin_state_normalizes(host_d1):
     s = state_from_terms(host_d1, balanced_origin_terms(host_d1))
     assert s.norm_squared() == pytest.approx(1.0)
+
+
+def test_degree_3_balanced_origin_state_is_built_and_normalized():
+    # An 11-vertex circulant whose vertex v sits at position v: coin labels
+    # are 1..3 at m = 3, and the start puts 1/sqrt(3) on each of vertex 0's
+    # coins, the first real and the others in quadrature.
+    n = 11
+    idx = np.arange(n)
+    out = np.stack([(idx + 1) % n, (idx + 2) % n, (idx + 5) % n], axis=1)
+    host = RegularDigraph(out.astype(np.int64), idx[:, None], base_n=n)
+    assert [terms[0][1] for terms in origin_basis_terms(host)] == [1, 2, 3]
+    s = state_from_terms(host, balanced_origin_terms(host))
+    assert s.norm_squared() == pytest.approx(1.0)
+    amp = 1 / np.sqrt(3)
+    assert np.allclose(s.amps[0], [amp, 1j * amp, 1j * amp])
+    assert not s.amps[1:].any()
 
 
 def test_equivalence_initial_terms(host_d1):

@@ -8,6 +8,7 @@ import os
 import signal
 import threading
 import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -354,16 +355,16 @@ def _csv_writer_reference(path, dists):
 
 def _write_csv(path, dists):
     """One writer per run of consecutive steps that share their positions."""
-    with path.open("w", newline="") as fh:
-        fh.write("t,x,p\r\n")
+    with path.open("wb") as fh:
+        fh.write(b"t,x,p\r\n")
         for _, run in itertools.groupby(dists, key=lambda d: id(d.positions)):
             run = list(run)
-            write = _distribution_csv_writer(fh, run[0].positions)
-            for d in run:
-                write(d)
+            with _distribution_csv_writer(fh, run[0].positions) as write:
+                for d in run:
+                    write(d)
 
 
-def test_distribution_csv_matches_csv_writer(tmp_path):
+def test_distribution_csv_matches_csv_writer(tmp_path, monkeypatch):
     # fixed-notation and scientific reprs, exact zero and the smallest subnormal
     values = [0.0, 1.0, 0.1 + 0.2, 1e-05, 2.5e-16, 5e-324]
     positions = np.arange(-3, 3)
@@ -378,25 +379,27 @@ def test_distribution_csv_matches_csv_writer(tmp_path):
     dists.append(
         analysis.PositionDistribution(np.arange(-2, 3), np.array([0.1, 0.0, 0.6, 0.0, 0.1]), 5)
     )
-    _write_csv(tmp_path / "got.csv", dists)
     _csv_writer_reference(tmp_path / "want.csv", dists)
-    got = (tmp_path / "got.csv").read_bytes()
-    assert got == (tmp_path / "want.csv").read_bytes()
-    assert b"-3,5e-324" in got
-    assert b"\r\n4,-3,0.25\r\n4,-2,0.0\r\n4,-1,0.3\r\n4,0,0.3\r\n4,1,0.0\r\n4,2,0.25\r\n" in got
-    assert got.endswith(b"\r\n5,-2,0.1\r\n5,-1,0.0\r\n5,0,0.6\r\n5,1,0.0\r\n5,2,0.1\r\n")
-
     spec = ExperimentSpec.from_json_dict(spec_doc(t_max=60))
-    run_simulate(spec, tmp_path / "run")
-    dists = [analysis.position_marginal(s) for s in iter_history(resolve_spec(spec))]
-    _csv_writer_reference(tmp_path / "run_want.csv", dists)
-    got = (tmp_path / "run" / "distributions.csv").read_bytes()
-    assert got == (tmp_path / "run_want.csv").read_bytes()
-    assert got.count(b"\r\n") == 1 + 61 * dists[0].positions.size
-    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
-        "distributions.csv",
-        "summary.json",
-    ]
+    run_dists = [analysis.position_marginal(s) for s in iter_history(resolve_spec(spec))]
+    _csv_writer_reference(tmp_path / "run_want.csv", run_dists)
+    # Batches of one cell, of a few cells that end mid-step and mid-block,
+    # and the default, which holds every step of these runs in one batch.
+    for batch in [1, 4, 7, experiments.CSV_BATCH_CELLS]:
+        monkeypatch.setattr(experiments, "CSV_BATCH_CELLS", batch)
+        _write_csv(tmp_path / f"got{batch}.csv", dists)
+        got = (tmp_path / f"got{batch}.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        assert b"-3,5e-324" in got
+        assert b"\r\n4,-3,0.25\r\n4,-2,0.0\r\n4,-1,0.3\r\n4,0,0.3\r\n4,1,0.0\r\n4,2,0.25\r\n" in got
+        assert got.endswith(b"\r\n5,-2,0.1\r\n5,-1,0.0\r\n5,0,0.6\r\n5,1,0.0\r\n5,2,0.1\r\n")
+
+        out = tmp_path / f"run{batch}"
+        run_simulate(spec, out)
+        got = (out / "distributions.csv").read_bytes()
+        assert got == (tmp_path / "run_want.csv").read_bytes()
+        assert got.count(b"\r\n") == 1 + 61 * run_dists[0].positions.size
+        assert sorted(p.name for p in out.iterdir()) == ["distributions.csv", "summary.json"]
 
 
 SPLIT_WALKS = {
@@ -480,9 +483,9 @@ def _run_forks_no_writer(tmp_path, forks, t_max=TWO_BLOCK_MIN_T_MAX):
     ) * resolve_spec(spec).host.base_n
 
 
-def test_two_cpus_split_the_rows_near_t_max_over_root_two(two_cpus):
-    assert experiments._csv_split(1500) == 1061
-    assert experiments._csv_split(TWO_BLOCK_MIN_T_MAX) == 141
+def test_two_cpus_split_the_rows_at_two_thirds_of_t_max(two_cpus):
+    assert experiments._csv_split(1500) == 1000
+    assert experiments._csv_split(TWO_BLOCK_MIN_T_MAX) == 133
     # Below the gate one block holds every step.
     assert experiments._csv_split(TWO_BLOCK_MIN_T_MAX - 1) == TWO_BLOCK_MIN_T_MAX
     assert experiments._csv_split(0) == 1
@@ -509,7 +512,7 @@ def test_a_process_with_other_threads_forks_no_writer(tmp_path, forks, two_cpus)
     finally:
         done.set()
         other.join()
-    assert experiments._csv_split(1500) == 1061
+    assert experiments._csv_split(1500) == 1000
 
 
 @pytest.mark.parametrize(
@@ -548,10 +551,12 @@ def test_parent_drift_kills_and_reaps_the_writer(tmp_path, monkeypatch, forks):
     parent = os.getpid()
     real_writer = experiments._distribution_csv_writer
 
+    @contextmanager
     def writer(fh, positions):
         if os.getpid() != parent:
             signal.pause()  # the forked block would never finish
-        return real_writer(fh, positions)
+        with real_writer(fh, positions) as write:
+            yield write
 
     monkeypatch.setattr(experiments, "_distribution_csv_writer", writer)
     _split_at(monkeypatch, 20)
@@ -582,15 +587,16 @@ def test_writer_drift_fails_the_run(tmp_path, monkeypatch, forks):
 def test_writer_killed_by_a_signal_fails_the_run(tmp_path, monkeypatch, forks):
     real = experiments._distribution_csv_writer
 
+    @contextmanager
     def dying(fh, positions):
-        write = real(fh, positions)
+        with real(fh, positions) as write:
 
-        def rows(d):
-            if d.time >= 10:
-                os.kill(os.getpid(), signal.SIGKILL)
-            write(d)
+            def rows(d):
+                if d.time >= 10:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                write(d)
 
-        return rows
+            yield rows
 
     monkeypatch.setattr(experiments, "_distribution_csv_writer", dying)
     _split_at(monkeypatch, 10)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import repeat
 
 import numpy as np
@@ -241,6 +242,16 @@ def _centered_order(arr: np.ndarray) -> np.ndarray:
     return np.concatenate([arr[-half:], arr[: half + 1]])
 
 
+@lru_cache(maxsize=2)
+def _field_positions(n: int) -> np.ndarray:
+    """The sorted centered positions of an n-cell field window, read-only;
+    every distribution of that window shares them."""
+    half = (n - 1) // 2
+    positions = np.arange(-half, half + 1)
+    positions.flags.writeable = False
+    return positions
+
+
 def equivalence_initial_beta(window: int) -> BetaField:
     """Alternating-sign start at the origin: +-1/2 on the four states there."""
     if window % 2 == 0 or window < 3:
@@ -305,10 +316,7 @@ def beta_from_walk_state(state: WalkState) -> BetaField:
 
 def beta_distribution(b: BetaField) -> PositionDistribution:
     probs = (np.abs(b.amps) ** 2).sum(axis=(1, 2))
-    half = (b.window - 1) // 2
-    return PositionDistribution(
-        np.arange(-half, half + 1), _centered_order(probs), b.time
-    )
+    return PositionDistribution(_field_positions(b.window), _centered_order(probs), b.time)
 
 
 # -- memoryless Hadamard walk and the phase map -----------------------------------
@@ -346,6 +354,22 @@ def qwom_step(a: AlphaField) -> AlphaField:
     return AlphaField(new, a.time + 1)
 
 
+@lru_cache(maxsize=4)
+def _phase_map(n: int, t_mod_4: int) -> tuple[np.ndarray, np.ndarray]:
+    """alpha_from_beta's constants on an n-cell window at times t = t_mod_4
+    mod 4, in raw window order: the off-sublattice mask and the phase
+    (-1)^((t+x)/2) e^{i pi/4}.  Both depend on t only through t mod 4, so
+    one window's walk reuses four of these; they are read-only."""
+    half = (n - 1) // 2
+    x = np.concatenate([np.arange(0, half + 1), np.arange(-half, 0)])  # raw order
+    off_lattice = (x + t_mod_4) % 2 != 0
+    sign = np.where(((x + t_mod_4) // 2) % 2 == 0, 1.0, -1.0)
+    phase = np.exp(1j * np.pi / 4) * sign
+    off_lattice.flags.writeable = False
+    phase.flags.writeable = False
+    return off_lattice, phase
+
+
 def alpha_from_beta(b: BetaField) -> AlphaField:
     """Phase map from the reflect/transmit field to the memoryless walk.
 
@@ -355,26 +379,19 @@ def alpha_from_beta(b: BetaField) -> AlphaField:
     Off-sublattice field amplitudes must vanish.
     """
     n = b.window
-    half = (n - 1) // 2
-    x = np.concatenate([np.arange(0, half + 1), np.arange(-half, 0)])  # raw order
-    on_lattice = (x + b.time) % 2 == 0
-    if np.abs(b.amps[~on_lattice]).max(initial=0.0) > UNITARY_ATOL:
+    off_lattice, phase = _phase_map(n, b.time % 4)
+    if np.abs(b.amps[off_lattice]).max(initial=0.0) > UNITARY_ATOL:
         raise ValidationError("field is not supported on the even sublattice")
-    sign = np.where(((x + b.time) // 2) % 2 == 0, 1.0, -1.0)
-    phase = np.exp(1j * np.pi / 4) * sign
     amps = np.zeros((n, 2), dtype=np.complex128)
     amps[:, 0] = phase * (-1j * b.amps[:, 0, 0] - b.amps[:, 0, 1])
     amps[:, 1] = phase * (-b.amps[:, 1, 0] + 1j * b.amps[:, 1, 1])
-    amps[~on_lattice] = 0.0
+    amps[off_lattice] = 0.0
     return AlphaField(amps, b.time)
 
 
 def alpha_distribution(a: AlphaField) -> PositionDistribution:
     probs = (np.abs(a.amps) ** 2).sum(axis=1)
-    half = (a.window - 1) // 2
-    return PositionDistribution(
-        np.arange(-half, half + 1), _centered_order(probs), a.time
-    )
+    return PositionDistribution(_field_positions(a.window), _centered_order(probs), a.time)
 
 
 # -- distinct dicycle walks under the carried coin ---------------------------------
@@ -387,15 +404,12 @@ def partition_center_key(p: Partition) -> tuple[int, ...]:
     (x-1, x) to (x, x+1).  For dicycle factorizations this bit determines
     the whole assignment at that position's vertex pair.
     """
-    host = p.host
+    sources, targets = p.host.center_arcs
     bits = []
-    for x in (-1, 0, 1):
-        v = host.index_of((x - 1, x))
-        target = host.index_of((x, x + 1))
-        hits = [k for k in range(p.degree) if p.succ[v, k] == target]
-        if len(hits) != 1:
+    for x, row, target in zip((-1, 0, 1), p.succ[sources].tolist(), targets):
+        if row.count(target) != 1:
             raise ValidationError(f"no unique class routes ({x - 1},{x}) to ({x},{x + 1})")
-        bits.append(hits[0])
+        bits.append(row.index(target))
     return tuple(bits)
 
 
@@ -430,8 +444,10 @@ def count_distinct_dicycle_carried_walks(
     ``spread(walk, seeds)`` returns ``[walk(s) for s in seeds]``;
     enumerate_report passes one that shares the seeds out over several
     processes.  Classes are numbered by first sighting in seed order, so the
-    report does not depend on how the seeds were shared out.
+    report does not depend on how the seeds were shared out.  A host that
+    is not depth 1 raises ValidationError before any seed is walked.
     """
+    host.center_arcs  # looked up once, here, so that a host without them fails first
     probes = list(origin_basis_terms(host))
     ((lo, _, _),), ((hi, _, _),) = probes[0], probes[2]
     probes.append(
@@ -451,9 +467,9 @@ def count_distinct_dicycle_carried_walks(
         op = build_shift_operator(p, carried_coin_shift(p))
         # Signature layout: (probe, time, position).  Every probe walks
         # through the seed's one checked shift, with the coin checked above.
-        for i, start in enumerate(starts):
+        for probe, start in zip(amps, starts):
             for t, s in enumerate(_steps(repeat(op), coin, start, t_max)):
-                amps[i, t] = s.amps
+                probe[t] = s.amps
         signature = np.round(_position_probs(host, amps), 10).tobytes()
         # One object per distinct signature in each process: the pickle that
         # brings a forked process's sightings back holds each one once.

@@ -66,10 +66,11 @@ def check_unitary(a: np.ndarray) -> None:
 class WalkState:
     """Amplitudes of one walk, shape (V, m); ``amps`` is made read-only.
 
-    Only the shape is checked here.  Normalization is checked where a state
-    enters a run (``state_from_terms`` and the start of ``walk_states``),
-    and the loop checks the norm drift after every step, so a step computes
-    the norm once.
+    Only the shape is checked here.  ``coin_step`` and ``shift_step`` build
+    their states through ``_derived``, which checks the shape against the
+    parent state's instead.  Normalization is checked where a state enters a
+    run (``state_from_terms`` and the start of ``walk_states``), and the loop
+    checks the norm drift after every step, so a step computes the norm once.
     """
 
     __slots__ = ("host", "amps", "time")
@@ -193,16 +194,31 @@ def build_shift_operator(p: Partition, gc: CoinShift) -> np.ndarray:
     return inverse
 
 
+def _derived(state: WalkState, amps: np.ndarray, time: int) -> WalkState:
+    """The state one step makes from ``state``: its host, ``amps`` and ``time``.
+
+    ``state``'s shape was checked against its host when it was built, so a
+    derived state checks only that ``amps`` keeps that shape (a coin of
+    another width would not), without ``WalkState.__init__``'s host lookup.
+    """
+    if amps.shape != state.amps.shape:
+        raise ValidationError(f"amplitude array shape {amps.shape}, expected {state.amps.shape}")
+    amps.setflags(write=False)  # half the cost of amps.flags.writeable = False
+    new = object.__new__(WalkState)
+    new.host, new.amps, new.time = state.host, amps, time
+    return new
+
+
 def coin_step(state: WalkState, coin: np.ndarray) -> WalkState:
     """Apply the coin at every vertex.  ``walk_states`` checks the coin once
     per run, so it is not checked here."""
-    return WalkState(state.host, state.amps @ coin, state.time)
+    return _derived(state, state.amps @ coin, state.time)
 
 
 def shift_step(state: WalkState, shift: np.ndarray) -> WalkState:
     """Gather through ``shift``, a gather index from build_shift_operator."""
-    moved = state.amps.ravel()[shift].reshape(state.amps.shape)
-    return WalkState(state.host, moved, state.time + 1)
+    amps = state.amps
+    return _derived(state, amps.ravel()[shift].reshape(amps.shape), state.time + 1)
 
 
 def _window_check(initial: WalkState, t_max: int) -> None:
@@ -284,7 +300,7 @@ def _steps(
     # zip draws from the range first, so no shift is drawn past t_max.
     for _, shift in zip(range(t_max), shifts):
         state = shift_step(coin_step(state, coin), shift)
-        drift = abs(state.norm_squared() - 1.0)
+        drift = abs(np.vdot(state.amps, state.amps).real - 1.0)
         # Written so that a NaN norm fails too.
         if not drift <= UNITARY_ATOL:
             raise NumericalCheckError(
@@ -318,6 +334,15 @@ def evolve(
 
 def _window_index(x: int, n: int) -> int:
     return x % n
+
+
+def _roll_into(dest: np.ndarray, src: np.ndarray, step: int) -> None:
+    """dest[...] = np.roll(src, step, axis=0) for step +1 or -1, as two slice
+    copies, without np.roll's general set-up."""
+    if step == 1:
+        dest[1:], dest[0] = src[:-1], src[-1]
+    else:
+        dest[:-1], dest[-1] = src[1:], src[0]
 
 
 def _probabilities(psi: np.ndarray) -> np.ndarray:
@@ -363,12 +388,13 @@ def recycled_coin_walk(
 
     out = [_probabilities(psi)]
     for _ in range(t_max):
-        psi = np.tensordot(psi, coin, axes=([d + 1], [0]))
+        # The coin on the last axis, as np.tensordot computes it.
+        psi = np.dot(psi.reshape(-1, 2), coin).reshape(psi.shape)
         moved = np.empty_like(psi)
         for j, step in enumerate((1, -1)):
             # New memory front = the coin just used; the oldest memory entry
             # lands in the coin register by pure axis alignment.
-            moved[:, j, ...] = np.roll(psi[..., j], step, axis=0)
+            _roll_into(moved[:, j, ...], psi[..., j], step)
         psi = moved
         out.append(_probabilities(psi))
     return out
@@ -410,14 +436,15 @@ def reflect_transmit_walk(
 
     out = [_probabilities(psi)]
     for _ in range(t_max):
-        psi = np.tensordot(psi, coin, axes=([2], [0]))
+        # The coin on the last axis, as np.tensordot computes it.
+        psi = np.dot(psi.reshape(-1, 2), coin).reshape(psi.shape)
         moved = np.empty_like(psi)
         # reflect (coin +1): (x, r=0) -> (x-1, r=1); (x, r=1) -> (x+1, r=0)
-        moved[:, 1, 0] = np.roll(psi[:, 0, 0], -1)
-        moved[:, 0, 0] = np.roll(psi[:, 1, 0], 1)
+        _roll_into(moved[:, 1, 0], psi[:, 0, 0], -1)
+        _roll_into(moved[:, 0, 0], psi[:, 1, 0], 1)
         # transmit (coin -1): (x, r=0) -> (x+1, r=0); (x, r=1) -> (x-1, r=1)
-        moved[:, 0, 1] = np.roll(psi[:, 0, 1], 1)
-        moved[:, 1, 1] = np.roll(psi[:, 1, 1], -1)
+        _roll_into(moved[:, 0, 1], psi[:, 0, 1], 1)
+        _roll_into(moved[:, 1, 1], psi[:, 1, 1], -1)
         psi = moved
         out.append(_probabilities(psi))
     return out

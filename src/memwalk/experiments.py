@@ -903,6 +903,16 @@ def run_simulate(spec: ExperimentSpec, out_dir: str | Path) -> dict:
 # -- sweep -------------------------------------------------------------------------
 
 
+def _repeated(items: list) -> list:
+    """The items that occur more than once, sorted; one pass over ``items``."""
+    seen, repeated = set(), set()
+    for x in items:
+        if x in seen:
+            repeated.add(x)
+        seen.add(x)
+    return sorted(repeated)
+
+
 def _class_spec(template: ExperimentSpec, walk_class: str, seed: int) -> ExperimentSpec:
     if walk_class not in WALK_CLASSES:
         raise ValidationError(f"unknown walk class {walk_class!r}")
@@ -975,7 +985,7 @@ def run_sweep(
     # one entry there and one comparison row per repeat; a repeated seed
     # would average one walk with itself.
     for name, items in (("classes", classes), ("seeds", seeds)):
-        repeated = sorted({x for x in items if items.count(x) > 1})
+        repeated = _repeated(items)
         if repeated:
             raise ValidationError(f"sweep {name} repeat: {repeated}")
     specs = list(jobs.values())
@@ -1221,7 +1231,7 @@ def enumerate_report(cycle_size: int, seeds: list[int], t_max: int) -> dict:
         _check_int("enumerate seed", seed, 0)
     # The report keys its census by seed, so a repeated seed would be walked
     # twice and listed once.
-    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+    repeated = _repeated(seeds)
     if repeated:
         raise ValidationError(f"enumerate seeds repeat: {repeated}")
     # The depth-1 host has 2 * cycle_size vertices with 2 coins each; a host

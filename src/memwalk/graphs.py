@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FactorizationError, InvalidGraphError
+from .errors import FactorizationError, InvalidGraphError, ValidationError
 
 __all__ = [
     "RegularDigraph",
@@ -122,6 +122,21 @@ class RegularDigraph:
         steps = np.where(delta == 1, 1, -1)
         steps.flags.writeable = False
         return steps
+
+    @cached_property
+    def center_arcs(self) -> tuple[np.ndarray, tuple[int, ...]]:
+        """The vertices (x-1, x) and, in a tuple, (x, x+1) for x = -1, 0, +1:
+        the arcs into and out of the three center positions of a depth-1
+        host.  ValidationError if the host is not depth 1 or lacks one."""
+        if self.depth != 1:
+            raise ValidationError(f"center arcs need a depth-1 host, got depth {self.depth}")
+        try:
+            sources = np.array([self.index_of((x - 1, x)) for x in (-1, 0, 1)])
+            targets = tuple(self.index_of((x, x + 1)) for x in (-1, 0, 1))
+        except KeyError as missing:
+            raise ValidationError(f"host has no vertex {missing.args[0]}") from None
+        sources.flags.writeable = False
+        return sources, targets
 
     @cached_property
     def position_index(self) -> np.ndarray:

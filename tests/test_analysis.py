@@ -208,6 +208,40 @@ def test_alpha_reconstruction_tracks_memoryless_walk():
         alpha = qwom_step(alpha)
 
 
+def _alpha_from_beta_written_out(b):
+    """alpha_from_beta with its masks and phases computed at every call."""
+    n = b.window
+    half = (n - 1) // 2
+    x = np.concatenate([np.arange(0, half + 1), np.arange(-half, 0)])
+    on_lattice = (x + b.time) % 2 == 0
+    sign = np.where(((x + b.time) // 2) % 2 == 0, 1.0, -1.0)
+    phase = np.exp(1j * np.pi / 4) * sign
+    amps = np.zeros((n, 2), dtype=np.complex128)
+    amps[:, 0] = phase * (-1j * b.amps[:, 0, 0] - b.amps[:, 0, 1])
+    amps[:, 1] = phase * (-b.amps[:, 1, 0] + 1j * b.amps[:, 1, 1])
+    amps[~on_lattice] = 0.0
+    return amps
+
+
+def test_field_maps_equal_their_written_out_form_bitwise():
+    # Windows alternate so that each call meets another window's cached
+    # constants first; eight steps cover every t mod 4 twice.
+    fields = {n: equivalence_initial_beta(n) for n in (21, 41, 203)}
+    alphas = {n: qwom_initial_alpha(n) for n in fields}
+    for t in range(9):
+        for n in fields:
+            if t:
+                fields[n] = beta_recurrence_step(fields[n])
+                alphas[n] = qwom_step(alphas[n])
+            b, a = fields[n], alphas[n]
+            got = alpha_from_beta(b).amps
+            assert got.tobytes() == _alpha_from_beta_written_out(b).tobytes()
+            half = (n - 1) // 2
+            for d in (beta_distribution(b), alpha_distribution(a)):
+                assert d.positions.tobytes() == np.arange(-half, half + 1).tobytes()
+                assert not d.positions.flags.writeable
+
+
 def test_alpha_map_rejects_off_sublattice():
     amps = np.zeros((9, 2, 2), dtype=np.complex128)
     amps[0, 0, 0] = 1.0  # x = 0 occupied at odd time
@@ -234,6 +268,47 @@ def test_walk_respects_parity(host_d1):
 def test_partition_center_key(host_d1):
     assert partition_center_key(reflect_transmit_partition(host_d1)) == (1, 1, 1)
     assert partition_center_key(directional_partition(host_d1)) == (0, 0, 0)
+
+
+def _center_key_by_index_of(p):
+    """partition_center_key with six index_of lookups, as it was written."""
+    bits = []
+    for x in (-1, 0, 1):
+        v, target = p.host.index_of((x - 1, x)), p.host.index_of((x, x + 1))
+        hits = [k for k in range(p.degree) if p.succ[v, k] == target]
+        assert len(hits) == 1
+        bits.append(hits[0])
+    return tuple(bits)
+
+
+def test_partition_center_key_matches_index_of_lookups(host_d1):
+    small = iterate_line_digraph(make_bidirected_cycle(7), 1)
+    for host in (host_d1, small, host_d1):
+        for seed in range(40):
+            p = random_dicycle_factorization(host, seed)
+            assert partition_center_key(p) == _center_key_by_index_of(p)
+
+
+@pytest.mark.parametrize("depth", [0, 2])
+def test_center_key_and_census_need_a_depth_1_host(monkeypatch, depth):
+    host = make_bidirected_cycle(minimal_window(10, 2))
+    if depth:
+        host = iterate_line_digraph(host, depth)
+    with pytest.raises(ValidationError, match=f"depth-1 host, got depth {depth}"):
+        partition_center_key(random_dicycle_factorization(host, 0))
+    # The census refuses the host before it walks any seed.
+    walked = []
+    monkeypatch.setattr(analysis, "random_dicycle_factorization", walked.append)
+    with pytest.raises(ValidationError, match=f"depth-1 host, got depth {depth}"):
+        count_distinct_dicycle_carried_walks(host, [0, 1], 10, one_process)
+    assert walked == []
+
+
+def test_center_key_needs_the_center_vertices():
+    # A depth-1 host over a 3-cycle has no vertex (-2, -1).
+    host = iterate_line_digraph(make_bidirected_cycle(3), 1)
+    with pytest.raises(ValidationError, match=r"no vertex \(-2, -1\)"):
+        partition_center_key(directional_partition(host))
 
 
 @pytest.mark.parametrize("host_name", ["host_d1", "host_d2"])
@@ -331,6 +406,22 @@ def test_census_checks_its_coin_once_and_every_probe_start(host_d1, monkeypatch)
         count_distinct_dicycle_carried_walks(host_d1, list(range(6)), 10, spread)
         assert checked == [(2, 2)]
         assert started == [10] * 5
+
+
+def test_census_takes_one_coin_and_one_shift_step_per_walk_step(host_d1, monkeypatch):
+    # perfbench counts engine.coin_step calls as walk steps: 5 probes per seed.
+    calls = {"coin_step": 0, "shift_step": 0}
+    for name in calls:
+        real = getattr(engine, name)
+
+        def counting(state, arg, name=name, real=real):
+            calls[name] += 1
+            return real(state, arg)
+
+        monkeypatch.setattr(engine, name, counting)
+    seeds, t_max = list(range(7)), 12
+    count_distinct_dicycle_carried_walks(host_d1, seeds, t_max, one_process)
+    assert calls == {"coin_step": 5 * len(seeds) * t_max, "shift_step": 5 * len(seeds) * t_max}
 
 
 def test_dicycle_census_small(host_d1):

@@ -223,6 +223,21 @@ def test_enumerate_rejects_a_repeated_seed(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["sweep", "enumerate"])
+def test_a_long_seed_list_with_one_repeat_is_refused(tmp_path, config, capsys, command):
+    # The repeat check is one pass over the seeds: 20,000 distinct seeds and
+    # one repeat are refused before any walk starts.
+    seeds = ",".join(map(str, [*range(20_000), 137]))
+    out = tmp_path / "o"
+    args = [command, "--seeds", seeds, "--out", str(out)]
+    if command == "sweep":
+        doc = {"template": {"t_max": 10, "outputs": ["variance"]}, "classes": ["random+recycled"]}
+        args += ["--config", config(doc)]
+    assert main(args) == 2
+    assert f"error: {command} seeds repeat: [137]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("t_max", ["-1", "-2", "-3"])
 def test_equivalence_checks_t_max_before_building_its_window(tmp_path, capsys, t_max):
     out = tmp_path / "o"

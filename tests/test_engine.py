@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -234,6 +235,49 @@ def test_shift_step_moves_and_updates_memory(host_d1):
     assert moved.time == 1
 
 
+def test_step_results_are_read_only_states_of_the_same_host(host_d1):
+    p = directional_partition(host_d1)
+    shift = build_shift_operator(p, recycled_coin_shift(p))
+    s = state_from_terms(host_d1, balanced_origin_terms(host_d1))
+    mixed = coin_step(s, hadamard_coin())
+    moved = shift_step(mixed, shift)
+    for state, time in ((mixed, 0), (moved, 1)):
+        assert type(state) is WalkState
+        assert state.host is host_d1
+        assert state.time == time
+        assert state.amps.shape == (host_d1.n_vertices, 2)
+        assert not state.amps.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            state.amps[0, 0] = 1.0
+    # A coin of another width makes amplitudes of another shape, refused as
+    # WalkState refuses them.
+    wide = np.ones((2, 3), dtype=np.complex128)
+    v = host_d1.n_vertices
+    expected = re.escape(f"amplitude array shape ({v}, 3), expected ({v}, 2)")
+    with pytest.raises(ValidationError, match=expected):
+        coin_step(s, wide)
+    with pytest.raises(ValidationError, match=expected):
+        WalkState(host_d1, s.amps @ wide)
+
+
+def test_walk_states_calls_each_step_function_once_a_step(host_d1, monkeypatch):
+    # perfbench counts engine.coin_step calls as walk steps.
+    calls = {"coin_step": 0, "shift_step": 0}
+    for name in calls:
+        real = getattr(engine, name)
+
+        def counting(state, arg, name=name, real=real):
+            calls[name] += 1
+            return real(state, arg)
+
+        monkeypatch.setattr(engine, name, counting)
+    p = directional_partition(host_d1)
+    s = state_from_terms(host_d1, balanced_origin_terms(host_d1))
+    states = list(walk_states(p, recycled_coin_shift(p), hadamard_coin(), s, 17))
+    assert [state.time for state in states] == list(range(18))
+    assert calls == {"coin_step": 17, "shift_step": 17}
+
+
 def test_evolve_t0_returns_initial(host_d1):
     p = directional_partition(host_d1)
     s = state_from_terms(host_d1, balanced_origin_terms(host_d1))
@@ -422,6 +466,66 @@ def test_engine_matches_reflect_transmit_oracle(host_d1):
     )
     for t, s in enumerate(history):
         assert np.abs(analysis.position_marginal(s).probs - oracle[t]).max() < 1e-12
+
+
+def _np_roll_recycled_walk(d, coin, initial, t_max, window):
+    """recycled_coin_walk written with np.tensordot and np.roll."""
+    psi = np.zeros((window,) + (2,) * (d + 1), dtype=np.complex128)
+    for x, regs, amp in initial:
+        psi[(x % window,) + tuple(0 if r == 1 else 1 for r in regs)] += amp
+    out = [psi]
+    for _ in range(t_max):
+        psi = np.tensordot(psi, coin, axes=([d + 1], [0]))
+        moved = np.empty_like(psi)
+        for j, step in enumerate((1, -1)):
+            moved[:, j, ...] = np.roll(psi[..., j], step, axis=0)
+        psi = moved
+        out.append(psi)
+    return out
+
+
+def _np_roll_reflect_transmit_walk(coin, initial, t_max, window):
+    """reflect_transmit_walk written with np.tensordot and np.roll."""
+    psi = np.zeros((window, 2, 2), dtype=np.complex128)
+    for x0, x1, label, amp in initial:
+        psi[x0 % window, 0 if x1 < x0 else 1, 0 if label == 1 else 1] += amp
+    out = [psi]
+    for _ in range(t_max):
+        psi = np.tensordot(psi, coin, axes=([2], [0]))
+        moved = np.empty_like(psi)
+        moved[:, 1, 0] = np.roll(psi[:, 0, 0], -1)
+        moved[:, 0, 0] = np.roll(psi[:, 1, 0], 1)
+        moved[:, 0, 1] = np.roll(psi[:, 0, 1], 1)
+        moved[:, 1, 1] = np.roll(psi[:, 1, 1], -1)
+        psi = moved
+        out.append(psi)
+    return out
+
+
+def _marginals(psis):
+    return [engine._probabilities(psi) for psi in psis]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_oracle_walkers_equal_their_np_roll_form_bitwise(rng, d):
+    # The walkers move amplitudes by slice copies and apply the coin through
+    # one np.dot; both must give np.roll's and np.tensordot's exact bits.
+    coin = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+    n_regs = 2 ** (d + 1)
+    amps = rng.normal(size=n_regs) + 1j * rng.normal(size=n_regs)
+    amps /= np.linalg.norm(amps)
+    regs = [tuple(1 - 2 * b for b in np.unravel_index(i, (2,) * (d + 1))) for i in range(n_regs)]
+    initial = [(0, r, complex(a)) for r, a in zip(regs, amps)]
+    got = recycled_coin_walk(d, coin, initial, 30, 71)
+    want = _marginals(_np_roll_recycled_walk(d, coin, initial, 30, 71))
+    assert np.stack(got).tobytes() == np.stack(want).tobytes()
+
+    cells = [(-1, 1), (-1, -1), (1, 1), (1, -1)]
+    amps = amps[:4] / np.linalg.norm(amps[:4])
+    initial = [(0, x1, label, complex(a)) for (x1, label), a in zip(cells, amps)]
+    got = reflect_transmit_walk(coin, initial, 30, 71)
+    want = _marginals(_np_roll_reflect_transmit_walk(coin, initial, 30, 71))
+    assert np.stack(got).tobytes() == np.stack(want).tobytes()
 
 
 def test_walk_state_shape_guard(host_d1):

@@ -12,6 +12,7 @@ from memwalk import (
     CoinShift,
     Partition,
     dicycle_factorize_base,
+    engine,
     experiments,
     iterate_line_digraph,
     make_bidirected_cycle,
@@ -91,6 +92,22 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", fork)
     return pids
+
+
+@pytest.fixture
+def step_calls(monkeypatch):
+    """Calls of engine.coin_step and engine.shift_step while the test runs;
+    perfbench counts engine.coin_step calls as walk steps."""
+    calls = {"coin_step": 0, "shift_step": 0}
+    for name in calls:
+        real = getattr(engine, name)
+
+        def counting(state, arg, name=name, real=real):
+            calls[name] += 1
+            return real(state, arg)
+
+        monkeypatch.setattr(engine, name, counting)
+    return calls
 
 
 def random_coin_shift(p: Partition, seed: int) -> CoinShift:

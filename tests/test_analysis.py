@@ -408,20 +408,12 @@ def test_census_checks_its_coin_once_and_every_probe_start(host_d1, monkeypatch)
         assert started == [10] * 5
 
 
-def test_census_takes_one_coin_and_one_shift_step_per_walk_step(host_d1, monkeypatch):
-    # perfbench counts engine.coin_step calls as walk steps: 5 probes per seed.
-    calls = {"coin_step": 0, "shift_step": 0}
-    for name in calls:
-        real = getattr(engine, name)
-
-        def counting(state, arg, name=name, real=real):
-            calls[name] += 1
-            return real(state, arg)
-
-        monkeypatch.setattr(engine, name, counting)
+def test_census_takes_one_coin_and_one_shift_step_per_walk_step(host_d1, step_calls):
+    # Five probe walks per seed.
     seeds, t_max = list(range(7)), 12
     count_distinct_dicycle_carried_walks(host_d1, seeds, t_max, one_process)
-    assert calls == {"coin_step": 5 * len(seeds) * t_max, "shift_step": 5 * len(seeds) * t_max}
+    walk_steps = 5 * len(seeds) * t_max
+    assert step_calls == {"coin_step": walk_steps, "shift_step": walk_steps}
 
 
 def test_dicycle_census_small(host_d1):

@@ -260,22 +260,12 @@ def test_step_results_are_read_only_states_of_the_same_host(host_d1):
         WalkState(host_d1, s.amps @ wide)
 
 
-def test_walk_states_calls_each_step_function_once_a_step(host_d1, monkeypatch):
-    # perfbench counts engine.coin_step calls as walk steps.
-    calls = {"coin_step": 0, "shift_step": 0}
-    for name in calls:
-        real = getattr(engine, name)
-
-        def counting(state, arg, name=name, real=real):
-            calls[name] += 1
-            return real(state, arg)
-
-        monkeypatch.setattr(engine, name, counting)
+def test_walk_states_calls_each_step_function_once_a_step(host_d1, step_calls):
     p = directional_partition(host_d1)
     s = state_from_terms(host_d1, balanced_origin_terms(host_d1))
     states = list(walk_states(p, recycled_coin_shift(p), hadamard_coin(), s, 17))
     assert [state.time for state in states] == list(range(18))
-    assert calls == {"coin_step": 17, "shift_step": 17}
+    assert step_calls == {"coin_step": 17, "shift_step": 17}
 
 
 def test_evolve_t0_returns_initial(host_d1):

@@ -2,16 +2,14 @@
 
 Python's ``repr`` of a float is the shortest decimal string that reads back
 as the same float, laid out in fixed or exponent notation.  ``repr_rows``
-finds the same digits with Ryū's ``d2d`` (Adams, "Ryū: fast float-to-string
-conversion", PLDI 2018), whose e2 < 0 branch covers every positive double
-below 2^54, in fixed-width integer arithmetic over uint64 arrays, and lays
-them out by ``repr``'s rules.
+finds the same digits for every double in (0, 1) with Ryū's ``d2d`` (Adams,
+"Ryū: fast float-to-string conversion", PLDI 2018), e2 < 0 branch, in
+fixed-width integer arithmetic over uint64 arrays, and lays them out by
+``repr``'s rules.
 
 Lanes that would need Ryū's trailing-zero bookkeeping (its general case:
-binary fractions with few significant bits, such as 1.0 and 0.5, and
-doubles just below 2^53), and any value that is not a positive finite
-double below 2^53, take ``repr`` itself, so every lane's bytes are
-``repr``'s.
+binary fractions with few significant bits, such as 0.5), and any value
+outside (0, 1), take ``repr`` itself, so every lane's bytes are ``repr``'s.
 
 Every integer operation runs on arrays, which wrap on overflow silently;
 numpy scalars would warn instead.
@@ -25,6 +23,9 @@ import numpy as np
 
 __all__: list[str] = []
 
+#: The bits of 1.0.  A lane goes to the kernel when its bits lie strictly
+#: between those of 0.0 and this, that is when its value lies in (0, 1).
+KERNEL_BITS_LIMIT = np.uint64(1023 << 52)
 #: Each lane's text is at most 23 bytes ("2.2250738585072014e-308"), held
 #: NUL-padded in three little-endian uint64 words.
 _WORDS = 3
@@ -59,7 +60,7 @@ def _powers_of_ten() -> np.ndarray:
 
 
 def _decode(bits: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Ryū's scaling for positive doubles below 2^53, given as their bits:
+    """Ryū's scaling for doubles in (0, 1), given as their bits:
     mv = 4 * m2, mm_shift, the decimal exponent e10 of the interval ends,
     the index i of their power of 5 and the shift j, and which lanes Ryū's
     fast path holds for (its general case: q <= 1, or mv a multiple of 2^q
@@ -138,7 +139,7 @@ def _drop_digits(
 
 
 def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ryū's d2d over positive doubles below 2^53, given as their bits: the
+    """Ryū's d2d over doubles in (0, 1), given as their bits: the
     shortest digits as an integer, its decimal exponent, and which lanes hold
     (False where Ryū would take its general case)."""
     mv, mm_shift, e10, i, j, held = _decode(bits)
@@ -203,8 +204,7 @@ def _exponent_form(
     shown: list[np.ndarray], n: np.ndarray, decpt: np.ndarray
 ) -> list[np.ndarray]:
     """d.ddde-XX: the first digit, a point unless it is the only digit, the
-    rest, then "e-" and at least two exponent digits.  Lanes with decpt > 1
-    come out garbled (their exponent wraps); the caller replaces them."""
+    rest, then "e-" and at least two exponent digits."""
     words = _shifted(shown, 1)
     dot = (n > 1) * np.uint64(_DOT << 8)
     words[0] = (words[0] & ~np.uint64(0xFFFF)) | (shown[0] & 0xFF) | dot
@@ -221,59 +221,42 @@ def _exponent_form(
 
 
 def _layout(digits: np.ndarray, exp10: np.ndarray) -> np.ndarray:
-    """repr's layout of digits * 10^exp10 (positive, below 10^16), as
-    NUL-padded rows of a (lanes, 3) little-endian uint64 array."""
+    """repr's layout of digits * 10^exp10 (in (0, 1)), as NUL-padded rows of
+    a (lanes, 3) little-endian uint64 array."""
     # Digit count: from the bit length, as the float conversion reads it
     # (it may round up by one bit, which the comparison absorbs).
     bit_length = (digits.astype(np.float64).view(np.uint64) >> 52).astype(np.int64) - 1022
     n = (bit_length * 1233) >> 12
     n += digits >= np.take(_powers_of_ten(), n)
-    decpt = exp10 + n  # the point's place: the value is 0.<digits> * 10^decpt
-    ascii17 = _ascii17(digits, n)
-    shown = [w & m for w, m in zip(ascii17, _low_bytes(n))]
+    # The point's place: the value is 0.<digits> * 10^decpt, so decpt <= 0.
+    decpt = exp10 + n
+    shown = [w & m for w, m in zip(_ascii17(digits, n), _low_bytes(n))]
 
     words = _exponent_form(shown, n, decpt)
     # 0.000ddd where -3 <= decpt <= 0: "0.", up to three zeros, the digits.
     fixed = decpt >= -3
     if fixed.any():
-        lead_in = 2 - np.maximum(np.minimum(decpt, 0), -3)
+        lead_in = 2 - np.maximum(decpt, -3)
         small = _shifted(shown, lead_in)
         small[0] |= int.from_bytes(b"0.000", "little") & _low_bytes(lead_in)[0]
         words = [np.where(fixed, f, w) for f, w in zip(small, words)]
-    out = np.stack(words, axis=1).astype("<u8", copy=False)
-    # dd.ddd or ddd0.0 where decpt > 0: the digits, zero-filled up to the
-    # point; the point after decpt of them; then the rest, or a 0 when
-    # nothing is left.
-    lanes = np.flatnonzero(decpt > 0)
-    if lanes.size:
-        m, p = n[lanes], decpt[lanes]
-        keep, head_mask = _low_bytes(np.maximum(m, p)), _low_bytes(p)
-        d = [w[lanes] & k for w, k in zip(ascii17, keep)]
-        tail = _shifted([w & ~h for w, h in zip(d, head_mask)], 1)
-        dot = _placed(np.uint64(_DOT) + (p >= m) * np.uint64(_ZERO << 8), p)
-        parts = zip(d, head_mask, tail, dot)
-        out[lanes] = np.stack([(x & h) | t | c for x, h, t, c in parts], axis=1)
-    return out
+    return np.stack(words, axis=1).astype("<u8", copy=False)
 
 
 def repr_rows(values: np.ndarray) -> np.ndarray:
-    """Row k holds ``repr(float(values[k])).encode()``, NUL-padded to 24
-    bytes (no repr is longer), for a 1-d array: a (len(values), 24) uint8
-    array, whose view as dtype "S24" reads each row back as its bytes."""
+    """``repr(float(v)).encode()`` of every v in a 1-d array, as a 1-d "S24"
+    array (no repr is longer than 24 bytes)."""
     values = np.ascontiguousarray(values, dtype=np.float64)
     bits = values.view(np.uint64)
-    # Positive, finite and below 2^53: sign 0 and biased exponent <= 1075.
-    lanes = np.flatnonzero((bits != 0) & (bits < np.uint64(1076 << 52)))
+    lanes = np.flatnonzero((bits != 0) & (bits < KERNEL_BITS_LIMIT))
     digits, exp10, held = _shortest(bits[lanes])
-    words = _layout(digits[held], exp10[held])
-    if words.shape[0] == values.size:
-        return words.view(np.uint8)
-    rows = np.zeros((values.size, _WORDS), dtype="<u8")
-    rows[lanes[held]] = words
-    rows = rows.view(np.uint8)
+    texts = _layout(digits[held], exp10[held]).view("S24").ravel()
+    if texts.size == values.size:
+        return texts
+    rows = np.zeros(values.size, dtype="S24")
+    rows[lanes[held]] = texts
     rest = np.ones(values.size, dtype=bool)
     rest[lanes[held]] = False
     for k in np.flatnonzero(rest).tolist():
-        text = repr(float(values[k])).encode()
-        rows[k, : len(text)] = np.frombuffer(text, dtype=np.uint8)
+        rows[k] = repr(float(values[k])).encode()
     return rows

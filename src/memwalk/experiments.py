@@ -507,7 +507,7 @@ def _distribution_csv_writer(
 
     def flush() -> None:
         nonlocal pending
-        reprs = repr_rows(np.concatenate(values)).view("S24").ravel()
+        reprs = repr_rows(np.concatenate(values))
         stop = 0
         for time, cells, mirrored in steps:
             start, stop = stop, stop + cells.size
@@ -913,9 +913,13 @@ def _repeated(items: list) -> list:
     return sorted(repeated)
 
 
-def _class_spec(template: ExperimentSpec, walk_class: str, seed: int) -> ExperimentSpec:
+def _check_walk_class(walk_class: str) -> None:
     if walk_class not in WALK_CLASSES:
         raise ValidationError(f"unknown walk class {walk_class!r}")
+
+
+def _class_spec(template: ExperimentSpec, walk_class: str, seed: int) -> ExperimentSpec:
+    _check_walk_class(walk_class)
     partition_kind, shift_kind = walk_class.split("+")
     # The sweep fits the seed-averaged variance itself (and skips the fit on
     # short horizons), so a class run never needs the per-run scaling fit.
@@ -969,6 +973,15 @@ def run_sweep(
         raise ValidationError("sweep needs at least one seed")
     for seed in seeds:
         _check_int("sweep seed", seed, 0)
+    for c in classes:
+        _check_walk_class(c)
+    # The summary keys its entries by class, so a repeated class would get
+    # one entry there and one comparison row per repeat; a repeated seed
+    # would average one walk with itself.
+    for name, items in (("classes", classes), ("seeds", seeds)):
+        repeated = _repeated(items)
+        if repeated:
+            raise ValidationError(f"sweep {name} repeat: {repeated}")
 
     # Each distinct spec runs once.  A class whose partition kind is not
     # random gets the same spec at every seed (_class_spec drops the seed),
@@ -981,13 +994,6 @@ def run_sweep(
             spec = _class_spec(template, c, s)
             key_of[c, s] = (c, spec.partition_seed)
             jobs.setdefault(key_of[c, s], spec)
-    # The summary keys its entries by class, so a repeated class would get
-    # one entry there and one comparison row per repeat; a repeated seed
-    # would average one walk with itself.
-    for name, items in (("classes", classes), ("seeds", seeds)):
-        repeated = _repeated(items)
-        if repeated:
-            raise ValidationError(f"sweep {name} repeat: {repeated}")
     specs = list(jobs.values())
 
     # One host serves every job: a class spec differs from the template only

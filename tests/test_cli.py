@@ -238,6 +238,34 @@ def test_a_long_seed_list_with_one_repeat_is_refused(tmp_path, config, capsys, c
     assert not out.exists()
 
 
+def test_sweep_refuses_a_repeat_before_building_any_class_spec(tmp_path, capsys, monkeypatch):
+    # The six default classes, 20,000 distinct seeds and one repeat: no
+    # (class, seed) spec is built before the repeat is refused.
+    calls = []
+    class_spec = experiments._class_spec
+    monkeypatch.setattr(experiments, "_class_spec", lambda *a: calls.append(a) or class_spec(*a))
+    seeds = ",".join(map(str, [*range(20_000), 137]))
+    out = tmp_path / "o"
+    assert main(["sweep", "--seeds", seeds, "--out", str(out)]) == 2
+    assert "error: sweep seeds repeat: [137]" in capsys.readouterr().err
+    assert not out.exists()
+    assert calls == []
+
+
+def test_sweep_reports_an_unknown_class_before_a_repeat(tmp_path, config, capsys):
+    doc = {
+        "template": {"t_max": 10, "outputs": ["variance"]},
+        "classes": ["directional+recycled", "directional+recycled", "no+such", "no+other"],
+    }
+    out = tmp_path / "o"
+    args = ["sweep", "--config", config(doc), "--seeds", "1,1", "--out", str(out)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "error: unknown walk class 'no+such'" in err
+    assert "repeat" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("t_max", ["-1", "-2", "-3"])
 def test_equivalence_checks_t_max_before_building_its_window(tmp_path, capsys, t_max):
     out = tmp_path / "o"

@@ -365,12 +365,12 @@ def _write_csv(path, dists):
 
 
 def test_distribution_csv_matches_csv_writer(tmp_path, monkeypatch):
-    # fixed-notation and scientific reprs, exact zero and the smallest subnormal
-    values = [0.0, 1.0, 0.1 + 0.2, 1e-05, 2.5e-16, 5e-324]
+    # fixed-notation and scientific reprs, exact zero, the smallest subnormal
+    # and the double just above 1.0
+    values = [0.0, 1.0, np.nextafter(1.0, 2.0), 0.1 + 0.2, 1e-05, 2.5e-16, 5e-324]
+    wide = np.arange(-3, 4)
+    dists = [analysis.PositionDistribution(wide, np.roll(values, t), t) for t in range(4)]
     positions = np.arange(-3, 3)
-    dists = [
-        analysis.PositionDistribution(positions, np.roll(values, t), t) for t in range(4)
-    ]
     # a mirror-symmetric step copies its left half's cells to the right;
     # an odd mirror-symmetric step on new positions
     dists.append(
@@ -391,6 +391,7 @@ def test_distribution_csv_matches_csv_writer(tmp_path, monkeypatch):
         got = (tmp_path / f"got{batch}.csv").read_bytes()
         assert got == (tmp_path / "want.csv").read_bytes()
         assert b"-3,5e-324" in got
+        assert b"0,-1,1.0000000000000002" in got
         assert b"\r\n4,-3,0.25\r\n4,-2,0.0\r\n4,-1,0.3\r\n4,0,0.3\r\n4,1,0.0\r\n4,2,0.25\r\n" in got
         assert got.endswith(b"\r\n5,-2,0.1\r\n5,-1,0.0\r\n5,0,0.6\r\n5,1,0.0\r\n5,2,0.1\r\n")
 

@@ -3,7 +3,9 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, strategies as st
 
-from memwalk._float_repr import _shortest, repr_rows
+from memwalk import analysis
+from memwalk._float_repr import KERNEL_BITS_LIMIT, _shortest, repr_rows
+from memwalk.experiments import ExperimentSpec, iter_history, resolve_spec
 
 
 def reprs(values) -> list[bytes]:
@@ -11,14 +13,14 @@ def reprs(values) -> list[bytes]:
 
 
 def float_reprs(values) -> list[bytes]:
-    """The kernel's rows, read back as bytes."""
-    return repr_rows(values).view("S24").ravel().tolist()
+    """The kernel's texts, as bytes."""
+    return repr_rows(values).tolist()
 
 
 def kernel_lanes(values) -> int:
     """How many of ``values`` the kernel formats without falling back to repr."""
     bits = np.asarray(values, dtype=np.float64).view(np.uint64)
-    inside = bits[(bits != 0) & (bits < np.uint64(1076 << 52))]
+    inside = bits[(bits != 0) & (bits < KERNEL_BITS_LIMIT)]
     return int(_shortest(inside)[2].sum())
 
 
@@ -93,10 +95,24 @@ def test_every_digit_count_from_1_to_17():
 
 
 def test_lanes_outside_the_kernel_fall_back_to_repr():
+    # Everything outside (0, 1), the doubles from 1.0 up included.
     outside = [0.0, -0.0, -1.0, -5e-324, 2.0**53, 1e300, np.inf, -np.inf, np.nan]
-    # 1.0 and 0.5 are inside the kernel's range but exact binary fractions,
-    # which need Ryū's general case.
-    values = np.array(outside + [1.0, 0.5, 0.3])
+    outside += [1.0, np.nextafter(1.0, 2.0), 1.5, 123.456, 1e15, 4503599627370497.5]
+    # 0.5 is inside (0, 1) but an exact binary fraction, which needs Ryū's
+    # general case.
+    values = np.array(outside + [0.5, 0.3])
     assert float_reprs(values) == reprs(values)
     assert kernel_lanes(values) == 1
     assert float_reprs(np.array([])) == []
+
+
+def test_every_probability_of_the_default_walk():
+    # The nonzero cells of distributions.csv for the default walk at t_max
+    # 200; at most 0.1 % of them may fall back to repr.
+    spec = ExperimentSpec.from_json_dict({"t_max": 200})
+    probs = [analysis.position_marginal(s).probs for s in iter_history(resolve_spec(spec))]
+    cells = np.concatenate(probs)
+    cells = cells[cells != 0]
+    assert cells.size == 20_301
+    assert float_reprs(cells) == reprs(cells)
+    assert cells.size - kernel_lanes(cells) <= 0.001 * cells.size

@@ -913,13 +913,7 @@ def _repeated(items: list) -> list:
     return sorted(repeated)
 
 
-def _check_walk_class(walk_class: str) -> None:
-    if walk_class not in WALK_CLASSES:
-        raise ValidationError(f"unknown walk class {walk_class!r}")
-
-
 def _class_spec(template: ExperimentSpec, walk_class: str, seed: int) -> ExperimentSpec:
-    _check_walk_class(walk_class)
     partition_kind, shift_kind = walk_class.split("+")
     # The sweep fits the seed-averaged variance itself (and skips the fit on
     # short horizons), so a class run never needs the per-run scaling fit.
@@ -974,7 +968,8 @@ def run_sweep(
     for seed in seeds:
         _check_int("sweep seed", seed, 0)
     for c in classes:
-        _check_walk_class(c)
+        if c not in WALK_CLASSES:
+            raise ValidationError(f"unknown walk class {c!r}")
     # The summary keys its entries by class, so a repeated class would get
     # one entry there and one comparison row per repeat; a repeated seed
     # would average one walk with itself.

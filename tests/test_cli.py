@@ -224,30 +224,17 @@ def test_enumerate_rejects_a_repeated_seed(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["sweep", "enumerate"])
-def test_a_long_seed_list_with_one_repeat_is_refused(tmp_path, config, capsys, command):
+def test_a_long_seed_list_with_one_repeat_is_refused(tmp_path, capsys, monkeypatch, command):
     # The repeat check is one pass over the seeds: 20,000 distinct seeds and
-    # one repeat are refused before any walk starts.
-    seeds = ",".join(map(str, [*range(20_000), 137]))
-    out = tmp_path / "o"
-    args = [command, "--seeds", seeds, "--out", str(out)]
-    if command == "sweep":
-        doc = {"template": {"t_max": 10, "outputs": ["variance"]}, "classes": ["random+recycled"]}
-        args += ["--config", config(doc)]
-    assert main(args) == 2
-    assert f"error: {command} seeds repeat: [137]" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_sweep_refuses_a_repeat_before_building_any_class_spec(tmp_path, capsys, monkeypatch):
-    # The six default classes, 20,000 distinct seeds and one repeat: no
-    # (class, seed) spec is built before the repeat is refused.
+    # one repeat are refused before any walk starts, and a sweep over its
+    # six default classes builds no (class, seed) spec first.
     calls = []
     class_spec = experiments._class_spec
     monkeypatch.setattr(experiments, "_class_spec", lambda *a: calls.append(a) or class_spec(*a))
     seeds = ",".join(map(str, [*range(20_000), 137]))
     out = tmp_path / "o"
-    assert main(["sweep", "--seeds", seeds, "--out", str(out)]) == 2
-    assert "error: sweep seeds repeat: [137]" in capsys.readouterr().err
+    assert main([command, "--seeds", seeds, "--out", str(out)]) == 2
+    assert f"error: {command} seeds repeat: [137]" in capsys.readouterr().err
     assert not out.exists()
     assert calls == []
 

@@ -368,13 +368,16 @@ def test_distribution_csv_matches_csv_writer(tmp_path, monkeypatch):
     # fixed-notation and scientific reprs, exact zero, the smallest subnormal
     # and the double just above 1.0
     values = [0.0, 1.0, np.nextafter(1.0, 2.0), 0.1 + 0.2, 1e-05, 2.5e-16, 5e-324]
-    wide = np.arange(-3, 4)
-    dists = [analysis.PositionDistribution(wide, np.roll(values, t), t) for t in range(4)]
-    positions = np.arange(-3, 3)
-    # a mirror-symmetric step copies its left half's cells to the right;
-    # an odd mirror-symmetric step on new positions
+    positions = np.arange(-3, 4)
+    dists = [
+        analysis.PositionDistribution(positions, np.roll(values, t), t) for t in range(4)
+    ]
+    # a mirror-symmetric step copies its left half's cells to the right, in
+    # the same batches as the steps before it; one more on new positions
     dists.append(
-        analysis.PositionDistribution(positions, np.array([0.25, 0.0, 0.3, 0.3, 0.0, 0.25]), 4)
+        analysis.PositionDistribution(
+            positions, np.array([0.25, 0.0, 0.3, 0.1, 0.3, 0.0, 0.25]), 4
+        )
     )
     dists.append(
         analysis.PositionDistribution(np.arange(-2, 3), np.array([0.1, 0.0, 0.6, 0.0, 0.1]), 5)
@@ -392,7 +395,7 @@ def test_distribution_csv_matches_csv_writer(tmp_path, monkeypatch):
         assert got == (tmp_path / "want.csv").read_bytes()
         assert b"-3,5e-324" in got
         assert b"0,-1,1.0000000000000002" in got
-        assert b"\r\n4,-3,0.25\r\n4,-2,0.0\r\n4,-1,0.3\r\n4,0,0.3\r\n4,1,0.0\r\n4,2,0.25\r\n" in got
+        assert b"\r\n4,-3,0.25\r\n4,-2,0.0\r\n4,-1,0.3\r\n4,0,0.1\r\n4,1,0.3\r\n4,2,0.0\r\n4,3,0.25\r\n" in got
         assert got.endswith(b"\r\n5,-2,0.1\r\n5,-1,0.0\r\n5,0,0.6\r\n5,1,0.0\r\n5,2,0.1\r\n")
 
         out = tmp_path / f"run{batch}"
@@ -675,8 +678,6 @@ def test_class_spec_presets():
         assert spec.coin_shift_kind == shift
         expected = "per_step" if walk_class in ANNEALED_CLASSES else "never"
         assert spec.partition_resample == expected
-    with pytest.raises(ValidationError):
-        _class_spec(template, "directional+carried", 3)
 
 
 def test_sweep_matches_single_run(tmp_path):
@@ -950,6 +951,8 @@ def test_sweep_rejects_unknown_class(tmp_path):
     template = ExperimentSpec.from_json_dict(spec_doc())
     with pytest.raises(ValidationError):
         run_sweep(template, ["sideways+recycled"], [0], tmp_path)
+    with pytest.raises(ValidationError, match="unknown walk class 'directional\\+carried'"):
+        run_sweep(template, ["directional+carried"], [3], tmp_path)
     with pytest.raises(ValidationError):
         run_sweep(template, [], [0], tmp_path)
 

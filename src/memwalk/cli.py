@@ -2,9 +2,10 @@
 
 Four subcommands: simulate (one spec), sweep (walk classes x seeds),
 equivalence (oracle cross-checks), enumerate (coin-shift census).  Exit
-codes: 0 success, 2 validation failure, 3 coin-shift constraint violation,
-4 numerical check failure.  All validation happens before any file is
-written, and identical inputs produce byte-identical outputs.
+codes: 0 success, 2 validation failure (a run over the size budget among
+them), 3 coin-shift constraint violation, 4 numerical check failure or a
+MemoryError the budget did not foresee.  All validation happens before any
+file is written, and identical inputs produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -192,6 +193,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION
     except NumericalCheckError as exc:
         print(f"error: numerical check failed: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:  # an allocation the size budget did not foresee
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import ctypes
 from collections.abc import Callable, Iterable, Iterator
-from functools import cache
 from itertools import chain, repeat
 from pathlib import Path
 
@@ -90,7 +89,6 @@ class WalkState:
         return float(np.vdot(self.amps, self.amps).real)
 
 
-@cache
 def _one_blas_thread() -> None:
     """Cap numpy's bundled OpenBLAS at one thread, for the whole process.
 
@@ -98,7 +96,9 @@ def _one_blas_thread() -> None:
     threads, which sum in another order, so a statistic would depend on the
     CPU count, and the workers would spin on a second core for every step's
     norm check.  OPENBLAS_NUM_THREADS would act only if set before numpy
-    loads.  A numpy without the bundled library is left as it is.
+    loads.  A numpy without the bundled library is left as it is.  Called
+    once, below, when this module is imported: every memwalk BLAS call and
+    every fork comes after it.
     """
     libs = Path(np.__file__).parent.parent / "numpy.libs"
     for path in sorted(libs.glob("libscipy_openblas64_-*.so")):
@@ -106,6 +106,9 @@ def _one_blas_thread() -> None:
         set_num_threads.argtypes, set_num_threads.restype = [ctypes.c_int], None
         set_num_threads(1)
         return
+
+
+_one_blas_thread()
 
 
 def _check_normalized(state: WalkState) -> None:
@@ -294,7 +297,6 @@ def _steps(
     initial: WalkState,
     t_max: int,
 ) -> Iterator[WalkState]:
-    _one_blas_thread()
     yield initial
     state = initial
     # zip draws from the range first, so no shift is drawn past t_max.

@@ -80,7 +80,6 @@ from .constants import (
 )
 from .engine import (
     WalkState,
-    _one_blas_thread,
     balanced_origin_terms,
     equivalence_initial_terms,
     evolve,
@@ -346,6 +345,37 @@ def _check_pair(name: str, value) -> complex:
     return complex(value[0], value[1])
 
 
+#: The size budget, checked before any host is built: a run over it is
+#: refused with ValidationError (exit 2) and writes nothing.
+#: MAX_VERTICES bounds the walk's host, window x 2^depth vertices.
+MAX_VERTICES = 2**20
+#: MAX_ARRAY_BYTES bounds the bytes a run's kept series must hold,
+#: SERIES_BYTES_PER_STEP a step: the "t" list _fold_series keeps holds an
+#: 8-byte pointer a step.  2^48 bytes is more than a 64-bit Linux process
+#: can map (2^47 on x86-64, 2^48 on arm64), so a run over it could not end.
+MAX_ARRAY_BYTES = 2**48
+SERIES_BYTES_PER_STEP = 8
+
+
+def _check_vertices(vertices: int) -> None:
+    """Refuse a run whose host has more than MAX_VERTICES vertices."""
+    if vertices > MAX_VERTICES:
+        raise ValidationError(
+            f"the run's host has {vertices} vertices, over the budget of {MAX_VERTICES}"
+        )
+
+
+def _check_series(t_max: int) -> None:
+    """Refuse a run that keeps a series of t = 0..t_max over MAX_ARRAY_BYTES."""
+    _check_int("t_max", t_max, 0)
+    series_bytes = (t_max + 1) * SERIES_BYTES_PER_STEP
+    if series_bytes > MAX_ARRAY_BYTES:
+        raise ValidationError(
+            f"the run's series would hold {series_bytes} bytes,"
+            f" over the budget of {MAX_ARRAY_BYTES}"
+        )
+
+
 def _check_spec(spec: ExperimentSpec) -> int:
     """Every check resolve_spec makes before it builds the host.
 
@@ -391,6 +421,8 @@ def _check_spec(spec: ExperimentSpec) -> int:
         window = spec.window
     else:
         raise ValidationError(f"unknown graph family {spec.graph_family!r}")
+    # A bidirected cycle has degree 2; past depth 64 the host is over budget.
+    _check_vertices(window << min(spec.memory_depth, 64))
     return window
 
 
@@ -733,10 +765,6 @@ def _forked(work: Callable[[], _T]) -> Iterator[Callable[[], _T]]:
     block raises before ``result`` has returned, the child is killed.
     Either way it is reaped before this returns.  Only _spread forks.
     """
-    # Cap OpenBLAS before the fork, not in the walks after it: its fork
-    # handler stops its thread pool, and a cap set after the fork starts the
-    # pool again, whose worker then spins on a CPU the walks need.
-    _one_blas_thread()
     with tempfile.TemporaryFile() as channel:
         pid = os.fork()
         if pid == 0:  # the child, which must never return into the caller
@@ -859,6 +887,7 @@ def run_simulate(spec: ExperimentSpec, out_dir: str | Path) -> dict:
     one-block run, and a failure in either block fails the run with nothing
     written.
     """
+    _check_series(spec.t_max)  # before a per-step spec draws its step seeds
     resolved = resolve_spec(spec)
     states = iter_history(resolved)  # checks the start, the coin and the shift
 
@@ -996,6 +1025,7 @@ def run_sweep(
     # as in its own resolve_spec, so a spec the host cannot be built for
     # fails as job 0 would.  Forked processes inherit the host.
     window = _check_spec(specs[0])
+    _check_series(template.t_max)  # each job keeps one walk's series
     host = iterate_line_digraph(make_bidirected_cycle(window), template.memory_depth)
 
     # Processes, not threads: a job's steps are Python code and small numpy
@@ -1075,6 +1105,7 @@ def equivalence_report(t_max: int) -> dict:
     """
     _check_int("t_max", t_max, 0)
     window = minimal_window(t_max, 1)
+    _check_vertices(2 * window)  # the walk is streamed: no series is kept
     beta = analysis.equivalence_initial_beta(window)
 
     host = iterate_line_digraph(make_bidirected_cycle(window), 1)
@@ -1238,6 +1269,8 @@ def enumerate_report(cycle_size: int, seeds: list[int], t_max: int) -> dict:
     # The depth-1 host has 2 * cycle_size vertices with 2 coins each; a host
     # too large to enumerate is refused before it is built.
     check_enumeration_size(4 * cycle_size)
+    if seeds:  # the census's walk host, built below
+        _check_vertices(2 * minimal_window(t_max, 1))
     host = iterate_line_digraph(make_bidirected_cycle(cycle_size), 1)
     partition = reflect_transmit_partition(host)
     shifts = enumerate_coin_shifts(partition)

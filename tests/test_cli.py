@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import memwalk
-from memwalk import engine, experiments
+from memwalk import analysis, engine, experiments
 from memwalk.constants import UNITARY_ATOL
 from memwalk.graphs import minimal_window
 from memwalk.cli import _parse_seeds, build_parser, main
@@ -455,6 +456,124 @@ def test_enumerate_refuses_a_large_host_before_building_it(
     assert not out.exists()
 
 
+# -- the size budget ----------------------------------------------------------------
+
+HUGE = 10**13
+VERTICES_OVER = "vertices, over the budget of 1048576"
+BYTES_OVER = "bytes, over the budget of 281474976710656"
+# The longest series under MAX_ARRAY_BYTES: 2^45 steps of 8 bytes.
+LONGEST = 2**45 - 1
+CYCLE = {"graph": {"family": "cycle", "window": 41}}
+
+
+def _refused_before_any_host(monkeypatch, capsys, argv, message):
+    """Run ``argv`` and check that it exits 2 within 1 s, with ``message``,
+    having built no host and written nothing."""
+
+    def build(n):
+        raise AssertionError(f"built the {n}-cycle")
+
+    monkeypatch.setattr(experiments, "make_bidirected_cycle", build)
+    out = Path(argv[argv.index("--out") + 1])
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert elapsed < 1.0
+    assert message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate"], ["sweep"], ["equivalence"], ["enumerate", "--seeds", "1"]],
+    ids=["simulate", "sweep", "equivalence", "enumerate"],
+)
+def test_a_huge_t_max_is_refused_before_any_host_is_built(tmp_path, monkeypatch, capsys, argv):
+    argv = [*argv, "--t-max", str(HUGE), "--out", str(tmp_path / "out")]
+    _refused_before_any_host(monkeypatch, capsys, argv, VERTICES_OVER)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"graph": {"family": "cycle", "window": HUGE + 1}}, VERTICES_OVER),
+        ({"graph": {"family": "line", "window": HUGE + 1}}, VERTICES_OVER),
+        ({"memory_depth": 30}, VERTICES_OVER),
+        ({"memory_depth": HUGE}, VERTICES_OVER),
+        # 82 vertices, but one step too many for the series
+        ({**CYCLE, "t_max": LONGEST + 1}, BYTES_OVER),
+        # refused before the walk draws a seed for each step
+        (
+            {**CYCLE, "t_max": HUGE * 10,
+             "partition": {"kind": "random", "seed": 1, "resample": "per_step"}},
+            BYTES_OVER,
+        ),
+    ],
+    ids=["cycle-window", "line-window", "depth-30", "depth-huge", "long-series",
+         "per-step-series"],
+)
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_a_config_over_the_budget_is_refused_before_any_host_is_built(
+    tmp_path, monkeypatch, capsys, config, command, doc, message
+):
+    path = config(doc if command == "simulate" else {"template": doc})
+    argv = [command, "--config", path, "--out", str(tmp_path / "out")]
+    _refused_before_any_host(monkeypatch, capsys, argv, message)
+
+
+class _Admitted(Exception):
+    """Raised where a run that passed the budget builds its first host."""
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        # the default walk past its drift ceiling: it ends in exit 4
+        (["simulate", "--t-max", "6000"], None),
+        # the largest line host, 1,048,574 vertices
+        (["simulate", "--t-max", "262141"], None),
+        (["equivalence", "--t-max", "262141"], None),
+        (["enumerate", "--seeds", "0", "--t-max", "600"], None),
+        (["sweep", "--t-max", "12000"], None),
+        (["simulate"], {**CYCLE, "t_max": LONGEST}),
+        (["sweep"], {"template": {**CYCLE, "t_max": LONGEST}}),
+    ],
+    ids=["simulate-6000", "simulate-line", "equivalence-line", "census-600",
+         "sweep-12000", "simulate-longest", "sweep-longest"],
+)
+def test_the_budget_admits_every_run_up_to_its_bounds(tmp_path, monkeypatch, config, argv, doc):
+    def build(n):
+        raise _Admitted(n)
+
+    monkeypatch.setattr(experiments, "make_bidirected_cycle", build)
+    if doc is not None:
+        argv = [*argv, "--config", config(doc)]
+    with pytest.raises(_Admitted):
+        main([*argv, "--out", str(tmp_path / "out")])
+
+
+def test_resolving_a_spec_keeps_no_series_and_is_not_charged_for_one():
+    spec = experiments.ExperimentSpec.from_json_dict({**CYCLE, "t_max": HUGE * 10})
+    assert experiments.resolve_spec(spec).host.n_vertices == 82
+
+
+def test_a_memory_error_exits_4_and_writes_nothing(tmp_path, config, monkeypatch, capsys):
+    real = analysis.position_marginal
+
+    def marginal(state):
+        if state.time == 5:
+            raise MemoryError("Unable to allocate 146. TiB")
+        return real(state)
+
+    monkeypatch.setattr(analysis, "position_marginal", marginal)
+    out = tmp_path / "new" / "run"
+    assert main(["simulate", "--config", config(simulate_doc()), "--out", str(out)]) == 4
+    assert capsys.readouterr().err == "error: out of memory: Unable to allocate 146. TiB\n"
+    assert not (tmp_path / "new").exists()
+
+
 def test_an_out_of_range_partition_table_exits_2(tmp_path, monkeypatch, config, capsys):
     # A sampled successor outside the host fails where its Partition is
     # built; the host's own unseeded factorization is left alone.
@@ -845,7 +964,8 @@ def test_the_package_exports_each_module_public_name_once():
 # CLI's exit codes, and a run that fails must leave nothing behind; the one
 # exception is equivalence's exit 4, which still writes its report.
 
-T_MAX = st.integers(-1, 250)
+# Past 10^6 every subcommand that walks is over the size budget.
+T_MAX = st.one_of(st.integers(-1, 250), st.sampled_from([10**6, 10**9, 10**13]))
 SEED = st.integers(-1, 2**64)
 SEEDS = st.one_of(
     st.lists(st.integers(-1, 9), max_size=4).map(lambda xs: ",".join(map(str, xs))),

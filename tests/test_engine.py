@@ -1,8 +1,9 @@
 from __future__ import annotations
 
-import ctypes
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,7 @@ from memwalk.coin_shift import CoinShift
 from memwalk.graphs import RegularDigraph
 from memwalk.partitions import Partition
 from memwalk.engine import WalkState, check_unitary
-from memwalk import NumericalCheckError, analysis, engine, experiments
+from memwalk import NumericalCheckError, analysis, engine
 
 from conftest import random_coin_shift, reference_hosts
 
@@ -532,6 +533,64 @@ def test_unnormalized_start_state_is_rejected_when_run(host_d1, factor):
         evolve(p, recycled_coin_shift(p), hadamard_coin(), start, 5)
 
 
+# A start state's norm^2 may be off by up to 100 * UNITARY_ATOL = 1e-10.
+START_OFFSETS = pytest.mark.parametrize(
+    "offset, refused", [(5e-11, False), (5e-10, True)], ids=["5e-11", "5e-10"]
+)
+
+
+@START_OFFSETS
+def test_a_start_state_is_held_to_its_norm_bound(host_d1, offset, refused):
+    scale = np.sqrt(1 + offset)
+    terms = [(path, label, a * scale) for path, label, a in balanced_origin_terms(host_d1)]
+    p = reflect_transmit_partition(host_d1)
+    gc = carried_coin_shift(p)
+    amps = state_from_terms(host_d1, balanced_origin_terms(host_d1)).amps
+    start = WalkState(host_d1, amps * scale)  # only the shape is checked here
+    for run in (
+        lambda: state_from_terms(host_d1, terms),
+        lambda: walk_states(p, gc, hadamard_coin(), start, 2),
+    ):
+        if refused:
+            with pytest.raises(ValidationError, match="state norm"):
+                run()
+        else:
+            run()
+
+
+@START_OFFSETS
+def test_the_oracle_walkers_hold_their_start_to_its_norm_bound(offset, refused):
+    amp = np.sqrt(1 + offset)
+    coin = hadamard_coin()
+    for run in (
+        lambda: recycled_coin_walk(1, coin, [(0, (1, 1), amp)], 3, 9),
+        lambda: reflect_transmit_walk(coin, [(0, -1, 1, amp)], 3, 9),
+    ):
+        if refused:
+            with pytest.raises(ValidationError, match="not normalized"):
+                run()
+        else:
+            assert len(run()) == 4
+
+
+@pytest.mark.parametrize("window, refused", [(81, True), (83, True), (85, False)])
+def test_the_window_check_admits_minimal_window_and_nothing_below(window, refused):
+    # At t_max 40 an origin start at depth 1 reaches +-41: minimal_window is 85.
+    assert minimal_window(40, 1) == 85
+    host = iterate_line_digraph(make_bidirected_cycle(window), 1)
+    p = reflect_transmit_partition(host)
+    start = state_from_terms(host, balanced_origin_terms(host))
+
+    def run():
+        return walk_states(p, carried_coin_shift(p), hadamard_coin(), start, 40)
+
+    if refused:
+        with pytest.raises(ValidationError, match=f"window {window} too small"):
+            run()
+    else:
+        run()
+
+
 @pytest.mark.parametrize("factor", [1.0 + 1e-9, np.nan])
 def test_norm_drift_stops_the_run(host_d1, monkeypatch, factor):
     p = directional_partition(host_d1)
@@ -568,45 +627,65 @@ def test_norm_squared_agrees_with_a_sum_of_squares(rng, window):
         assert abs(state.norm_squared() - want) <= 1e-14
 
 
-def _uncapped_openblas() -> ctypes.CDLL:
-    """numpy's bundled OpenBLAS set to two threads, with the cap's cache
-    cleared, so that the next walk has to set the cap again."""
-    libs = Path(np.__file__).parent.parent / "numpy.libs"
-    found = sorted(libs.glob("libscipy_openblas64_-*.so"))
-    if not found:
+_OPENBLAS = sorted(
+    (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_-*.so")
+)
+
+
+def _run_with_two_blas_threads(code: str) -> str:
+    """Run ``code`` in a fresh interpreter after numpy's bundled OpenBLAS has
+    been set to two threads, before memwalk is imported, and return its
+    stdout.  ``blas`` and ``threads()`` read the library's thread count."""
+    if not _OPENBLAS:
         pytest.skip("this numpy has no bundled OpenBLAS")
-    blas = ctypes.CDLL(str(found[0]))
-    blas.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
-    blas.scipy_openblas_set_num_threads64_.restype = None
-    blas.scipy_openblas_get_num_threads64_.argtypes = []
-    blas.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
-    blas.scipy_openblas_set_num_threads64_(2)
-    engine._one_blas_thread.cache_clear()
-    assert blas.scipy_openblas_get_num_threads64_() == 2
-    return blas
+    setup = (
+        "import ctypes, numpy\n"
+        f"blas = ctypes.CDLL({str(_OPENBLAS[0])!r})\n"
+        "blas.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]\n"
+        "blas.scipy_openblas_set_num_threads64_.restype = None\n"
+        "blas.scipy_openblas_get_num_threads64_.restype = ctypes.c_int\n"
+        "threads = blas.scipy_openblas_get_num_threads64_\n"
+        "blas.scipy_openblas_set_num_threads64_(2)\n"
+        "assert threads() == 2\n"
+    )
+    src = Path(engine.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", setup + code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        check=True,
+    )
+    return result.stdout
 
 
-def test_a_walk_caps_numpys_openblas_at_one_thread(host_d1):
-    blas = _uncapped_openblas()
-    start = state_from_terms(host_d1, balanced_origin_terms(host_d1))
-    p = reflect_transmit_partition(host_d1)
-    stream = walk_states(p, carried_coin_shift(p), hadamard_coin(), start, 3)
-    next(stream)
-    assert blas.scipy_openblas_get_num_threads64_() == 1
+def test_a_walk_caps_numpys_openblas_at_one_thread():
+    # The cap is set once, when memwalk.engine is imported.
+    assert _run_with_two_blas_threads("import memwalk\nprint(threads())").split() == ["1"]
 
 
-def test_a_forked_walk_runs_without_openblas_worker_threads(host_d1):
-    # OpenBLAS's fork handler stops its thread pool, and a cap set after the
-    # fork would start the pool again: its worker would spin beside the walk.
-    blas = _uncapped_openblas()
-    start = state_from_terms(host_d1, balanced_origin_terms(host_d1))
-    p = reflect_transmit_partition(host_d1)
-    gc = carried_coin_shift(p)
+def test_a_forked_walk_runs_without_openblas_worker_threads():
+    # The job walks a host of 12,020 cells, whose norm checks a threaded
+    # OpenBLAS would split: after a fork its pool would start again, and its
+    # worker would spin beside the walk.
+    code = """
+import os
+from memwalk import (
+    balanced_origin_terms, carried_coin_shift, experiments, hadamard_coin,
+    iterate_line_digraph, make_bidirected_cycle, minimal_window,
+    reflect_transmit_partition, state_from_terms, walk_states,
+)
+host = iterate_line_digraph(make_bidirected_cycle(minimal_window(1500, 1)), 1)
+start = state_from_terms(host, balanced_origin_terms(host))
+p = reflect_transmit_partition(host)
+gc = carried_coin_shift(p)
 
-    def walk(job):
-        for _ in walk_states(p, gc, hadamard_coin(), start, 3):
-            pass
-        return blas.scipy_openblas_get_num_threads64_(), len(os.listdir("/proc/self/task"))
+def walk(job):
+    for _ in walk_states(p, gc, hadamard_coin(), start, 3):
+        pass
+    return threads(), len(os.listdir("/proc/self/task"))
 
-    # Job 1 runs in the forked process, whose only thread runs the walk.
-    assert experiments._spread(walk, [0, 1], 2)[1] == (1, 1)
+# Job 1 runs in the forked process, whose only thread runs the walk.
+print(*experiments._spread(walk, [0, 1], 2)[1])
+"""
+    assert _run_with_two_blas_threads(code).split() == ["1", "1"]

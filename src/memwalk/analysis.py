@@ -413,8 +413,13 @@ def partition_center_key(p: Partition) -> tuple[int, ...]:
     return tuple(bits)
 
 
-#: One seed's census result: its signature and its center routing bits.
+#: One seed's census result: the digest of its signature and its center
+#: routing bits.
 _Sighting = tuple[bytes, tuple[int, ...]]
+
+#: Steps of the census's five probe walks held at a time; a seed's signature
+#: is hashed one chunk of this many states at a time.
+CENSUS_CHUNK_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -441,12 +446,18 @@ def count_distinct_dicycle_carried_walks(
     equal-modulus amplitudes), so without the superposition the census
     merges classes pairwise.
 
+    A seed's signature is the SHA-256 digest of its rounded distributions,
+    laid out (probe, time, position) and hashed CENSUS_CHUNK_STEPS states
+    at a time, so a seed holds 32 bytes and the walk one chunk.
+
     ``spread(walk, seeds)`` returns ``[walk(s) for s in seeds]``;
     enumerate_report passes one that shares the seeds out over several
     processes.  Classes are numbered by first sighting in seed order, so the
     report does not depend on how the seeds were shared out.  A host that
     is not depth 1 raises ValidationError before any seed is walked.
     """
+    import hashlib  # here, so that importing memwalk loads no OpenSSL
+
     host.center_arcs  # looked up once, here, so that a host without them fails first
     probes = list(origin_basis_terms(host))
     ((lo, _, _),), ((hi, _, _),) = probes[0], probes[2]
@@ -458,22 +469,25 @@ def count_distinct_dicycle_carried_walks(
         _start_check(start, t_max, True)
     coin = hadamard_coin()
     _coin_check(coin, host)
-    # Every seed's walks fill the same (probe, time, vertex, coin) buffer.
-    amps = np.empty((len(starts), t_max + 1, host.n_vertices, host.degree), np.complex128)
-    seen: dict[bytes, bytes] = {}
+    # Every seed's walks fill the same (probe, time, vertex, coin) chunk.
+    chunk_steps = min(t_max + 1, CENSUS_CHUNK_STEPS)
+    chunk = np.empty((len(starts), chunk_steps, host.n_vertices, host.degree), np.complex128)
 
     def walk(seed: int) -> _Sighting:
         p = random_dicycle_factorization(host, seed)
         op = build_shift_operator(p, carried_coin_shift(p))
-        # Signature layout: (probe, time, position).  Every probe walks
-        # through the seed's one checked shift, with the coin checked above.
-        for probe, start in zip(amps, starts):
-            for t, s in enumerate(_steps(repeat(op), coin, start, t_max)):
-                probe[t] = s.amps
-        signature = np.round(_position_probs(host, amps), 10).tobytes()
-        # One object per distinct signature in each process: the pickle that
-        # brings a forked process's sightings back holds each one once.
-        return seen.setdefault(signature, signature), partition_center_key(p)
+        # Every probe walks through the seed's one checked shift, with the
+        # coin checked above, all five in step.
+        walks = [_steps(repeat(op), coin, start, t_max) for start in starts]
+        signature = hashlib.sha256()
+        for t, states in enumerate(zip(*walks)):
+            k = t % chunk_steps
+            for probe, s in zip(chunk, states):
+                probe[k] = s.amps
+            if k == chunk_steps - 1 or t == t_max:
+                probs = _position_probs(host, chunk[:, : k + 1])
+                signature.update(np.round(probs, 10).tobytes())
+        return signature.digest(), partition_center_key(p)
 
     sightings = spread(walk, seeds)
     signatures: dict[bytes, int] = {}

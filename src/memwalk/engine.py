@@ -65,9 +65,8 @@ def check_unitary(a: np.ndarray) -> None:
 class WalkState:
     """Amplitudes of one walk, shape (V, m); ``amps`` is made read-only.
 
-    Only the shape is checked here.  ``coin_step`` and ``shift_step`` build
-    their states through ``_derived``, which checks the shape against the
-    parent state's instead.  Normalization is checked where a state enters a
+    The one constructor of every state, the steps' included.  Only the
+    shape is checked here.  Normalization is checked where a state enters a
     run (``state_from_terms`` and the start of ``walk_states``), and the loop
     checks the norm drift after every step, so a step computes the norm once.
     """
@@ -80,7 +79,7 @@ class WalkState:
         expected = host.out_neighbors.shape
         if amps.shape != expected:
             raise ValidationError(f"amplitude array shape {amps.shape}, expected {expected}")
-        amps.flags.writeable = False
+        amps.setflags(write=False)  # half the cost of amps.flags.writeable = False
         self.host = host
         self.amps = amps
         self.time = time
@@ -197,31 +196,16 @@ def build_shift_operator(p: Partition, gc: CoinShift) -> np.ndarray:
     return inverse
 
 
-def _derived(state: WalkState, amps: np.ndarray, time: int) -> WalkState:
-    """The state one step makes from ``state``: its host, ``amps`` and ``time``.
-
-    ``state``'s shape was checked against its host when it was built, so a
-    derived state checks only that ``amps`` keeps that shape (a coin of
-    another width would not), without ``WalkState.__init__``'s host lookup.
-    """
-    if amps.shape != state.amps.shape:
-        raise ValidationError(f"amplitude array shape {amps.shape}, expected {state.amps.shape}")
-    amps.setflags(write=False)  # half the cost of amps.flags.writeable = False
-    new = object.__new__(WalkState)
-    new.host, new.amps, new.time = state.host, amps, time
-    return new
-
-
 def coin_step(state: WalkState, coin: np.ndarray) -> WalkState:
     """Apply the coin at every vertex.  ``walk_states`` checks the coin once
     per run, so it is not checked here."""
-    return _derived(state, state.amps @ coin, state.time)
+    return WalkState(state.host, state.amps @ coin, state.time)
 
 
 def shift_step(state: WalkState, shift: np.ndarray) -> WalkState:
     """Gather through ``shift``, a gather index from build_shift_operator."""
     amps = state.amps
-    return _derived(state, amps.ravel()[shift].reshape(amps.shape), state.time + 1)
+    return WalkState(state.host, amps.ravel()[shift].reshape(amps.shape), state.time + 1)
 
 
 def _window_check(initial: WalkState, t_max: int) -> None:
@@ -302,7 +286,7 @@ def _steps(
     # zip draws from the range first, so no shift is drawn past t_max.
     for _, shift in zip(range(t_max), shifts):
         state = shift_step(coin_step(state, coin), shift)
-        drift = abs(np.vdot(state.amps, state.amps).real - 1.0)
+        drift = abs(state.norm_squared() - 1.0)
         # Written so that a NaN norm fails too.
         if not drift <= UNITARY_ATOL:
             raise NumericalCheckError(

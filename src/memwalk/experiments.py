@@ -224,19 +224,18 @@ class ResolvedExperiment:
     initial: WalkState
 
 
-def _partition_seeds(spec: ExperimentSpec) -> list[int | None]:
+def _partition_seeds(spec: ExperimentSpec) -> list[int | None] | np.ndarray:
     """The partition seed of each step: entry t - 1 is step t's.
 
     A frozen partition ("never") has one entry, the spec's partition seed
     or else its master seed.  A "per_step" spec draws max(t_max, 1) step
-    seeds from that seed; without one, the single None entry makes
-    named_partition ask for a seed.
+    seeds from that seed, held in one uint64 array; without one, the single
+    None entry makes named_partition ask for a seed.
     """
     seed = spec.partition_seed if spec.partition_seed is not None else spec.seed
     if spec.partition_resample != "per_step" or seed is None:
         return [seed]
-    state = np.random.SeedSequence(seed).generate_state(max(spec.t_max, 1), dtype=np.uint64)
-    return [int(s) for s in state]
+    return np.random.SeedSequence(seed).generate_state(max(spec.t_max, 1), dtype=np.uint64)
 
 
 def _resolve_coin(spec: ExperimentSpec) -> np.ndarray:
@@ -445,7 +444,8 @@ def resolve_spec(
             f" needs {window} and {spec.memory_depth}"
         )
     # A per-step spec resolves (and is validated against) its first step's sample.
-    partition = named_partition(host, spec.partition_kind, _partition_seeds(spec)[0])
+    seed = _partition_seeds(spec)[0]
+    partition = named_partition(host, spec.partition_kind, None if seed is None else int(seed))
     gc = _resolve_coin_shift(spec, partition)
     coin = _resolve_coin(spec)
     initial = _resolve_initial(spec, host)
@@ -472,7 +472,7 @@ def iter_history(resolved: ResolvedExperiment) -> Iterator[WalkState]:
         def partition(t: int) -> Partition:
             if t == 1:
                 return resolved.partition
-            return named_partition(resolved.host, spec.partition_kind, seeds[t - 1])
+            return named_partition(resolved.host, spec.partition_kind, int(seeds[t - 1]))
 
     else:
         partition = resolved.partition

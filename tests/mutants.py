@@ -7,8 +7,9 @@ temporary directory, replaces the entry's snippet in its module (the snippet
 must occur there exactly once), and runs the entry's test files against the
 copy with ``pytest -x -q -p no:cacheprovider``, one mutant at a time.  The
 entry is killed when that run fails.  The unmutated copy must pass the same
-files first, so that a failure comes from the mutant.  The script exits 1
-if any entry survives or cannot be applied.
+files first, so that a failure comes from the mutant.  An entry whose
+mutated module does not compile is not applied.  The script exits 1 if any
+entry survives or cannot be applied.
 
 Standard library only.  Tier-1 does not collect this file: its name does
 not start with ``test_``.  Never drop an entry to get a green run; an entry
@@ -39,6 +40,7 @@ class Mutant(NamedTuple):
 
 ENGINE = "memwalk/engine.py"
 ANALYSIS = "memwalk/analysis.py"
+EXPERIMENTS = "memwalk/experiments.py"
 
 MUTANTS = (
     Mutant(
@@ -74,11 +76,11 @@ MUTANTS = (
         ("tests/test_engine.py",),
     ),
     Mutant(
-        "derived-state-shape-unchecked",
+        "state-shape-unchecked",
         ENGINE,
-        "    if amps.shape != state.amps.shape:\n"
-        '        raise ValidationError(f"amplitude array shape {amps.shape},'
-        ' expected {state.amps.shape}")\n',
+        "        if amps.shape != expected:\n"
+        '            raise ValidationError(f"amplitude array shape {amps.shape},'
+        ' expected {expected}")\n',
         "",
         ("tests/test_engine.py",),
     ),
@@ -96,6 +98,52 @@ MUTANTS = (
         "return float(np.dot(dist.probs, window.squares)) - mean * abs(mean)",
         ("tests/test_analysis.py",),
     ),
+    Mutant(
+        "census-host-unchecked",
+        ANALYSIS,
+        "    host.center_arcs  # looked up once, here, so that a host without them fails first\n",
+        "",
+        ("tests/test_analysis.py",),
+    ),
+    Mutant(
+        "census-last-partial-chunk-skipped",
+        ANALYSIS,
+        "if k == chunk_steps - 1 or t == t_max:",
+        "if k == chunk_steps - 1:",
+        ("tests/test_analysis.py",),
+    ),
+    Mutant(
+        "csv-final-flush-dropped",
+        EXPERIMENTS,
+        "    yield write\n    if steps:\n        flush()\n",
+        "    yield write\n",
+        ("tests/test_experiments.py",),
+    ),
+    Mutant(
+        "csv-mirror-copy-dropped",
+        EXPERIMENTS,
+        "            if mirrored:\n"
+        "                for i, text in zip(indices, texts):\n"
+        "                    tails[last - i] = heads[last - i] + text\n",
+        "",
+        ("tests/test_experiments.py",),
+    ),
+    Mutant(
+        "enumerate-repeat-unchecked",
+        EXPERIMENTS,
+        "    repeated = _repeated(seeds)\n"
+        "    if repeated:\n"
+        '        raise ValidationError(f"enumerate seeds repeat: {repeated}")\n',
+        "",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "sweep-repeat-unchecked",
+        EXPERIMENTS,
+        "        repeated = _repeated(items)\n",
+        "        repeated = []\n",
+        ("tests/test_cli.py",),
+    ),
 )
 
 
@@ -104,6 +152,16 @@ def _pytest(src: Path, tests: tuple[str, ...]) -> int:
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
     argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     return subprocess.run(argv, cwd=ROOT, env=env, stdout=subprocess.DEVNULL).returncode
+
+
+def _compiles(text: str, path: Path) -> bool:
+    """Whether ``text`` is valid Python: a mutant that breaks the syntax
+    fails every test without showing that any test looks at its code."""
+    try:
+        compile(text, str(path), "exec")
+    except SyntaxError:
+        return False
+    return True
 
 
 def _copy_src(tmp: str) -> Path:
@@ -136,10 +194,13 @@ def main() -> int:
             path = src / m.module
             text = path.read_text()
             count = text.count(m.snippet)
+            mutated = text.replace(m.snippet, m.replacement)
             if count != 1:
                 verdict = f"NOT APPLIED (the snippet occurs {count} times)"
+            elif not _compiles(mutated, path):
+                verdict = "NOT APPLIED (the mutated module does not compile)"
             else:
-                path.write_text(text.replace(m.snippet, m.replacement))
+                path.write_text(mutated)
                 verdict = "killed" if _pytest(src, m.tests) != 0 else "SURVIVED"
         failed += verdict != "killed"
         print(f"{m.name}: {verdict} ({time.perf_counter() - start:.1f} s)", flush=True)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import os
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -331,20 +333,26 @@ def test_stacked_marginals_equal_per_state_marginals(request, host_name, walk_cl
         assert np.array_equal(row, np.stack([position_marginal(s).probs for s in hist]))
 
 
-def per_probe_census(host, seeds, t_max):
-    """The census with one position_marginal call per probe state and step."""
+def per_probe_history(host, p, t_max):
+    """A seed's rounded census history, (probe, time, position), with one
+    position_marginal call per probe state and step."""
     probes = list(origin_basis_terms(host))
     ((lo, _, _),), ((hi, _, _),) = probes[0], probes[2]
     probes.append([(lo, 1, 0.5), (lo, -1, 0.5j), (hi, 1, 0.5), (hi, -1, -0.5)])
+    gc = carried_coin_shift(p)
+    blocks = []
+    for terms in probes:
+        hist = evolve(p, gc, hadamard_coin(), state_from_terms(host, terms), t_max)
+        blocks.append(np.stack([position_marginal(s).probs for s in hist]))
+    return np.round(np.stack(blocks), 10)
+
+
+def per_probe_census(host, seeds, t_max):
+    """The census over whole per-probe histories."""
     signatures, class_of, key_of = {}, {}, {}
     for seed in seeds:
         p = random_dicycle_factorization(host, seed)
-        gc = carried_coin_shift(p)
-        blocks = []
-        for terms in probes:
-            hist = evolve(p, gc, hadamard_coin(), state_from_terms(host, terms), t_max)
-            blocks.append(np.stack([position_marginal(s).probs for s in hist]))
-        signature = np.round(np.stack(blocks), 10).tobytes()
+        signature = per_probe_history(host, p, t_max).tobytes()
         class_of[seed] = signatures.setdefault(signature, len(signatures))
         key_of[seed] = partition_center_key(p)
     return len(signatures), class_of, key_of
@@ -357,6 +365,54 @@ def test_census_matches_per_probe_census():
     assert (report.n_classes, report.class_of, report.key_of) == per_probe_census(
         host, seeds, 30
     )
+
+
+def test_census_matches_per_probe_census_past_one_chunk():
+    # 131 states: two full chunks and a partial one of three.
+    t_max = 2 * analysis.CENSUS_CHUNK_STEPS + 2
+    host = iterate_line_digraph(make_bidirected_cycle(minimal_window(t_max, 1)), 1)
+    seeds = list(range(40))
+    report = count_distinct_dicycle_carried_walks(host, seeds, t_max, one_process)
+    assert report.n_classes == 8
+    assert (report.n_classes, report.class_of, report.key_of) == per_probe_census(
+        host, seeds, t_max
+    )
+
+
+@pytest.mark.parametrize("t_max", [0, 10, 63, 64, 130])
+def test_census_digest_hashes_the_whole_history_a_chunk_at_a_time(t_max):
+    # The sighting's digest is SHA-256 over the rounded history, cut into
+    # chunks of CENSUS_CHUNK_STEPS states, the last one partial.
+    host = iterate_line_digraph(make_bidirected_cycle(minimal_window(t_max, 1)), 1)
+    sightings = []
+
+    def recording(walk, seeds):
+        sightings.extend(walk(seed) for seed in seeds)
+        return sightings
+
+    count_distinct_dicycle_carried_walks(host, [3], t_max, recording)
+    p = random_dicycle_factorization(host, 3)
+    history = per_probe_history(host, p, t_max)
+    chunk = analysis.CENSUS_CHUNK_STEPS
+    want = hashlib.sha256()
+    for start in range(0, t_max + 1, chunk):
+        want.update(history[:, start : start + chunk].tobytes())
+    assert sightings == [(want.digest(), partition_center_key(p))]
+
+
+def test_census_memory_grows_linearly_with_t_max():
+    # Doubling t_max about doubles the host; a census holding every probe's
+    # whole history would about quadruple its peak.
+    def peak(t_max):
+        host = iterate_line_digraph(make_bidirected_cycle(minimal_window(t_max, 1)), 1)
+        tracemalloc.start()
+        try:
+            count_distinct_dicycle_carried_walks(host, [0], t_max, one_process)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(255) / peak(127) < 3
 
 
 @pytest.mark.parametrize("key", ["constant", "seed"])

@@ -271,7 +271,7 @@ def test_per_step_run_samples_each_step_partition_once(monkeypatch):
     states = list(iter_history(resolve_spec(spec)))
     assert len(states) == 21
     assert len(seeds) == spec.t_max
-    assert seeds == experiments._partition_seeds(spec)
+    assert seeds == experiments._partition_seeds(spec).tolist()
 
 
 @pytest.mark.parametrize("kind", ["random", "random_dicycle"])
@@ -296,7 +296,31 @@ def test_per_step_run_checks_each_step_shift_once(monkeypatch, kind):
     states = list(iter_history(resolved))
     assert len(states) == 21
     assert len(checked) == resolved.spec.t_max
-    assert checked == experiments._partition_seeds(resolved.spec)
+    assert checked == experiments._partition_seeds(resolved.spec).tolist()
+
+
+def test_per_step_step_seeds_are_pinned():
+    # Step t's partition seed is entry t - 1 of one uint64 array drawn from
+    # the spec's seed; a longer walk's seeds start with a shorter one's.
+    def step_seeds(t_max):
+        doc = spec_doc(
+            partition={"kind": "random", "seed": 5, "resample": "per_step"},
+            coin_shift={"kind": "recycled"},
+            t_max=t_max,
+        )
+        return experiments._partition_seeds(ExperimentSpec.from_json_dict(doc))
+
+    seeds = step_seeds(20)
+    assert seeds.dtype == np.uint64 and seeds.shape == (20,)
+    assert seeds[:3].tolist() == [
+        12631478326263854183,
+        4464650224815488352,
+        6320729261375576658,
+    ]
+    assert seeds[-1] == 11937350556197218780
+    assert step_seeds(1).tolist() == seeds[:1].tolist()
+    assert step_seeds(200)[:20].tolist() == seeds.tolist()
+    assert step_seeds(200)[-1] == 12581757218632944156
 
 
 def test_per_step_carried_run_rejects_a_later_non_dicycle_sample(tmp_path):

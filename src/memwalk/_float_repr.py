@@ -26,8 +26,8 @@ __all__: list[str] = []
 #: The bits of 1.0.  A lane goes to the kernel when its bits lie strictly
 #: between those of 0.0 and this, that is when its value lies in (0, 1).
 KERNEL_BITS_LIMIT = np.uint64(1023 << 52)
-#: Each lane's text is at most 23 bytes ("2.2250738585072014e-308"), held
-#: NUL-padded in three little-endian uint64 words.
+#: A lane's digits, and the exponent form's point, fit in 18 bytes: they
+#: are held NUL-padded in three little-endian uint64 words.
 _WORDS = 3
 #: Ryū's DOUBLE_POW5_BITCOUNT: every 5^i is held to exactly this many bits.
 _POW5_BITS = 125
@@ -36,7 +36,12 @@ _LIMB_BITS = 28
 _LIMB = (1 << _LIMB_BITS) - 1
 #: ASCII "0" in every byte of a word.
 _ZEROS = int.from_bytes(b"0" * 8, "little")
-_DOT, _ZERO, _E, _MINUS = b".0e-"
+#: What repr writes before the digits of 0.<digits> * 10^decpt, at index
+#: -decpt, for -3 <= decpt <= 0: "0." and up to three zeros.
+_LEAD_INS = np.array([b"0." + b"0" * k for k in range(4)])
+#: The suffix of d.ddd * 10^-k, at index k: at least two exponent digits.
+#: 5e-324, the smallest double, takes the last.
+_EXPONENTS = np.array([b"e-%02d" % k for k in range(325)])
 
 
 @cache
@@ -168,19 +173,6 @@ def _low_bytes(count: np.ndarray) -> list[np.ndarray]:
     ]
 
 
-def _placed(value: np.ndarray, at: np.ndarray) -> list[np.ndarray]:
-    """The words of ``value``'s 8 bytes moved up to byte ``at`` of each lane.
-
-    Shifts of 64 or more give 0 on numpy arrays, so each word takes the part
-    of ``value`` that lands in it and nothing else.
-    """
-    bit = 8 * at.astype(np.uint64)
-    return [
-        (value << ((bit - 64 * k) & 255)) | (value >> (((64 * k - bit - 1) & 255) + 1))
-        for k in range(_WORDS)
-    ]
-
-
 def _shifted(words: list[np.ndarray], nbytes) -> list[np.ndarray]:
     """The words of a lane's bytes moved up by ``nbytes`` (1..7) each."""
     s = 8 * np.asarray(nbytes, dtype=np.uint64)
@@ -200,29 +192,14 @@ def _ascii17(digits: np.ndarray, n: np.ndarray) -> list[np.ndarray]:
     return [(lead + ord("0")) | (a << 8), (a >> 56) | (b << 8), b >> 56]
 
 
-def _exponent_form(
-    shown: list[np.ndarray], n: np.ndarray, decpt: np.ndarray
-) -> list[np.ndarray]:
-    """d.ddde-XX: the first digit, a point unless it is the only digit, the
-    rest, then "e-" and at least two exponent digits."""
-    words = _shifted(shown, 1)
-    dot = (n > 1) * np.uint64(_DOT << 8)
-    words[0] = (words[0] & ~np.uint64(0xFFFF)) | (shown[0] & 0xFF) | dot
-    e = (1 - decpt).astype(np.uint64)
-    wide = e >= 100
-    hundreds, tens = e // 100, e // 10
-    suffix = (
-        (_E | (_MINUS << 8))
-        | ((np.where(wide, hundreds, tens) + _ZERO) << 16)
-        | ((np.where(wide, tens - hundreds * 10, e - tens * 10) + _ZERO) << 24)
-        | (wide * ((e - tens * 10 + _ZERO) << 32))
-    )
-    return [w | s for w, s in zip(words, _placed(suffix, n + (n > 1)))]
+def _text(words: list[np.ndarray]) -> np.ndarray:
+    """Each lane's NUL-padded little-endian words as one "S24" string."""
+    return np.stack(words, axis=1).astype("<u8", copy=False).view("S24").ravel()
 
 
 def _layout(digits: np.ndarray, exp10: np.ndarray) -> np.ndarray:
-    """repr's layout of digits * 10^exp10 (in (0, 1)), as NUL-padded rows of
-    a (lanes, 3) little-endian uint64 array."""
+    """repr's layout of digits * 10^exp10 (in (0, 1)), as a 1-d "S24"
+    array."""
     # Digit count: from the bit length, as the float conversion reads it
     # (it may round up by one bit, which the comparison absorbs).
     bit_length = (digits.astype(np.float64).view(np.uint64) >> 52).astype(np.int64) - 1022
@@ -231,16 +208,20 @@ def _layout(digits: np.ndarray, exp10: np.ndarray) -> np.ndarray:
     # The point's place: the value is 0.<digits> * 10^decpt, so decpt <= 0.
     decpt = exp10 + n
     shown = [w & m for w, m in zip(_ascii17(digits, n), _low_bytes(n))]
+    texts = np.empty(digits.size, dtype="S24")
 
-    words = _exponent_form(shown, n, decpt)
-    # 0.000ddd where -3 <= decpt <= 0: "0.", up to three zeros, the digits.
-    fixed = decpt >= -3
-    if fixed.any():
-        lead_in = 2 - np.maximum(decpt, -3)
-        small = _shifted(shown, lead_in)
-        small[0] |= int.from_bytes(b"0.000", "little") & _low_bytes(lead_in)[0]
-        words = [np.where(fixed, f, w) for f, w in zip(small, words)]
-    return np.stack(words, axis=1).astype("<u8", copy=False)
+    # 0.000ddd where -3 <= decpt <= 0.
+    lanes = np.flatnonzero(decpt >= -3)
+    texts[lanes] = np.add(np.take(_LEAD_INS, -decpt[lanes]), _text([w[lanes] for w in shown]))
+    # d.ddde-XX: the first digit, a point unless it is the only digit, the
+    # rest, then the exponent.
+    lanes = np.flatnonzero(decpt < -3)
+    shown = [w[lanes] for w in shown]
+    words = _shifted(shown, 1)
+    dot = (n[lanes] > 1) * np.uint64(ord(".") << 8)
+    words[0] = (words[0] & ~np.uint64(0xFFFF)) | (shown[0] & 0xFF) | dot
+    texts[lanes] = np.add(_text(words), np.take(_EXPONENTS, 1 - decpt[lanes]))
+    return texts
 
 
 def repr_rows(values: np.ndarray) -> np.ndarray:
@@ -250,7 +231,7 @@ def repr_rows(values: np.ndarray) -> np.ndarray:
     bits = values.view(np.uint64)
     lanes = np.flatnonzero((bits != 0) & (bits < KERNEL_BITS_LIMIT))
     digits, exp10, held = _shortest(bits[lanes])
-    texts = _layout(digits[held], exp10[held]).view("S24").ravel()
+    texts = _layout(digits[held], exp10[held])
     if texts.size == values.size:
         return texts
     rows = np.zeros(values.size, dtype="S24")

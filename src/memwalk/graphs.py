@@ -420,7 +420,7 @@ def _lift_factorization(
     return lifted
 
 
-def iterate_line_digraph(g: RegularDigraph, d: int, seed: int | None = None) -> RegularDigraph:
+def iterate_line_digraph(g: RegularDigraph, d: int) -> RegularDigraph:
     """Apply the line-digraph construction d times (d = 0 returns g).
 
     The base level is factorized by dicycle_factorize_base; each deeper
@@ -433,7 +433,7 @@ def iterate_line_digraph(g: RegularDigraph, d: int, seed: int | None = None) -> 
     classes = None
     for _ in range(d):
         if classes is None:
-            classes = dicycle_factorize_base(cur, seed)
+            classes = dicycle_factorize_base(cur)
         nxt = line_digraph(cur, classes)
         classes = _lift_factorization(cur.n_vertices, cur.degree, classes)
         cur = nxt

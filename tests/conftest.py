@@ -15,6 +15,7 @@ from memwalk import (
     engine,
     experiments,
     iterate_line_digraph,
+    line_digraph,
     make_bidirected_cycle,
     minimal_window,
 )
@@ -149,11 +150,23 @@ def advance_label(label: int, delta: int, n: int, centered: bool) -> int:
     return centered_label(raw, n) if centered else raw
 
 
+def seeded_host(base: RegularDigraph, depth: int, seed: int | None) -> RegularDigraph:
+    """iterate_line_digraph(base, depth), but built on the base
+    factorization dicycle_factorize_base(base, seed) draws."""
+    if seed is None:
+        return iterate_line_digraph(base, depth)
+    host, classes = base, dicycle_factorize_base(base, seed)
+    for _ in range(depth):
+        lifted = _lift_factorization(host.n_vertices, host.degree, classes)
+        host, classes = line_digraph(host, classes), lifted
+    return host
+
+
 @cache
 def reference_host(
     window: int, depth: int, seed: int | None
 ) -> tuple[RegularDigraph, tuple[tuple[int, ...], ...]]:
-    """iterate_line_digraph's host on a window-cycle, and its path tuples as
+    """seeded_host's host on a window-cycle, and its path tuples as
     line_digraph's label loop built them from the same factorizations."""
     centered = window % 2 == 1
     labels = [(centered_label(x, window),) if centered else (x,) for x in range(window)]
@@ -164,7 +177,7 @@ def reference_host(
         inverses = [np.argsort(perm) for perm in classes]
         labels = [labels[int(inv[u])] + (labels[u][-1],) for inv in inverses for u in range(n)]
         classes = _lift_factorization(n, 2, classes)
-    return iterate_line_digraph(base, depth, seed=seed), tuple(labels)
+    return seeded_host(base, depth, seed), tuple(labels)
 
 
 def reference_hosts():

@@ -41,6 +41,7 @@ class Mutant(NamedTuple):
 ENGINE = "memwalk/engine.py"
 ANALYSIS = "memwalk/analysis.py"
 EXPERIMENTS = "memwalk/experiments.py"
+FLOAT_REPR = "memwalk/_float_repr.py"
 
 MUTANTS = (
     Mutant(
@@ -106,6 +107,27 @@ MUTANTS = (
         ("tests/test_analysis.py",),
     ),
     Mutant(
+        "recycled-oracle-roll-reversed",
+        ENGINE,
+        "enumerate((1, -1))",
+        "enumerate((-1, 1))",
+        ("tests/test_engine.py",),
+    ),
+    Mutant(
+        "field-roll-reversed",
+        ANALYSIS,
+        "(a[-shift:], a[:-shift])",
+        "(a[shift:], a[:shift])",
+        ("tests/test_analysis.py",),
+    ),
+    Mutant(
+        "field-phases-mod-2",
+        ANALYSIS,
+        "_phase_map(n, b.time % 4)",
+        "_phase_map(n, b.time % 2)",
+        ("tests/test_analysis.py",),
+    ),
+    Mutant(
         "census-last-partial-chunk-skipped",
         ANALYSIS,
         "if k == chunk_steps - 1 or t == t_max:",
@@ -143,6 +165,39 @@ MUTANTS = (
         "        repeated = _repeated(items)\n",
         "        repeated = []\n",
         ("tests/test_cli.py",),
+    ),
+    # The first entry's twin in the lanes loop, r - r10 * 10 >= 5, is left
+    # out: at > 5 it is equivalent.  A lane that drops four or more digits
+    # lies within its rounding interval's width (a few tens of units at
+    # most) of a multiple of 10^4, so the last digit it drops is 0 or 9,
+    # never 5.
+    Mutant(
+        "ryu-round-up-strict",
+        FLOAT_REPR,
+        "vr - vr10 * 10 >= 5",
+        "vr - vr10 * 10 > 5",
+        ("tests/test_float_repr.py",),
+    ),
+    Mutant(
+        "ryu-vm-bump-dropped",
+        FLOAT_REPR,
+        "vr + ((vr == vm) | round_up)",
+        "vr + round_up",
+        ("tests/test_float_repr.py",),
+    ),
+    Mutant(
+        "ryu-general-case-not-refused",
+        FLOAT_REPR,
+        "held = (q > 1) & ((q >= 63) | (mv & low_bits != 0))",
+        "held = q == q",
+        ("tests/test_float_repr.py",),
+    ),
+    Mutant(
+        "exponent-unpadded",
+        FLOAT_REPR,
+        'b"e-%02d"',
+        'b"e-%d"',
+        ("tests/test_float_repr.py",),
     ),
 )
 

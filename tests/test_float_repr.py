@@ -77,6 +77,11 @@ def test_equals_repr_at_the_edges():
     assert got == reprs(values)
     assert {b"0.0001", b"1e-05", b"1e+16", b"5e-324", b"0.30000000000000004"} <= set(got)
     assert any(b"e-1" in text and len(text.split(b"e-")[1]) == 3 for text in got)
+    # Batches whose kernel lanes all take one form: the layout fills each
+    # form by its own index, so the other form's index is empty.
+    for only_one_form in ([1e-05, 1.5e-100, 5e-324], [0.1, 0.0001, 0.30000000000000004]):
+        assert float_reprs(np.array(only_one_form)) == reprs(only_one_form)
+        assert kernel_lanes(only_one_form) == 3
 
 
 def test_every_digit_count_from_1_to_17():
@@ -104,6 +109,9 @@ def test_lanes_outside_the_kernel_fall_back_to_repr():
     assert float_reprs(values) == reprs(values)
     assert kernel_lanes(values) == 1
     assert float_reprs(np.array([])) == []
+    # No lane left for the kernel at all.
+    assert float_reprs(np.array([1.0, 0.5])) == [b"1.0", b"0.5"]
+    assert kernel_lanes([1.0, 0.5]) == 0
 
 
 def test_every_probability_of_the_default_walk():

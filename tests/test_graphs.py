@@ -23,7 +23,7 @@ from memwalk.graphs import (
     centered_positions,
 )
 
-from conftest import advance_label, reference_hosts, step_direction
+from conftest import advance_label, reference_hosts, seeded_host, step_direction
 
 
 def test_bidirected_cycle_adjacency_c3():
@@ -324,7 +324,7 @@ def _kuhn_factorization(g: RegularDigraph, seed: int | None) -> list[np.ndarray]
     [(65, 1, None), (8, 1, None), (9, 2, 3), (4, 2, None), (21, 3, 7), (7, 0, None)],
 )
 def test_factorization_matches_kuhn_reference(window, depth, base_seed):
-    host = iterate_line_digraph(make_bidirected_cycle(window), depth, seed=base_seed)
+    host = seeded_host(make_bidirected_cycle(window), depth, base_seed)
     assert (host.twins is None) == (depth == 0)
     # Past 2^63 too: the sampler builds Generator(PCG64(seed)), the
     # reference default_rng(seed).

@@ -173,12 +173,9 @@ def _low_bytes(count: np.ndarray) -> list[np.ndarray]:
     ]
 
 
-def _shifted(words: list[np.ndarray], nbytes) -> list[np.ndarray]:
-    """The words of a lane's bytes moved up by ``nbytes`` (1..7) each."""
-    s = 8 * np.asarray(nbytes, dtype=np.uint64)
-    return [words[0] << s] + [
-        (words[k] << s) | (words[k - 1] >> (64 - s)) for k in range(1, _WORDS)
-    ]
+def _shifted(words: list[np.ndarray]) -> list[np.ndarray]:
+    """The words of a lane's bytes moved up by one byte."""
+    return [words[0] << 8] + [(words[k] << 8) | (words[k - 1] >> 56) for k in range(1, _WORDS)]
 
 
 def _ascii17(digits: np.ndarray, n: np.ndarray) -> list[np.ndarray]:
@@ -217,7 +214,7 @@ def _layout(digits: np.ndarray, exp10: np.ndarray) -> np.ndarray:
     # rest, then the exponent.
     lanes = np.flatnonzero(decpt < -3)
     shown = [w[lanes] for w in shown]
-    words = _shifted(shown, 1)
+    words = _shifted(shown)
     dot = (n[lanes] > 1) * np.uint64(ord(".") << 8)
     words[0] = (words[0] & ~np.uint64(0xFFFF)) | (shown[0] & 0xFF) | dot
     texts[lanes] = np.add(_text(words), np.take(_EXPONENTS, 1 - decpt[lanes]))

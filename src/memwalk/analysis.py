@@ -11,7 +11,7 @@ cross-check the engine.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 
@@ -38,7 +38,7 @@ from .engine import (
     state_from_terms,
 )
 from .errors import ValidationError
-from .graphs import PositionWindow, RegularDigraph
+from .graphs import RegularDigraph, centered_positions
 from .partitions import Partition, random_dicycle_factorization
 
 __all__ = [
@@ -70,23 +70,15 @@ SQRT2 = np.sqrt(2.0)
 
 @dataclass(frozen=True, eq=False)
 class PositionDistribution:
-    """Probability over positions at one time step (dense, sorted positions).
-
-    ``window``, when given, must be built from this very ``positions``
-    array; it holds the constants variance would otherwise recompute at
-    every step.  position_marginal passes its host's.
-    """
+    """Probability over positions at one time step (dense, sorted positions)."""
 
     positions: np.ndarray
     probs: np.ndarray
     time: int
-    window: PositionWindow | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.positions.shape != self.probs.shape:
             raise ValidationError("positions and probabilities differ in length")
-        if self.window is not None and self.window.positions is not self.positions:
-            raise ValidationError("position window was built from other positions")
         self.positions.flags.writeable = False
         self.probs.flags.writeable = False
 
@@ -127,7 +119,7 @@ def position_marginal(state: WalkState) -> PositionDistribution:
     """Sum |amplitude|^2 over everything sharing a current position."""
     host = state.host
     probs = _position_probs(host, state.amps)
-    return PositionDistribution(host.positions, probs, state.time, host.position_window)
+    return PositionDistribution(host.positions, probs, state.time)
 
 
 def marginal_history(states: list[WalkState]) -> list[PositionDistribution]:
@@ -135,10 +127,11 @@ def marginal_history(states: list[WalkState]) -> list[PositionDistribution]:
 
 
 def variance(dist: PositionDistribution) -> float:
-    window = dist.window if dist.window is not None else PositionWindow.of(dist.positions)
-    # np.dot turns integer positions into these same floats first.
-    mean = float(np.dot(dist.probs, window.floats))
-    return float(np.dot(dist.probs, window.squares)) - mean**2
+    # One cast serves both dots (np.dot makes the same one of integer
+    # positions); the squares are exact, as MAX_VERTICES keeps |x| below 2^19.
+    x = dist.positions.astype(float)
+    mean = float(np.dot(dist.probs, x))
+    return float(np.dot(dist.probs, x * x)) - mean**2
 
 
 def occupancy_rate(dist: PositionDistribution, n_range: int) -> float:
@@ -242,16 +235,6 @@ def _centered_order(arr: np.ndarray) -> np.ndarray:
     return np.concatenate([arr[-half:], arr[: half + 1]])
 
 
-@lru_cache(maxsize=2)
-def _field_positions(n: int) -> np.ndarray:
-    """The sorted centered positions of an n-cell field window, read-only;
-    every distribution of that window shares them."""
-    half = (n - 1) // 2
-    positions = np.arange(-half, half + 1)
-    positions.flags.writeable = False
-    return positions
-
-
 def equivalence_initial_beta(window: int) -> BetaField:
     """Alternating-sign start at the origin: +-1/2 on the four states there."""
     if window % 2 == 0 or window < 3:
@@ -316,7 +299,7 @@ def beta_from_walk_state(state: WalkState) -> BetaField:
 
 def beta_distribution(b: BetaField) -> PositionDistribution:
     probs = (np.abs(b.amps) ** 2).sum(axis=(1, 2))
-    return PositionDistribution(_field_positions(b.window), _centered_order(probs), b.time)
+    return PositionDistribution(centered_positions(b.window), _centered_order(probs), b.time)
 
 
 # -- memoryless Hadamard walk and the phase map -----------------------------------
@@ -391,7 +374,7 @@ def alpha_from_beta(b: BetaField) -> AlphaField:
 
 def alpha_distribution(a: AlphaField) -> PositionDistribution:
     probs = (np.abs(a.amps) ** 2).sum(axis=1)
-    return PositionDistribution(_field_positions(a.window), _centered_order(probs), a.time)
+    return PositionDistribution(centered_positions(a.window), _centered_order(probs), a.time)
 
 
 # -- distinct dicycle walks under the carried coin ---------------------------------

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -28,19 +27,6 @@ __all__ = [
     "minimal_window",
     "centered_positions",
 ]
-
-class PositionWindow(NamedTuple):
-    """The positions of a window with what per-step position statistics read
-    of them: the positions as floats and their squares."""
-
-    positions: np.ndarray
-    floats: np.ndarray
-    squares: np.ndarray
-
-    @classmethod
-    def of(cls, positions: np.ndarray) -> "PositionWindow":
-        floats = positions.astype(float)
-        return cls(positions, floats, floats**2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,12 +141,6 @@ class RegularDigraph:
         )
         positions.flags.writeable = False
         return positions
-
-    @cached_property
-    def position_window(self) -> PositionWindow:
-        """The constants of ``positions`` that every marginal on this host
-        shares."""
-        return PositionWindow.of(self.positions)
 
     @cached_property
     def columns(self) -> np.ndarray:

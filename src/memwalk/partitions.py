@@ -89,13 +89,11 @@ class Partition:
         return bool(np.bincount(bins, minlength=succ.size).all())
 
 
-def _require_cycle_host(host: RegularDigraph, min_depth: int = 1) -> None:
+def _require_cycle_host(host: RegularDigraph) -> None:
     if host.degree != 2:
         raise ValidationError(f"need a 2-regular host, got degree {host.degree}")
-    if host.depth < min_depth:
-        raise ValidationError(
-            f"need a line digraph of depth >= {min_depth}, got {host.depth}"
-        )
+    if host.depth < 1:
+        raise ValidationError(f"need a line digraph of depth >= 1, got {host.depth}")
 
 
 def _marked_first(host: RegularDigraph, first: np.ndarray) -> np.ndarray:

@@ -95,8 +95,15 @@ MUTANTS = (
     Mutant(
         "variance-signed-mean-square",
         ANALYSIS,
-        "return float(np.dot(dist.probs, window.squares)) - mean**2",
-        "return float(np.dot(dist.probs, window.squares)) - mean * abs(mean)",
+        "return float(np.dot(dist.probs, x * x)) - mean**2",
+        "return float(np.dot(dist.probs, x * x)) - mean * abs(mean)",
+        ("tests/test_analysis.py",),
+    ),
+    Mutant(
+        "variance-second-moment-signed",
+        ANALYSIS,
+        "np.dot(dist.probs, x * x)",
+        "np.dot(dist.probs, x * np.abs(x))",
         ("tests/test_analysis.py",),
     ),
     Mutant(
@@ -197,6 +204,13 @@ MUTANTS = (
         FLOAT_REPR,
         'b"e-%02d"',
         'b"e-%d"',
+        ("tests/test_float_repr.py",),
+    ),
+    Mutant(
+        "shifted-carry-short",
+        FLOAT_REPR,
+        "(words[k - 1] >> 56)",
+        "(words[k - 1] >> 48)",
         ("tests/test_float_repr.py",),
     ),
 )

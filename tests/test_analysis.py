@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import os
 import tracemalloc
@@ -69,6 +68,10 @@ def test_distribution_prob_lookup():
 def test_distribution_shape_guard():
     with pytest.raises(ValidationError):
         dist([0, 1], [1.0])
+    # An even memoryless field has no centered window: its distribution is
+    # refused, not cut to n - 1 cells.
+    with pytest.raises(ValidationError):
+        alpha_distribution(qwom_initial_alpha(8))
 
 
 def test_position_marginal_sums_register(host_d1):
@@ -165,6 +168,22 @@ def test_beta_recurrence_matches_engine(host_d1):
         assert np.abs(packed.amps - field.amps).max() < 1e-12
         assert check_beta_constraint(field) < 1e-12
         field = beta_recurrence_step(field)
+
+
+def test_field_variances_equal_the_engine_marginal_variance(host_d1):
+    # The equivalence makes the walk with memory, its amplitude field and the
+    # memoryless walk spread alike: one variance at every step.
+    p = reflect_transmit_partition(host_d1)
+    state = state_from_terms(host_d1, equivalence_initial_terms(host_d1))
+    history = evolve(p, carried_coin_shift(p), hadamard_coin(), state, 20)
+    field = equivalence_initial_beta(host_d1.base_n)
+    alpha = qwom_initial_alpha(host_d1.base_n)
+    for s in history:
+        want = variance(position_marginal(s))
+        assert abs(variance(beta_distribution(field)) - want) < 1e-12
+        assert abs(variance(alpha_distribution(alpha)) - want) < 1e-12
+        field = beta_recurrence_step(field)
+        alpha = qwom_step(alpha)
 
 
 def _beta_by_vertex(state):
@@ -554,8 +573,8 @@ def test_position_probs_match_a_coin_axis_sum_bitwise(host_d1, rng, lead):
     assert np.array_equal(got, _reference_position_probs(host_d1, amps))
 
 
-# The fold's statistics as they were written before each took its window's
-# constants from the host; the fold must keep returning their exact bits.
+# The fold's statistics written out from the positions and probabilities
+# alone; the fold must keep returning their exact bits.
 
 
 def _written_out_marginal(host, amps):
@@ -600,20 +619,10 @@ def test_fold_statistics_equal_their_written_out_expressions(request, host_name)
         for x in (0, 1, -1, int(host.positions[-1])) + outside:
             assert d.prob(x) == _written_out_prob(host.positions, probs, x)
         assert all(d.prob(x) == 0.0 for x in outside)
-        # Without the host's window, variance computes the window's constants.
+        # A copy of the host's positions gives the same bits as the host's own.
         plain = PositionDistribution(host.positions.copy(), probs, state.time)
         for got in (d, plain):
             assert variance(got) == _written_out_variance(host.positions, probs)
             for n_range in (1, 2 * state.time + 1, host.base_n):
                 want = float(np.count_nonzero(probs >= 1.0 / n_range)) / n_range
                 assert occupancy_rate(got, n_range) == want
-
-
-def test_a_position_window_must_come_from_the_positions(host_d1, host_d2):
-    d = position_marginal(state_from_terms(host_d1, balanced_origin_terms(host_d1)))
-    with pytest.raises(ValidationError, match="other positions"):
-        dataclasses.replace(d, positions=host_d1.positions.copy())
-    probs = np.zeros(host_d2.positions.shape)
-    with pytest.raises(ValidationError, match="other positions"):
-        PositionDistribution(host_d2.positions, probs, 0, host_d1.position_window)
-    assert variance(dataclasses.replace(d, probs=d.probs.copy())) == variance(d)
